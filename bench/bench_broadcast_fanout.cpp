@@ -33,14 +33,17 @@ enum class Strategy { store_forward, pipelined, swarm };
 RunResult run_broadcast(std::size_t n, std::uint64_t m, std::uint64_t lecture_bytes,
                         Strategy strategy) {
   dist::StationConfig cfg;
-  cfg.chunk.enabled = strategy != Strategy::store_forward;
   if (strategy == Strategy::swarm) {
     cfg.swarm.enabled = true;
     cfg.swarm.trees = static_cast<std::uint32_t>(m);
   }
   SimCluster cluster(n, m, kCampusLink, cfg);
   auto doc = make_lecture("http://mmu.edu/lecture", lecture_bytes, cluster.id(0));
-  cluster.node(0).broadcast_push(doc).expect("push");
+  if (strategy == Strategy::store_forward) {
+    cluster.node(0).broadcast_push_store_forward(doc).expect("push");
+  } else {
+    cluster.node(0).broadcast_push(doc).expect("push");
+  }
   cluster.net().run();
   RunResult out;
   // Swarm gossip idles on for a few rounds after the last delivery, so
@@ -57,12 +60,6 @@ RunResult run_broadcast(std::size_t n, std::uint64_t m, std::uint64_t lecture_by
   out.depth = dist::tree_depth(n, m);
   out.complete = cluster.count_materialized(doc.doc_key) == n;
   return out;
-}
-
-RunResult run_broadcast(std::size_t n, std::uint64_t m, std::uint64_t lecture_bytes,
-                        bool chunked) {
-  return run_broadcast(n, m, lecture_bytes,
-                       chunked ? Strategy::pipelined : Strategy::store_forward);
 }
 
 // E2b: the swarm acceptance sweep (ISSUE 10). One 10 MB lecture to N=63
@@ -149,8 +146,8 @@ int main(int argc, char** argv) {
     std::uint64_t best_m = 1;
     for (std::uint64_t m : {1ull, 2ull, 3ull, 4ull, 8ull,
                             static_cast<unsigned long long>(n - 1)}) {
-      RunResult sf = run_broadcast(n, m, lecture_bytes, /*chunked=*/false);
-      RunResult pl = run_broadcast(n, m, lecture_bytes, /*chunked=*/true);
+      RunResult sf = run_broadcast(n, m, lecture_bytes, Strategy::store_forward);
+      RunResult pl = run_broadcast(n, m, lecture_bytes, Strategy::pipelined);
       const char* tag = m == 1 ? "chain" : (m == n - 1 ? "star" : "");
       std::printf("  %4llu %5s %8llu %14.2f %14.2f %8.1fx %18.1f %10s\n",
                   static_cast<unsigned long long>(m), tag,

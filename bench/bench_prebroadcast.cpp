@@ -45,8 +45,8 @@ PlaybackResult play_on_demand(SimCluster& cluster, const dist::DocManifest& doc,
     net.schedule_at(issue_time, [&, i] {
       cluster.node(student)
           .fetch_blob(cluster.id(0), doc.doc_key, doc.blobs[i],
-                      [&, i](Status s, SimTime at) {
-                        if (s.is_ok()) {
+                      [&, i](Result<dist::BlobRef> r, SimTime at) {
+                        if (r.is_ok()) {
                           arrival[i] = at;
                           arrived[i] = true;
                         }

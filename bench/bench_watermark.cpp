@@ -31,7 +31,7 @@ int main() {
 
   for (std::uint64_t watermark : {1ull, 2ull, 4ull, 8ull, 16ull,
                                   1000000ull /* = never */}) {
-    dist::NodeConfig config;
+    dist::StationConfig config;
     config.watermark = watermark;
     SimCluster cluster(kStations, 3, kCampusLink, config, /*seed=*/5);
 
@@ -86,7 +86,7 @@ int main() {
   std::printf("%-18s %16s %12s %18s\n", "relay policy", "mean latency(s)",
               "WAN(GB)", "disk all stations(MB)");
   for (bool relay_cache : {false, true}) {
-    dist::NodeConfig config;
+    dist::StationConfig config;
     config.watermark = 4;
     config.relay_cache = relay_cache;
     SimCluster cluster(kStations, 3, kCampusLink, config, /*seed=*/5);

@@ -68,7 +68,7 @@ class MetricsDump {
 class SimCluster {
  public:
   SimCluster(std::size_t n, std::uint64_t m, const net::StationLink& link,
-             dist::NodeConfig config = {}, std::uint64_t seed = 42)
+             dist::StationConfig config = {}, std::uint64_t seed = 42)
       : net_(seed) {
     net_.reserve_stations(n);
     ids_.reserve(n);

@@ -284,8 +284,8 @@ int main(int argc, char** argv) {
   int scrape_attempts = 0;
   while (!scraped && scrape_attempts < 64) {
     admin
-        .scrape_cluster([&](obs::Snapshot snap, SimTime) {
-          cluster = std::move(snap);
+        .scrape_cluster([&](Result<obs::Snapshot> snap, SimTime) {
+          cluster = snap.is_ok() ? std::move(snap).value() : obs::Snapshot{};
           scraped = true;
         })
         .expect("scrape");

@@ -35,7 +35,7 @@ struct WebDocDbOptions {
   std::string data_dir;
   // Per-station BLOB disk budget.
   std::uint64_t blob_capacity = blob::BlobStore::kUnlimited;
-  dist::NodeConfig node;
+  dist::StationConfig node;
 };
 
 class WebDocDb {

@@ -88,7 +88,7 @@ Status AdminNode::send_scrape_req(std::uint64_t req_id) {
   return fabric_->send(std::move(msg));
 }
 
-Status AdminNode::scrape_cluster_rpc(SnapshotCallback cb) {
+Status AdminNode::scrape_cluster(SnapshotCallback cb) {
   const auto& vec = coordinator_->broadcast_vector();
   if (vec.empty()) {
     // Nothing has joined yet: complete immediately with an empty snapshot.

@@ -14,8 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <type_traits>
-#include <utility>
 
 #include "dist/coordinator.hpp"
 #include "net/fabric.hpp"
@@ -25,11 +23,9 @@ namespace wdoc::dist {
 
 class AdminNode {
  public:
-  // Canonical shape: Result<Snapshot> carries scrape failures (timeout when
-  // the whole tree is unreachable). The legacy (Snapshot, SimTime) shape is
-  // still accepted by the scrape_cluster template below.
+  // Result<Snapshot> carries scrape failures (timeout when the whole tree is
+  // unreachable).
   using SnapshotCallback = StationNode::SnapshotCallback;
-  using ScrapeCallback = StationNode::ScrapeCallback;
 
   AdminNode(net::Fabric& fabric, StationId self, Coordinator& coordinator,
             std::uint64_t m = 2, net::RpcOptions rpc = {});
@@ -48,21 +44,7 @@ class AdminNode {
   // snapshots merge on the way back up (hierarchical aggregation along the
   // same placement equations the lecture push uses). `cb` fires here with
   // the single merged snapshot — render it with obs::to_table / to_json.
-  //
-  // Accepts either the canonical Rpc<Snapshot> shape (Result<Snapshot>,
-  // SimTime) or the legacy (Snapshot, SimTime) shape; legacy callers see an
-  // empty snapshot on failure.
-  template <typename Cb>
-  [[nodiscard]] Status scrape_cluster(Cb&& cb) {
-    if constexpr (std::is_invocable_v<Cb&, Result<obs::Snapshot>, SimTime>) {
-      return scrape_cluster_rpc(std::forward<Cb>(cb));
-    } else {
-      return scrape_cluster_rpc(
-          [legacy = std::forward<Cb>(cb)](Result<obs::Snapshot> r, SimTime t) mutable {
-            legacy(r.is_ok() ? std::move(r).value() : obs::Snapshot{}, t);
-          });
-    }
-  }
+  [[nodiscard]] Status scrape_cluster(SnapshotCallback cb);
   [[nodiscard]] std::uint64_t scrapes_completed() const { return scrapes_completed_; }
 
   [[nodiscard]] std::uint64_t joins_served() const { return joins_served_; }
@@ -75,7 +57,6 @@ class AdminNode {
   static constexpr const char* kVector = "admin.vector";
 
  private:
-  [[nodiscard]] Status scrape_cluster_rpc(SnapshotCallback cb);
   [[nodiscard]] Status send_scrape_req(std::uint64_t req_id);
   void on_message(const net::Message& msg);
   void on_scrape_rsp(const net::Message& msg);

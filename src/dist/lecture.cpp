@@ -58,7 +58,7 @@ Result<std::size_t> LectureSession::repair() {
       WDOC_TRY(node->store().put_reference(manifest_));
     }
     Status pulled = Status::ok();
-    if (node->config().chunk.enabled && !manifest_.blobs.empty()) {
+    if (!manifest_.blobs.empty()) {
       // Chunk-granularity anti-entropy: pull only the missing chunks of the
       // missing blobs; repair_pull materializes on completion itself.
       pulled = node->repair_pull(manifest_, [](Result<DocManifest>, SimTime) {});

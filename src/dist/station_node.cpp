@@ -1,7 +1,9 @@
 #include "dist/station_node.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <type_traits>
 
 #include "blob/chunk.hpp"
 #include "common/hash.hpp"
@@ -16,59 +18,29 @@ namespace wdoc::dist {
 
 namespace {
 
-// Process-wide distribution counters; every StationNode shares them.
-struct DistMetrics {
-  obs::Counter& pushes;
-  obs::Counter& pulls;
-  obs::Counter& serves;
-  obs::Counter& replications;
-  obs::Counter& migrations;
-  obs::Counter& failed_fetches;
-  obs::Counter& blob_serves;
-  obs::Counter& failovers;
-  obs::Counter& resurrections;
-  obs::Counter& scrape_partials;
-  obs::Counter& chunk_sent;
-  obs::Counter& chunk_bytes;
-  obs::Counter& chunk_duplicates;
-  obs::Counter& chunk_rejects;
-  obs::Counter& chunk_retransmits;
-  obs::Counter& chunk_orphans;
-  obs::Counter& chunk_repair_reqs;
-  obs::Counter& chunk_repair_served;
-  obs::Counter& chunk_duplicate_rx;
-  obs::Counter& chunk_wasted_bytes;
-  obs::Counter& swarm_begins;
-  obs::Counter& swarm_haves;
-  obs::Counter& swarm_reqs;
-  obs::Counter& swarm_req_chunks;
-  obs::Counter& swarm_served;
-  obs::Counter& swarm_suppressed;
-  obs::Counter& swarm_orphans;
+constexpr std::size_t kNodeStatCount = std::size(kNodeStatRows);
 
-  static DistMetrics& get() {
-    static DistMetrics* m = [] {
-      auto& reg = obs::MetricsRegistry::global();
-      return new DistMetrics{
-          reg.counter("dist.pushes"),         reg.counter("dist.pulls"),
-          reg.counter("dist.serves"),         reg.counter("dist.replications"),
-          reg.counter("dist.migrations"),     reg.counter("dist.failed_fetches"),
-          reg.counter("dist.blob_serves"),    reg.counter("dist.failovers"),
-          reg.counter("dist.resurrections"),  reg.counter("dist.scrape_partials"),
-          reg.counter("dist.chunk.sent"),     reg.counter("dist.chunk.bytes_sent"),
-          reg.counter("dist.chunk.duplicates"), reg.counter("dist.chunk.rejects"),
-          reg.counter("dist.chunk.retransmits"), reg.counter("dist.chunk.orphaned"),
-          reg.counter("dist.chunk.repair_reqs"), reg.counter("dist.chunk.repair_served"),
-          reg.counter("dist.chunk.duplicate_rx"), reg.counter("dist.chunk.wasted_bytes"),
-          reg.counter("swarm.begins"),        reg.counter("swarm.haves"),
-          reg.counter("swarm.reqs"),          reg.counter("swarm.req_chunks"),
-          reg.counter("swarm.served"),        reg.counter("swarm.relay_suppressed"),
-          reg.counter("swarm.orphans"),
-      };
-    }();
-    return *m;
+// kNodeStatRows index of a NodeStats field (kNodeStatCount if absent).
+constexpr std::size_t node_stat_index(std::uint64_t NodeStats::*field) {
+  for (std::size_t i = 0; i < kNodeStatCount; ++i) {
+    if (kNodeStatRows[i].field == field) return i;
   }
-};
+  return kNodeStatCount;
+}
+
+// Process-wide counter per kNodeStatRows row (null for station-only rows),
+// resolved once per process and shared by every StationNode.
+const std::array<obs::Counter*, kNodeStatCount>& registry_counters() {
+  static const auto counters = [] {
+    std::array<obs::Counter*, kNodeStatCount> out{};
+    for (std::size_t i = 0; i < kNodeStatCount; ++i) {
+      const char* name = kNodeStatRows[i].registry;
+      if (name != nullptr) out[i] = &obs::MetricsRegistry::global().counter(name);
+    }
+    return out;
+  }();
+  return counters;
+}
 
 // Packs (blob ordinal, chunk index) into the cursor queues' chunk key.
 [[nodiscard]] constexpr std::uint64_t chunk_key(std::uint32_t ordinal, std::uint32_t index) {
@@ -181,76 +153,15 @@ struct FetchErr {
   }
 };
 
-struct BlobReq {
-  std::uint64_t req_id = 0;
-  std::string doc_key;
-  Digest128 digest;
-  std::uint64_t size = 0;
-  blob::MediaType type = blob::MediaType::other;
-
-  [[nodiscard]] Bytes encode() const {
-    Writer w;
-    w.u64(req_id);
-    w.str(doc_key);
-    w.u64(digest.lo);
-    w.u64(digest.hi);
-    w.u64(size);
-    w.u8(static_cast<std::uint8_t>(type));
-    return w.take();
-  }
-  [[nodiscard]] static Result<BlobReq> decode(std::span<const std::uint8_t> b) {
-    Reader r(b);
-    BlobReq out;
-    auto id = r.u64();
-    auto key = r.str();
-    if (!id || !key) return Error{Errc::corrupt, "bad blob req"};
-    out.req_id = id.value();
-    out.doc_key = std::move(key).value();
-    auto lo = r.u64();
-    auto hi = r.u64();
-    auto size = r.u64();
-    if (!lo || !hi || !size) return Error{Errc::corrupt, "bad blob req"};
-    out.digest = Digest128{lo.value(), hi.value()};
-    out.size = size.value();
-    auto type = r.u8();
-    if (type) out.type = static_cast<blob::MediaType>(type.value());
-    return out;
-  }
-};
-
-// blob_rsp payload echoes the served ref, so the requester can register the
-// payload without keeping per-request state of its own.
-struct BlobRsp {
-  std::uint64_t req_id = 0;
-  BlobRef blob;
-
-  [[nodiscard]] Bytes encode() const {
-    Writer w;
-    w.u64(req_id);
-    w.u64(blob.digest.lo);
-    w.u64(blob.digest.hi);
-    w.u64(blob.size);
-    w.u8(static_cast<std::uint8_t>(blob.type));
-    return w.take();
-  }
-  [[nodiscard]] static Result<BlobRsp> decode(std::span<const std::uint8_t> b) {
-    Reader r(b);
-    BlobRsp out;
-    auto id = r.u64();
-    auto lo = r.u64();
-    auto hi = r.u64();
-    auto size = r.u64();
-    auto type = r.u8();
-    if (!id || !lo || !hi || !size || !type) return Error{Errc::corrupt, "bad blob rsp"};
-    out.req_id = id.value();
-    out.blob.digest = Digest128{lo.value(), hi.value()};
-    out.blob.size = size.value();
-    out.blob.type = static_cast<blob::MediaType>(type.value());
-    return out;
-  }
-};
-
 }  // namespace
+
+template <auto Field>
+void StationNode::count(std::uint64_t n) {
+  constexpr std::size_t row = node_stat_index(Field);
+  static_assert(row < kNodeStatCount, "field missing from kNodeStatRows");
+  stats_.*Field += n;
+  if constexpr (kNodeStatRows[row].registry != nullptr) registry_counters()[row]->inc(n);
+}
 
 Status ChunkConfig::validate() const {
   if (chunk_bytes == 0 || chunk_bytes > blob::kMaxChunkBytes) {
@@ -270,9 +181,6 @@ Status StationConfig::validate() const {
   WDOC_TRY(rpc.validate());
   WDOC_TRY(chunk.validate());
   WDOC_TRY(swarm.validate());
-  if (swarm.enabled && !chunk.enabled) {
-    return {Errc::invalid_argument, "swarm mode requires chunked transfers"};
-  }
   if (failover_threshold == 0) {
     return {Errc::invalid_argument, "failover_threshold must be >= 1"};
   }
@@ -349,8 +257,7 @@ void StationNode::note_attempt_timeout(StationId target) {
 void StationNode::declare_dead(StationId target) {
   suspect_.erase(target);
   if (!dead_.insert(target).second) return;
-  ++stats_.failovers;
-  DistMetrics::get().failovers.inc();
+  count<&NodeStats::failovers>();
   obs::FlightRecorder::global().record(
       obs::FlightKind::failover,
       "station " + std::to_string(target.value()) + " declared dead after " +
@@ -372,8 +279,7 @@ void StationNode::declare_dead(StationId target) {
 void StationNode::note_alive(StationId from) {
   suspect_.erase(from);
   if (dead_.erase(from) > 0) {
-    ++stats_.resurrections;
-    DistMetrics::get().resurrections.inc();
+    count<&NodeStats::resurrections>();
     obs::FlightRecorder::global().record(
         obs::FlightKind::failover,
         "station " + std::to_string(from.value()) + " heard from again: resurrected",
@@ -394,7 +300,7 @@ Status StationNode::send_push(StationId to, const DocManifest& manifest,
   msg.payload = w.take();
   msg.wire_size = manifest.total_bytes();
   msg.trace = trace;
-  DistMetrics::get().pushes.inc();
+  count<&NodeStats::push_attempts>();
   return fabric_->send(std::move(msg));
 }
 
@@ -404,9 +310,7 @@ Status StationNode::broadcast_push(const DocManifest& manifest) {
   if (store_->doc(manifest.doc_key) == nullptr) {
     WDOC_TRY(store_->put_instance(manifest, /*ephemeral=*/false));
   }
-  if (!config_.chunk.enabled) return broadcast_push_store_forward(manifest);
-  if (config_.swarm.enabled) return start_swarm_push(manifest);
-  return start_chunked_push(manifest);
+  return start_push(manifest);
 }
 
 Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
@@ -423,7 +327,7 @@ Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
   for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
     WDOC_TRY(send_push(tree_order()[child - 1], manifest,
                        obs::TraceContext{trace_id, span, false}));
-    ++stats_.pushes_forwarded;
+    count<&NodeStats::pushes_forwarded>();
   }
   tracer.end(span, fabric_->now());
   return Status::ok();
@@ -431,52 +335,137 @@ Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
 
 // --- chunked push ------------------------------------------------------------
 
-Status StationNode::start_chunked_push(const DocManifest& manifest) {
-  std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
+Status StationNode::start_push(const DocManifest& manifest) {
+  const std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
+  const std::uint32_t trees = config_.swarm.enabled ? config_.swarm.trees : 0;
   Transfer t;
   t.manifest = manifest;
   t.chunk_bytes = config_.chunk.chunk_bytes;
   for (const BlobRef& b : manifest.blobs) {
     t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
   }
+  if (trees != 0 && t.total_chunks > net::kMaxWireChunks) {
+    return {Errc::invalid_argument, "transfer too large for swarm mode"};
+  }
   t.delivered = true;  // the instructor holds the persistent instance
   last_delivery_ = fabric_->now();
   t.trace_id = obs::derive_trace_id(transfer_id);
-  t.span = obs::Tracer::global().begin("dist.push " + manifest.doc_key, 0,
-                                       fabric_->now(), self_.value(), t.trace_id);
+  t.span = obs::Tracer::global().begin(
+      (trees != 0 ? "swarm.push " : "dist.push ") + manifest.doc_key, 0, fabric_->now(),
+      self_.value(), t.trace_id);
+  open_transfer(transfer_id, std::move(t), trees);
+  return Status::ok();
+}
+
+template <typename Begin>
+void StationNode::on_begin(const net::Message& msg) {
+  auto begin = Begin::decode(msg.payload);
+  if (!begin) {
+    WDOC_ERROR("%s decode failed: %s", msg.type.c_str(), begin.message().c_str());
+    return;
+  }
+  Reader mr(begin.value().manifest);
+  auto manifest = DocManifest::deserialize(mr);
+  if (!manifest) {
+    WDOC_ERROR("%s manifest decode failed: %s", msg.type.c_str(),
+               manifest.message().c_str());
+    return;
+  }
+  count<&NodeStats::pushes_received>();
+  const std::uint64_t transfer_id = begin.value().transfer_id;
+  // A station is a child in several stripe trees: every tree's parent
+  // announces, the first begin wins, the rest are idempotent no-ops (and
+  // the redundancy is what makes a lost begin survivable under loss).
+  if (transfers_.contains(transfer_id)) return;
+  // The stripe count comes from the wire, not local config — the whole
+  // cluster must agree on the forest geometry.
+  std::uint32_t trees = 0;
+  if constexpr (std::is_same_v<Begin, net::SwarmBegin>) trees = begin.value().trees;
+  const DocManifest& m = manifest.value();
+  Transfer t;
+  t.manifest = m;
+  t.chunk_bytes = begin.value().chunk_bytes;
+  for (const BlobRef& b : m.blobs) {
+    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
+  }
+  if (trees != 0 && t.total_chunks > net::kMaxWireChunks) return;
+  t.trace_id = msg.trace.trace_id;
+  t.trace_sampled = msg.trace.sampled;
+  t.span = obs::Tracer::global().begin(
+      (trees != 0 ? "swarm.push.hop " : "dist.push.hop ") + m.doc_key, msg.trace.span_id,
+      fabric_->now(), self_.value(), t.trace_id);
+  // Mirror entry first, so even a transfer that loses its tail leaves the
+  // routing information chunk-level repair needs.
+  if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
+  auto& bs = store_->blobs();
+  for (const BlobRef& b : m.blobs) {
+    if (bs.find(b.digest).has_value() || b.size == 0) continue;
+    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
+  }
+  open_transfer(transfer_id, std::move(t), trees);
+}
+
+void StationNode::open_transfer(std::uint64_t transfer_id, Transfer t,
+                                std::uint32_t trees) {
   auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
   WDOC_CHECK(inserted, "duplicate transfer id");
-  open_transfer_children(transfer_id, it->second);
+  Transfer& tr = it->second;
+  if (trees != 0) {
+    init_swarm(transfer_id, tr, trees);
+    open_swarm_children(transfer_id, tr);
+  } else {
+    open_transfer_children(transfer_id, tr);
+  }
+  if (!tr.delivered && transfer_blobs_complete(tr)) deliver_transfer(transfer_id);
   maybe_retire_transfer(transfer_id);
-  return Status::ok();
+}
+
+net::Payload StationNode::begin_payload(std::uint64_t transfer_id,
+                                        const Transfer& t) const {
+  Writer w;
+  t.manifest.serialize(w);
+  if (t.swarm) {
+    net::SwarmBegin begin;
+    begin.transfer_id = transfer_id;
+    begin.chunk_bytes = t.chunk_bytes;
+    begin.trees = t.stripe_trees;
+    begin.manifest = w.take();
+    return net::Payload{begin.encode()};
+  }
+  net::ChunkBegin begin;
+  begin.transfer_id = transfer_id;
+  begin.chunk_bytes = t.chunk_bytes;
+  begin.manifest = w.take();
+  return net::Payload{begin.encode()};
+}
+
+Status StationNode::send_begin(StationId to, const Transfer& t, net::Payload payload) {
+  net::Message out;
+  out.from = self_;
+  out.to = to;
+  out.type = t.swarm ? kSwarmBegin : kChunkBegin;
+  // The begin carries the structure (the small copied objects) plus the
+  // manifest itself; blob bytes are charged chunk by chunk.
+  out.wire_size = t.manifest.structure_bytes + payload.size();
+  out.payload = std::move(payload);
+  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
+  if (t.swarm) {
+    count<&NodeStats::swarm_begins_sent>();
+  } else {
+    count<&NodeStats::push_attempts>();
+  }
+  return fabric_->send(std::move(out));
 }
 
 void StationNode::open_transfer_children(std::uint64_t transfer_id, Transfer& t) {
   if (position_ == 0) return;
-  net::ChunkBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  Writer w;
-  t.manifest.serialize(w);
-  begin.manifest = w.take();
   // One refcounted buffer shared by every child's begin: m children bump a
   // refcount instead of copying the manifest m times.
-  const net::Payload payload{begin.encode()};
+  const net::Payload payload = begin_payload(transfer_id, t);
   for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
     StationId cid = tree_order()[child - 1];
-    net::Message out;
-    out.from = self_;
-    out.to = cid;
-    out.type = kChunkBegin;
-    out.payload = payload;
-    // The begin carries the structure (the small copied objects) plus the
-    // manifest itself; blob bytes are charged chunk by chunk.
-    out.wire_size = t.manifest.structure_bytes + payload.size();
-    out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-    DistMetrics::get().pushes.inc();
-    Status s = fabric_->send(std::move(out));
-    if (!s.is_ok()) continue;
-    ++stats_.pushes_forwarded;
+    if (!send_begin(cid, t, payload).is_ok()) continue;
+    count<&NodeStats::pushes_forwarded>();
     ChildCursor cursor;
     cursor.child = cid;
     t.children.push_back(std::move(cursor));
@@ -497,8 +486,7 @@ void StationNode::enqueue_held_chunks(Transfer& t, ChildCursor& cursor) {
         const std::uint32_t g = t.chunk_prefix[ordinal] + i;
         if (swarm::stripe_of(g, t.stripe_trees) != cursor.tree) continue;
         if (t.sched && cursor.child_pos != 0 && t.sched->peer_has(cursor.child_pos, g)) {
-          ++stats_.swarm_relay_suppressed;
-          DistMetrics::get().swarm_suppressed.inc();
+          count<&NodeStats::swarm_relay_suppressed>();
           continue;
         }
       }
@@ -582,38 +570,46 @@ Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
     return {Errc::invalid_argument, "chunk key out of range"};
   }
   const BlobRef& b = t.manifest.blobs[ordinal];
-  auto payload = store_->blobs().chunk_payload(b.digest, index, t.chunk_bytes);
-  if (!payload) return payload.status();
+  auto d = held_chunk(b.digest, b.size, index, t.chunk_bytes);
+  if (!d) return d.status();
+  d.value().req_id = req_id;
+  d.value().transfer_id = transfer_id;
+  count<&NodeStats::chunks_sent>();
+  count<&NodeStats::chunk_bytes_sent>(d.value().chunk_len);
+  if (retransmit) count<&NodeStats::chunk_retransmits>();
+  return send_chunk_data(child, d.value(),
+                         obs::TraceContext{t.trace_id, t.span, t.trace_sampled});
+}
+
+Result<net::ChunkData> StationNode::held_chunk(const Digest128& digest, std::uint64_t size,
+                                               std::uint32_t index,
+                                               std::uint32_t chunk_bytes) const {
+  auto payload = store_->blobs().chunk_payload(digest, index, chunk_bytes);
+  if (!payload) return payload.status().error();
   net::ChunkData d;
-  d.req_id = req_id;
-  d.transfer_id = transfer_id;
-  d.digest = b.digest;
+  d.digest = digest;
   d.index = index;
-  d.chunk_len = blob::chunk_size_at(b.size, index, t.chunk_bytes);
   d.has_payload = !payload.value().empty();
-  d.chunk_digest = d.has_payload
-                       ? blob::real_chunk_digest(payload.value())
-                       : blob::synthetic_chunk_digest(b.digest, index);
+  d.chunk_len = d.has_payload ? static_cast<std::uint32_t>(payload.value().size())
+                              : blob::chunk_size_at(size, index, chunk_bytes);
+  d.chunk_digest = d.has_payload ? blob::real_chunk_digest(payload.value())
+                                 : blob::synthetic_chunk_digest(digest, index);
   if (d.has_payload) d.payload = std::move(payload).value();
+  return d;
+}
+
+Status StationNode::send_chunk_data(StationId to, const net::ChunkData& d,
+                                    obs::TraceContext trace) {
   net::Message out;
   out.from = self_;
-  out.to = child;
+  out.to = to;
   out.type = kChunkData;
   out.payload = d.encode();  // the small per-hop header
   // The chunk bytes ride out-of-band: the slice from the blob store is
   // forwarded untouched (a refcount bump, not a copy).
   out.body = d.payload;
   if (!d.has_payload) out.wire_size = d.chunk_len + net::kWireHeaderBytes;
-  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-  ++stats_.chunks_sent;
-  stats_.chunk_bytes_sent += d.chunk_len;
-  auto& dm = DistMetrics::get();
-  dm.chunk_sent.inc();
-  dm.chunk_bytes.inc(d.chunk_len);
-  if (retransmit) {
-    ++stats_.chunk_retransmits;
-    dm.chunk_retransmits.inc();
-  }
+  out.trace = trace;
   return fabric_->send(std::move(out));
 }
 
@@ -631,13 +627,14 @@ void StationNode::deliver_transfer(std::uint64_t transfer_id) {
   Transfer& t = it->second;
   t.delivered = true;
   last_delivery_ = fabric_->now();
-  const std::string& key = t.manifest.doc_key;
-  const StoredDoc* d = store_->doc(key);
-  if (d == nullptr) {
-    (void)store_->put_instance(t.manifest, /*ephemeral=*/true);
-  } else if (d->form == ObjectForm::reference) {
-    (void)store_->materialize(key, /*ephemeral=*/true);
-  }
+  (void)hold_ephemeral(t.manifest);
+}
+
+Status StationNode::hold_ephemeral(const DocManifest& m) {
+  const StoredDoc* d = store_->doc(m.doc_key);
+  if (d == nullptr) return store_->put_instance(m, /*ephemeral=*/true);
+  if (d->form != ObjectForm::reference) return Status::ok();
+  return store_->materialize(m.doc_key, /*ephemeral=*/true);
 }
 
 void StationNode::maybe_retire_transfer(std::uint64_t transfer_id) {
@@ -658,52 +655,10 @@ void StationNode::maybe_retire_transfer(std::uint64_t transfer_id) {
   transfers_.erase(it);
 }
 
-void StationNode::on_chunk_begin(const net::Message& msg) {
-  auto begin = net::ChunkBegin::decode(msg.payload);
-  if (!begin) {
-    WDOC_ERROR("chunk begin decode failed: %s", begin.message().c_str());
-    return;
-  }
-  Reader mr(begin.value().manifest);
-  auto manifest = DocManifest::deserialize(mr);
-  if (!manifest) {
-    WDOC_ERROR("chunk begin manifest decode failed: %s", manifest.message().c_str());
-    return;
-  }
-  ++stats_.pushes_received;
-  const std::uint64_t transfer_id = begin.value().transfer_id;
-  if (transfers_.contains(transfer_id)) return;  // duplicate begin
-  const DocManifest& m = manifest.value();
-  Transfer t;
-  t.manifest = m;
-  t.chunk_bytes = begin.value().chunk_bytes;
-  for (const BlobRef& b : m.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
-  }
-  t.trace_id = msg.trace.trace_id;
-  t.trace_sampled = msg.trace.sampled;
-  t.span = obs::Tracer::global().begin("dist.push.hop " + m.doc_key, msg.trace.span_id,
-                                       fabric_->now(), self_.value(), t.trace_id);
-  // Mirror entry first, so even a transfer that loses its tail leaves the
-  // routing information chunk-level repair needs.
-  if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
-  auto& bs = store_->blobs();
-  for (const BlobRef& b : m.blobs) {
-    if (bs.find(b.digest).has_value() || b.size == 0) continue;
-    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
-  }
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  open_transfer_children(transfer_id, it->second);
-  if (transfer_blobs_complete(it->second)) deliver_transfer(transfer_id);
-  maybe_retire_transfer(transfer_id);
-}
-
 void StationNode::on_chunk_data(const net::Message& msg) {
   auto data = net::ChunkData::decode(msg.payload, msg.body);
   if (!data) {
-    ++stats_.chunk_rejects;
-    DistMetrics::get().chunk_rejects.inc();
+    count<&NodeStats::chunk_rejects>();
     return;
   }
   const net::ChunkData& d = data.value();
@@ -728,10 +683,9 @@ void StationNode::on_chunk_data(const net::Message& msg) {
     if (add.code() == Errc::not_found) {
       // No assembly state here: the transfer's begin was lost, or this is
       // stray repair data. Dropped — repair re-pulls under a fresh partial.
-      DistMetrics::get().chunk_orphans.inc();
+      count<&NodeStats::chunk_orphans>();
     } else {
-      ++stats_.chunk_rejects;
-      DistMetrics::get().chunk_rejects.inc();
+      count<&NodeStats::chunk_rejects>();
     }
     return;
   }
@@ -739,15 +693,10 @@ void StationNode::on_chunk_data(const net::Message& msg) {
   if (duplicate) {
     // The wire bytes were spent either way — account the waste (swarm mode
     // is where overlapping sources make this reachable at scale).
-    ++stats_.chunk_duplicates;
-    ++stats_.chunk_duplicate_rx;
-    stats_.chunk_wasted_bytes += d.chunk_len;
-    auto& dm = DistMetrics::get();
-    dm.chunk_duplicates.inc();
-    dm.chunk_duplicate_rx.inc();
-    dm.chunk_wasted_bytes.inc(d.chunk_len);
+    count<&NodeStats::chunk_duplicate_rx>();
+    count<&NodeStats::chunk_wasted_bytes>(d.chunk_len);
   } else {
-    ++stats_.chunks_received;
+    count<&NodeStats::chunks_received>();
   }
   if (d.transfer_id == 0) return;  // repair/pull data: no relay, no transfer state
   auto it = transfers_.find(d.transfer_id);
@@ -776,8 +725,7 @@ void StationNode::on_chunk_data(const net::Message& msg) {
     for (ChildCursor& c : t.children) {
       if (c.tree != tree) continue;
       if (t.sched && c.child_pos != 0 && t.sched->peer_covered(c.child_pos, g)) {
-        ++stats_.swarm_relay_suppressed;
-        DistMetrics::get().swarm_suppressed.inc();
+        count<&NodeStats::swarm_relay_suppressed>();
         continue;
       }
       enqueue_swarm_send(d.transfer_id, t, {c.child, c.child_pos, key, false});
@@ -793,10 +741,7 @@ void StationNode::on_chunk_data(const net::Message& msg) {
 void StationNode::on_chunk_ack(const net::Message& msg) {
   auto ack = net::ChunkAck::decode(msg.payload);
   if (!ack) return;
-  if (!rpc_.in_flight(ack.value().req_id)) {
-    rpc_.note_duplicate();
-    return;
-  }
+  // An ack for a resolved request is counted as a duplicate by the tracker.
   (void)rpc_.complete<std::uint64_t>(ack.value().req_id,
                                      std::uint64_t{ack.value().index});
 }
@@ -805,43 +750,19 @@ void StationNode::on_chunk_req(const net::Message& msg) {
   auto req = net::ChunkReq::decode(msg.payload);
   if (!req) return;
   const net::ChunkReq& q = req.value();
-  auto& dm = DistMetrics::get();
   std::uint32_t served = 0;
   for (std::uint32_t index : q.indices) {
-    auto payload = store_->blobs().chunk_payload(q.digest, index, q.chunk_bytes);
-    if (!payload) continue;  // not held here — the requester walks further up
-    const std::uint32_t chunk_len =
-        payload.value().empty()
-            ? blob::chunk_size_at(q.size, index, q.chunk_bytes)
-            : static_cast<std::uint32_t>(payload.value().size());
-    if (chunk_len == 0) continue;
-    net::ChunkData d;
-    d.req_id = 0;       // repair data is unacked; the rsp summary closes the rpc
-    d.transfer_id = 0;  // not part of a push transfer: no relay downstream
-    d.digest = q.digest;
-    d.index = index;
-    d.chunk_len = chunk_len;
-    d.has_payload = !payload.value().empty();
-    d.chunk_digest = d.has_payload
-                         ? blob::real_chunk_digest(payload.value())
-                         : blob::synthetic_chunk_digest(q.digest, index);
-    if (d.has_payload) d.payload = std::move(payload).value();
-    net::Message out;
-    out.from = self_;
-    out.to = msg.from;
-    out.type = kChunkData;
-    out.payload = d.encode();
-    out.body = d.payload;  // repair serves the stored slice, zero-copy
-    if (!d.has_payload) out.wire_size = d.chunk_len + net::kWireHeaderBytes;
-    if (!fabric_->send(std::move(out)).is_ok()) continue;
+    // Not held here: the requester walks further up. Repair data carries
+    // neither req_id (unacked; the rsp summary closes the rpc) nor
+    // transfer_id (not part of a push: no relay downstream).
+    auto d = held_chunk(q.digest, q.size, index, q.chunk_bytes);
+    if (!d || d.value().chunk_len == 0) continue;
+    if (!send_chunk_data(msg.from, d.value()).is_ok()) continue;
     ++served;
-    ++stats_.chunks_sent;
-    ++stats_.chunk_repair_served;
-    stats_.chunk_bytes_sent += chunk_len;
-    dm.chunk_sent.inc();
-    dm.chunk_bytes.inc(chunk_len);
+    count<&NodeStats::chunks_sent>();
+    count<&NodeStats::chunk_bytes_sent>(d.value().chunk_len);
   }
-  dm.chunk_repair_served.inc(served);
+  count<&NodeStats::chunk_repair_served>(served);
   // FIFO links guarantee the data above lands before this summary.
   net::ChunkRsp rsp;
   rsp.req_id = q.req_id;
@@ -858,38 +779,10 @@ void StationNode::on_chunk_req(const net::Message& msg) {
 void StationNode::on_chunk_rsp(const net::Message& msg) {
   auto rsp = net::ChunkRsp::decode(msg.payload);
   if (!rsp) return;
-  if (!rpc_.in_flight(rsp.value().req_id)) {
-    rpc_.note_duplicate();
-    return;
-  }
   (void)rpc_.complete<std::uint32_t>(rsp.value().req_id, rsp.value().served);
 }
 
 // --- swarm mode (multi-source distribution, DESIGN.md §4f) -------------------
-
-Status StationNode::start_swarm_push(const DocManifest& manifest) {
-  std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
-  Transfer t;
-  t.manifest = manifest;
-  t.chunk_bytes = config_.chunk.chunk_bytes;
-  for (const BlobRef& b : manifest.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
-  }
-  if (t.total_chunks > net::kMaxWireChunks) {
-    return {Errc::invalid_argument, "transfer too large for swarm mode"};
-  }
-  t.delivered = true;  // the instructor holds the persistent instance
-  last_delivery_ = fabric_->now();
-  t.trace_id = obs::derive_trace_id(transfer_id);
-  t.span = obs::Tracer::global().begin("swarm.push " + manifest.doc_key, 0,
-                                       fabric_->now(), self_.value(), t.trace_id);
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  init_swarm(transfer_id, it->second, config_.swarm.trees);
-  open_swarm_children(transfer_id, it->second);
-  maybe_retire_transfer(transfer_id);
-  return Status::ok();
-}
 
 void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees) {
   t.swarm = true;
@@ -936,16 +829,9 @@ void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32
 void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
   if (position_ == 0) return;
   const std::uint64_t n = tree_order().size();
-  net::SwarmBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  begin.trees = t.stripe_trees;
-  Writer w;
-  t.manifest.serialize(w);
-  begin.manifest = w.take();
   // One refcounted begin shared by every stripe child; a station that is
   // our child in several trees gets one begin but one cursor per tree.
-  const net::Payload payload{begin.encode()};
+  const net::Payload payload = begin_payload(transfer_id, t);
   std::set<std::uint64_t> announced;
   for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
     for (std::uint64_t child_pos :
@@ -953,16 +839,8 @@ void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
       if (child_pos < 1 || child_pos > n || child_pos == position_) continue;
       StationId cid = tree_order()[child_pos - 1];
       if (announced.insert(child_pos).second) {
-        net::Message out;
-        out.from = self_;
-        out.to = cid;
-        out.type = kSwarmBegin;
-        out.payload = payload;
-        out.wire_size = t.manifest.structure_bytes + payload.size();
-        out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-        DistMetrics::get().swarm_begins.inc();
-        (void)fabric_->send(std::move(out));
-        ++stats_.pushes_forwarded;
+        (void)send_begin(cid, t, payload);
+        count<&NodeStats::pushes_forwarded>();
       }
       ChildCursor cursor;
       cursor.child = cid;
@@ -986,26 +864,6 @@ void StationNode::open_swarm_children(std::uint64_t transfer_id, Transfer& t) {
       more = true;
     }
   }
-}
-
-void StationNode::resend_swarm_begin(std::uint64_t transfer_id, const Transfer& t,
-                                     const ChildCursor& c) {
-  net::SwarmBegin begin;
-  begin.transfer_id = transfer_id;
-  begin.chunk_bytes = t.chunk_bytes;
-  begin.trees = t.stripe_trees;
-  Writer w;
-  t.manifest.serialize(w);
-  begin.manifest = w.take();
-  net::Message out;
-  out.from = self_;
-  out.to = c.child;
-  out.type = kSwarmBegin;
-  out.payload = net::Payload{begin.encode()};
-  out.wire_size = t.manifest.structure_bytes + out.payload.size();
-  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
-  DistMetrics::get().swarm_begins.inc();
-  (void)fabric_->send(std::move(out));
 }
 
 SimTime StationNode::swarm_pace_interval(const Transfer& t) const {
@@ -1062,8 +920,7 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
       if (ordinal + 1 < t.chunk_prefix.size() && covered) {
         // The receiver reported the chunk (or a request for it) after this
         // send was queued — drop it, count it.
-        ++stats_.swarm_relay_suppressed;
-        DistMetrics::get().swarm_suppressed.inc();
+        count<&NodeStats::swarm_relay_suppressed>();
         continue;
       }
     }
@@ -1075,8 +932,7 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
     sent = true;
     if (entry.serve) {
       t.relays_since_serve = 0;
-      ++stats_.swarm_chunks_served;
-      DistMetrics::get().swarm_served.inc();
+      count<&NodeStats::swarm_chunks_served>();
     } else {
       ++t.relays_since_serve;
     }
@@ -1151,7 +1007,9 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
       if (c.child_pos < 1 || c.child_pos > n) continue;
       if (dead_.contains(c.child)) continue;
       if (t.sched->peer_heard_at(c.child_pos) != SimTime::zero()) continue;
-      if (silent.insert(c.child_pos).second) resend_swarm_begin(transfer_id, t, c);
+      if (silent.insert(c.child_pos).second) {
+        (void)send_begin(c.child, t, begin_payload(transfer_id, t));
+      }
     }
   }
   // Advertised backlog approximates a new request's serve latency in
@@ -1176,7 +1034,6 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   const auto backlog = static_cast<std::uint32_t>(std::min<std::size_t>(
       base + relay_q + serve_q * serve_cost,
       std::numeric_limits<std::uint32_t>::max()));
-  auto& dm = DistMetrics::get();
   // Our bitmap to every known peer — one refcounted buffer for all sends.
   // Gossip goes out BEFORE the termination check below: the round on which
   // a station terminates is the round its neighbors learn it is complete,
@@ -1200,10 +1057,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     out.to = peer;
     out.type = kSwarmHave;
     out.payload = have_payload;
-    if (fabric_->send(std::move(out)).is_ok()) {
-      ++stats_.swarm_haves_sent;
-      dm.swarm_haves.inc();
-    }
+    if (fabric_->send(std::move(out)).is_ok()) count<&NodeStats::swarm_haves_sent>();
   }
   // Rarest-first pulls for stalled stripes, our bitmap piggybacked.
   for (const swarm::SwarmPlan& plan : t.sched->plan(now)) {
@@ -1224,10 +1078,8 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     out.type = kSwarmReq;
     out.payload = req.encode();
     if (fabric_->send(std::move(out)).is_ok()) {
-      ++stats_.swarm_reqs_sent;
-      stats_.swarm_chunks_requested += plan.chunks.size();
-      dm.swarm_reqs.inc();
-      dm.swarm_req_chunks.inc(plan.chunks.size());
+      count<&NodeStats::swarm_reqs_sent>();
+      count<&NodeStats::swarm_chunks_requested>(plan.chunks.size());
     }
   }
   // Termination: stop once we are complete and, as far as gossip shows,
@@ -1250,52 +1102,6 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   schedule_swarm_tick(transfer_id);
 }
 
-void StationNode::on_swarm_begin(const net::Message& msg) {
-  auto begin = net::SwarmBegin::decode(msg.payload);
-  if (!begin) {
-    WDOC_ERROR("swarm begin decode failed: %s", begin.message().c_str());
-    return;
-  }
-  Reader mr(begin.value().manifest);
-  auto manifest = DocManifest::deserialize(mr);
-  if (!manifest) {
-    WDOC_ERROR("swarm begin manifest decode failed: %s", manifest.message().c_str());
-    return;
-  }
-  ++stats_.pushes_received;
-  const std::uint64_t transfer_id = begin.value().transfer_id;
-  // A station is a child in several stripe trees: every tree's parent
-  // announces, the first begin wins, the rest are idempotent no-ops (and
-  // the redundancy is what makes a lost begin survivable under loss).
-  if (transfers_.contains(transfer_id)) return;
-  const DocManifest& m = manifest.value();
-  Transfer t;
-  t.manifest = m;
-  t.chunk_bytes = begin.value().chunk_bytes;
-  for (const BlobRef& b : m.blobs) {
-    t.total_chunks += blob::chunk_count(b.size, t.chunk_bytes);
-  }
-  if (t.total_chunks > net::kMaxWireChunks) return;
-  t.trace_id = msg.trace.trace_id;
-  t.trace_sampled = msg.trace.sampled;
-  t.span = obs::Tracer::global().begin("swarm.push.hop " + m.doc_key, msg.trace.span_id,
-                                       fabric_->now(), self_.value(), t.trace_id);
-  if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
-  auto& bs = store_->blobs();
-  for (const BlobRef& b : m.blobs) {
-    if (bs.find(b.digest).has_value() || b.size == 0) continue;
-    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
-  }
-  auto [it, inserted] = transfers_.emplace(transfer_id, std::move(t));
-  WDOC_CHECK(inserted, "duplicate transfer id");
-  // The stripe count comes from the wire, not local config — the whole
-  // cluster must agree on the forest geometry.
-  init_swarm(transfer_id, it->second, begin.value().trees);
-  open_swarm_children(transfer_id, it->second);
-  if (transfer_blobs_complete(it->second)) deliver_transfer(transfer_id);
-  maybe_retire_transfer(transfer_id);
-}
-
 bool StationNode::position_matches(std::uint64_t position, StationId from) const {
   return position >= 1 && position <= tree_order().size() &&
          tree_order()[position - 1] == from;
@@ -1307,7 +1113,7 @@ void StationNode::on_swarm_have(const net::Message& msg) {
   const net::SwarmHave& h = have.value();
   auto it = transfers_.find(h.transfer_id);
   if (it == transfers_.end()) {
-    DistMetrics::get().swarm_orphans.inc();
+    count<&NodeStats::swarm_orphans>();
     return;
   }
   Transfer& t = it->second;
@@ -1334,7 +1140,7 @@ void StationNode::on_swarm_req(const net::Message& msg) {
   const net::SwarmReq& q = req.value();
   auto it = transfers_.find(q.transfer_id);
   if (it == transfers_.end()) {
-    DistMetrics::get().swarm_orphans.inc();
+    count<&NodeStats::swarm_orphans>();
     return;
   }
   Transfer& t = it->second;
@@ -1434,7 +1240,7 @@ Status StationNode::start_pull_round(std::shared_ptr<BlobPull> pull,
     rpc_target_.erase(req_id);
     return s;
   }
-  DistMetrics::get().chunk_repair_reqs.inc();
+  count<&NodeStats::chunk_repair_reqs>();
   return Status::ok();
 }
 
@@ -1482,10 +1288,7 @@ Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
     if (b.size != 0 && !bs.find(b.digest).has_value()) incomplete.push_back(b);
   }
   if (incomplete.empty()) {
-    const StoredDoc* d = store_->doc(manifest.doc_key);
-    if (d != nullptr && d->form == ObjectForm::reference) {
-      WDOC_TRY(store_->materialize(manifest.doc_key, /*ephemeral=*/true));
-    }
+    WDOC_TRY(hold_ephemeral(manifest));
     cb(manifest, fabric_->now());
     return Status::ok();
   }
@@ -1562,12 +1365,8 @@ void StationNode::on_message(const net::Message& msg) {
     on_fetch_rsp(msg);
   } else if (msg.type == kFetchErr) {
     on_fetch_err(msg);
-  } else if (msg.type == kBlobReq) {
-    on_blob_req(msg);
-  } else if (msg.type == kBlobRsp) {
-    on_blob_rsp(msg);
   } else if (msg.type == kChunkBegin) {
-    on_chunk_begin(msg);
+    on_begin<net::ChunkBegin>(msg);
   } else if (msg.type == kChunkData) {
     on_chunk_data(msg);
   } else if (msg.type == kChunkAck) {
@@ -1577,7 +1376,7 @@ void StationNode::on_message(const net::Message& msg) {
   } else if (msg.type == kChunkRsp) {
     on_chunk_rsp(msg);
   } else if (msg.type == kSwarmBegin) {
-    on_swarm_begin(msg);
+    on_begin<net::SwarmBegin>(msg);
   } else if (msg.type == kSwarmHave) {
     on_swarm_have(msg);
   } else if (msg.type == kSwarmReq) {
@@ -1599,21 +1398,15 @@ void StationNode::on_push(const net::Message& msg) {
     WDOC_ERROR("push decode failed: %s", manifest.message().c_str());
     return;
   }
-  ++stats_.pushes_received;
+  count<&NodeStats::pushes_received>();
   const DocManifest& m = manifest.value();
   // Child span of the sender's push span: the trace mirrors the m-ary tree.
   auto& tracer = obs::Tracer::global();
   std::uint64_t span = tracer.begin("dist.push.hop " + m.doc_key, msg.trace.span_id,
                                     fabric_->now(), self_.value(), msg.trace.trace_id);
-  const StoredDoc* existing = store_->doc(m.doc_key);
-  if (existing == nullptr) {
-    Status s = store_->put_instance(m, /*ephemeral=*/true);
-    if (!s.is_ok()) {
-      WDOC_WARN("station %llu: push store failed: %s",
-                static_cast<unsigned long long>(self_.value()), s.message().c_str());
-    }
-  } else if (existing->form == ObjectForm::reference) {
-    (void)store_->materialize(m.doc_key, /*ephemeral=*/true);
+  if (Status s = hold_ephemeral(m); !s.is_ok()) {
+    WDOC_WARN("station %llu: push store failed: %s",
+              static_cast<unsigned long long>(self_.value()), s.message().c_str());
   }
   last_delivery_ = fabric_->now();
   // Forward down the tree.
@@ -1621,7 +1414,7 @@ void StationNode::on_push(const net::Message& msg) {
     for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
       Status s = send_push(tree_order()[child - 1], m,
                            obs::TraceContext{msg.trace.trace_id, span, msg.trace.sampled});
-      if (s.is_ok()) ++stats_.pushes_forwarded;
+      if (s.is_ok()) count<&NodeStats::pushes_forwarded>();
     }
   }
   tracer.end(span, fabric_->now());
@@ -1701,12 +1494,11 @@ Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
                           std::optional<net::RpcOptions> options) {
   const StoredDoc* d = store_->doc(doc_key);
   if (d != nullptr && d->form != ObjectForm::reference) {
-    ++stats_.fetches_local;
+    count<&NodeStats::fetches_local>();
     cb(d->manifest, fabric_->now());
     return Status::ok();
   }
-  ++stats_.fetches_remote;
-  DistMetrics::get().pulls.inc();
+  count<&NodeStats::pulls>();
 
   net::RpcOptions opts = options.value_or(config_.rpc);
   if (d != nullptr) {
@@ -1722,10 +1514,7 @@ Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
       req_id, opts,
       [this, req_id, cb = std::move(cb)](Result<DocManifest> r, SimTime t) {
         rpc_target_.erase(req_id);
-        if (!r.is_ok()) {
-          ++stats_.failed_fetches;
-          DistMetrics::get().failed_fetches.inc();
-        }
+        if (!r.is_ok()) count<&NodeStats::failed_fetches>();
         cb(std::move(r), t);
       },
       [this, req_id, key](std::uint32_t) { return send_fetch_req(req_id, key); });
@@ -1735,11 +1524,10 @@ Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
     // preserving the historical "no route" contract.
     rpc_.cancel(req_id);
     rpc_target_.erase(req_id);
-    --stats_.fetches_remote;
-    ++stats_.failed_fetches;
-    DistMetrics::get().failed_fetches.inc();
+    count<&NodeStats::failed_fetches>();
     return s;
   }
+  count<&NodeStats::fetches_remote>();
   return Status::ok();
 }
 
@@ -1751,8 +1539,7 @@ void StationNode::on_fetch_req(const net::Message& msg) {
   const StoredDoc* d = store_->doc(q.doc_key);
   if (d != nullptr && d->form != ObjectForm::reference) {
     // Serve: relay the data back down the request path, store-and-forward.
-    ++stats_.serves;
-    DistMetrics::get().serves.inc();
+    count<&NodeStats::serves>();
     FetchRsp rsp;
     rsp.req_id = q.req_id;
     rsp.manifest = d->manifest;
@@ -1788,7 +1575,7 @@ void StationNode::on_fetch_req(const net::Message& msg) {
     (void)fabric_->send(std::move(out));
     return;
   }
-  ++stats_.forwards_up;
+  count<&NodeStats::forwards_up>();
   q.path.push_back(self_);
   net::Message out;
   out.from = self_;
@@ -1815,40 +1602,29 @@ void StationNode::on_fetch_rsp(const net::Message& msg) {
       (void)store_->put_reference(r.manifest);
       d = store_->doc(key);
     }
-    std::uint64_t count = store_->note_remote_retrieval(key);
-    if (count >= config_.watermark && d != nullptr &&
+    std::uint64_t retrievals = store_->note_remote_retrieval(key);
+    if (retrievals >= config_.watermark && d != nullptr &&
         d->form == ObjectForm::reference) {
       // Watermark hit: copy the physical multimedia data locally.
       Status s = store_->materialize(key, /*ephemeral=*/true);
       if (s.is_ok()) {
-        ++stats_.replications;
-        DistMetrics::get().replications.inc();
+        count<&NodeStats::replications>();
         obs::FlightRecorder::global().record(
             obs::FlightKind::replication,
-            key + " retrieval " + std::to_string(count) + "/" +
+            key + " retrieval " + std::to_string(retrievals) + "/" +
                 std::to_string(config_.watermark) + ": materialized locally",
             self_.value(), 0, fabric_->now());
       }
     }
-    // The callback fires exactly once: a duplicate is counted and ignored.
-    if (!rpc_.in_flight(r.req_id)) {
-      rpc_.note_duplicate();
-      return;
-    }
+    // The callback fires exactly once: the tracker counts and ignores a
+    // duplicate.
     (void)rpc_.complete<DocManifest>(r.req_id, r.manifest);
     return;
   }
 
   // Intermediate hop: relay downward (store-and-forward).
-  ++stats_.relays;
-  if (config_.relay_cache) {
-    const StoredDoc* d = store_->doc(r.manifest.doc_key);
-    if (d == nullptr) {
-      (void)store_->put_instance(r.manifest, /*ephemeral=*/true);
-    } else if (d->form == ObjectForm::reference) {
-      (void)store_->materialize(r.manifest.doc_key, /*ephemeral=*/true);
-    }
-  }
+  count<&NodeStats::relays>();
+  if (config_.relay_cache) (void)hold_ephemeral(r.manifest);
   StationId next = r.path.back();
   r.path.pop_back();
   net::Message out;
@@ -1870,116 +1646,32 @@ void StationNode::on_fetch_err(const net::Message& msg) {
 
 // --- blobs -------------------------------------------------------------------
 
-Status StationNode::send_blob_req(std::uint64_t req_id, StationId holder,
-                                  const std::string& doc_key, const BlobRef& blob) {
-  rpc_target_[req_id] = holder;
-  BlobReq req;
-  req.req_id = req_id;
-  req.doc_key = doc_key;
-  req.digest = blob.digest;
-  req.size = blob.size;
-  req.type = blob.type;
-  net::Message msg;
-  msg.from = self_;
-  msg.to = holder;
-  msg.type = kBlobReq;
-  msg.payload = req.encode();
-  return fabric_->send(std::move(msg));
-}
-
-Status StationNode::fetch_blob_rpc(StationId holder, const std::string& doc_key,
-                                   const BlobRef& blob, BlobFetchCallback cb,
-                                   std::optional<net::RpcOptions> options) {
+Status StationNode::fetch_blob(StationId holder, const std::string& doc_key,
+                               const BlobRef& blob, BlobFetchCallback cb,
+                               std::optional<net::RpcOptions> options) {
   // Already resident (e.g. a previous fetch or a pushed lecture): no wire
   // traffic needed.
   if (store_->blobs().find(blob.digest).has_value()) {
-    ++stats_.fetches_local;
+    count<&NodeStats::fetches_local>();
     cb(blob, fabric_->now());
     return Status::ok();
   }
-  // Large blobs (and blobs already partially assembled) stream at chunk
-  // granularity from the pinned holder — an interrupted fetch resumes from
-  // the bitmap instead of restarting the whole transfer.
-  if (config_.chunk.enabled &&
-      (blob.size > config_.chunk.chunk_bytes ||
-       store_->blobs().partial(blob.digest) != nullptr)) {
-    BlobPull pull;
-    pull.doc_key = doc_key;
-    pull.blob = blob;
-    pull.holder = holder;
-    pull.home = holder;
-    pull.base = options.value_or(config_.rpc);
-    BlobRef want = blob;
-    pull.done = [cb = std::move(cb), want](Status s, SimTime t) {
-      if (s.is_ok()) {
-        cb(want, t);
-      } else {
-        cb(Result<BlobRef>(s.error()), t);
-      }
-    };
-    return pull_blob_chunks(std::move(pull));
-  }
-  net::RpcOptions opts = options.value_or(config_.rpc);
-  // The payload serializes on both endpoints' links; give each attempt room
-  // for the transfer itself on the slowest link this cluster models.
-  opts.deadline += SimTime::seconds(static_cast<double>(blob.size) * 8.0 /
-                                    config_.min_bandwidth_bps);
-  std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-  std::string key = doc_key;
-  BlobRef want = blob;
-  rpc_.track<BlobRef>(
-      req_id, opts,
-      [this, req_id, cb = std::move(cb)](Result<BlobRef> r, SimTime t) {
-        rpc_target_.erase(req_id);
-        cb(std::move(r), t);
-      },
-      [this, req_id, holder, key, want](std::uint32_t) {
-        return send_blob_req(req_id, holder, key, want);
-      });
-  Status s = send_blob_req(req_id, holder, doc_key, blob);
-  if (!s.is_ok()) {
-    rpc_.cancel(req_id);
-    rpc_target_.erase(req_id);
-    return s;
-  }
-  return Status::ok();
-}
-
-void StationNode::on_blob_req(const net::Message& msg) {
-  auto req = BlobReq::decode(msg.payload);
-  if (!req) return;
-  ++stats_.blob_serves;
-  DistMetrics::get().blob_serves.inc();
-  BlobRsp rsp;
-  rsp.req_id = req.value().req_id;
-  rsp.blob.digest = req.value().digest;
-  rsp.blob.size = req.value().size;
-  rsp.blob.type = req.value().type;
-  net::Message out;
-  out.from = self_;
-  out.to = msg.from;
-  out.type = kBlobRsp;
-  out.payload = rsp.encode();
-  out.wire_size = req.value().size;  // payload bytes charged on the wire
-  (void)fabric_->send(std::move(out));
-}
-
-void StationNode::on_blob_rsp(const net::Message& msg) {
-  auto rsp = BlobRsp::decode(msg.payload);
-  if (!rsp) return;
-  const BlobRsp& r = rsp.value();
-  if (!rpc_.in_flight(r.req_id)) {
-    // A retried request's extra response: counted and ignored.
-    rpc_.note_duplicate();
-    return;
-  }
-  // The payload now lives locally (ephemeral buffer: zero refs, reclaimable
-  // by gc until a document instance claims it).
-  auto id = store_->blobs().put_synthetic(r.blob.digest, r.blob.size, r.blob.type);
-  if (id) {
-    (void)store_->blobs().release(id.value());
-  }
-  (void)rpc_.complete<BlobRef>(r.req_id, r.blob);
+  // Chunk granularity from the pinned holder: an interrupted fetch resumes
+  // from the bitmap instead of restarting the whole transfer.
+  BlobPull pull;
+  pull.doc_key = doc_key;
+  pull.blob = blob;
+  pull.holder = holder;
+  pull.home = holder;
+  pull.base = options.value_or(config_.rpc);
+  pull.done = [cb = std::move(cb), blob](Status s, SimTime t) {
+    if (s.is_ok()) {
+      cb(blob, t);
+    } else {
+      cb(Result<BlobRef>(s.error()), t);
+    }
+  };
+  return pull_blob_chunks(std::move(pull));
 }
 
 std::uint64_t StationNode::end_lecture() {
@@ -1989,8 +1681,7 @@ std::uint64_t StationNode::end_lecture() {
     if (d != nullptr && d->form == ObjectForm::instance && d->ephemeral) {
       if (store_->demote_to_reference(key).is_ok()) {
         ++demoted;
-        ++stats_.demotions;
-        DistMetrics::get().migrations.inc();
+        count<&NodeStats::demotions>();
       }
     }
   }
@@ -2011,49 +1702,24 @@ std::uint64_t StationNode::end_lecture() {
 obs::Snapshot StationNode::local_snapshot() const {
   obs::Labels labels{{"station", std::to_string(self_.value())}};
   obs::Snapshot snap;
-  auto counter = [&](const char* name, std::uint64_t v) {
+  auto sample = [&](const char* name, obs::MetricSample::Kind kind, std::uint64_t v) {
     obs::MetricSample s;
     s.name = name;
     s.labels = labels;
-    s.kind = obs::MetricSample::Kind::counter;
+    s.kind = kind;
     s.value = static_cast<double>(v);
     snap.samples.push_back(std::move(s));
   };
-  auto gauge = [&](const char* name, std::uint64_t v) {
-    obs::MetricSample s;
-    s.name = name;
-    s.labels = labels;
-    s.kind = obs::MetricSample::Kind::gauge;
-    s.value = static_cast<double>(v);
-    snap.samples.push_back(std::move(s));
-  };
+  constexpr auto kCounter = obs::MetricSample::Kind::counter;
+  for (const NodeStatRow& row : kNodeStatRows) {
+    sample(row.scrape, kCounter, stats_.*row.field);
+  }
   const net::RpcStats rpc = rpc_.stats();
-  counter("station.blob_serves", stats_.blob_serves);
-  counter("station.chunk_duplicate_rx", stats_.chunk_duplicate_rx);
-  counter("station.chunk_duplicates", stats_.chunk_duplicates);
-  counter("station.chunk_rejects", stats_.chunk_rejects);
-  counter("station.chunk_repair_served", stats_.chunk_repair_served);
-  counter("station.chunk_retransmits", stats_.chunk_retransmits);
-  counter("station.chunk_wasted_bytes", stats_.chunk_wasted_bytes);
-  counter("station.chunks_received", stats_.chunks_received);
-  counter("station.chunks_sent", stats_.chunks_sent);
-  counter("station.demotions", stats_.demotions);
-  counter("station.failed_fetches", stats_.failed_fetches);
-  counter("station.failovers", stats_.failovers);
-  counter("station.fetches_local", stats_.fetches_local);
-  counter("station.fetches_remote", stats_.fetches_remote);
-  counter("station.forwards_up", stats_.forwards_up);
-  counter("station.pushes_forwarded", stats_.pushes_forwarded);
-  counter("station.pushes_received", stats_.pushes_received);
-  counter("station.relays", stats_.relays);
-  counter("station.replications", stats_.replications);
-  counter("station.resurrections", stats_.resurrections);
-  counter("station.rpc_exhausted", rpc.exhausted);
-  counter("station.rpc_retries", rpc.retries);
-  counter("station.rpc_timeouts", rpc.attempt_timeouts);
-  counter("station.serves", stats_.serves);
-  gauge("station.disk_bytes", store_->disk_bytes());
-  gauge("station.docs", store_->doc_count());
+  sample("station.rpc_exhausted", kCounter, rpc.exhausted);
+  sample("station.rpc_retries", kCounter, rpc.retries);
+  sample("station.rpc_timeouts", kCounter, rpc.attempt_timeouts);
+  sample("station.disk_bytes", obs::MetricSample::Kind::gauge, store_->disk_bytes());
+  sample("station.docs", obs::MetricSample::Kind::gauge, store_->doc_count());
   std::sort(snap.samples.begin(), snap.samples.end(),
             [](const obs::MetricSample& a, const obs::MetricSample& b) {
               return a.key() < b.key();
@@ -2061,7 +1727,7 @@ obs::Snapshot StationNode::local_snapshot() const {
   return snap;
 }
 
-Status StationNode::scrape_tree_rpc(SnapshotCallback cb) {
+Status StationNode::scrape_tree(SnapshotCallback cb) {
   std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
   return start_scrape(req_id, std::nullopt, std::move(cb));
 }
@@ -2184,7 +1850,7 @@ void StationNode::on_scrape_rsp(const net::Message& msg) {
 void StationNode::on_scrape_deadline(std::uint64_t req_id) {
   auto it = pending_scrapes_.find(req_id);
   if (it == pending_scrapes_.end()) return;
-  DistMetrics::get().scrape_partials.inc();
+  count<&NodeStats::scrape_partials>();
   obs::FlightRecorder::global().record(
       obs::FlightKind::scrape,
       "scrape merge timed out with " + std::to_string(it->second.outstanding) +

@@ -30,10 +30,10 @@
 
 #include <deque>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
-#include <type_traits>
 #include <vector>
 
 #include "dist/mtree.hpp"
@@ -52,10 +52,9 @@ namespace wdoc::dist {
 // BLOB into `chunk_bytes` chunks; an interior station relays chunk k to its
 // children as soon as it verifies, holding at most `window` unacked chunks
 // in flight per child (each one an rpc with a deadline and retry budget).
-// Pull-side repair requests at most `repair_batch` missing indices per
-// round. `enabled = false` falls back to whole-manifest store-and-forward.
+// Pull-side repair and fetch_blob request at most `repair_batch` missing
+// indices per round.
 struct ChunkConfig {
-  bool enabled = true;
   std::uint32_t chunk_bytes = 256 * 1024;
   std::uint32_t window = 32;
   std::uint32_t repair_batch = 64;
@@ -89,48 +88,105 @@ struct StationConfig {
   // Chunked transfer knobs (push pipelining, windowing, chunk repair).
   ChunkConfig chunk;
   // Multi-source swarm distribution (stripe trees + bitmap gossip +
-  // rarest-first pull). Requires chunk.enabled; off by default.
+  // rarest-first pull). Off by default: pushes use the single-tree chunked
+  // pipeline.
   swarm::SwarmConfig swarm;
 
   [[nodiscard]] Status validate() const;
 };
 
-// Deprecated alias (kept one release): the old name before the rpc knobs
-// were merged in. Remove once callers migrate.
-using NodeConfig = StationConfig;
-
+// A station's event counters. Every field is listed once in kNodeStatRows
+// below, which is the single definition behind local_snapshot() (and thus
+// scrapes) and the process-wide registry counters.
 struct NodeStats {
   std::uint64_t pushes_received = 0;
-  std::uint64_t pushes_forwarded = 0;
-  std::uint64_t fetches_local = 0;    // resolved from local materialized copy
-  std::uint64_t fetches_remote = 0;   // had to go up the chain
-  std::uint64_t serves = 0;           // requests answered from local data
-  std::uint64_t relays = 0;           // pull responses relayed downward
-  std::uint64_t forwards_up = 0;      // pull requests forwarded to parent
-  std::uint64_t replications = 0;     // watermark-triggered materializations
-  std::uint64_t demotions = 0;        // instances migrated back to references
-  std::uint64_t blob_serves = 0;
+  std::uint64_t pushes_forwarded = 0;  // pushes/begins sent to tree children
+  std::uint64_t push_attempts = 0;     // push/chunk-begin sends attempted
+  std::uint64_t fetches_local = 0;     // resolved from local materialized copy
+  std::uint64_t fetches_remote = 0;    // had to go up the chain
+  std::uint64_t pulls = 0;             // remote fetches attempted, routable or not
+  std::uint64_t serves = 0;            // requests answered from local data
+  std::uint64_t relays = 0;            // pull responses relayed downward
+  std::uint64_t forwards_up = 0;       // pull requests forwarded to parent
+  std::uint64_t replications = 0;      // watermark-triggered materializations
+  std::uint64_t demotions = 0;         // instances migrated back to references
   std::uint64_t failed_fetches = 0;
-  std::uint64_t failovers = 0;        // peers this node declared dead
-  std::uint64_t resurrections = 0;    // declared-dead peers heard from again
+  std::uint64_t failovers = 0;         // peers this node declared dead
+  std::uint64_t resurrections = 0;     // declared-dead peers heard from again
+  std::uint64_t scrape_partials = 0;   // scrape merges cut short by their deadline
   // Chunked transfer path:
-  std::uint64_t chunks_sent = 0;         // data chunks sent (push + repair)
-  std::uint64_t chunks_received = 0;     // chunks verified into partial assembly
-  std::uint64_t chunk_duplicates = 0;    // already-held chunks received again
-  std::uint64_t chunk_rejects = 0;       // failed digest/bounds verification
-  std::uint64_t chunk_retransmits = 0;   // rpc-retry resends of a pushed chunk
-  std::uint64_t chunk_repair_served = 0; // chunks served to pull requests
-  std::uint64_t chunk_bytes_sent = 0;    // payload bytes across chunk sends
-  // Chunk receive accounting (swarm mode makes duplicates possible):
-  std::uint64_t chunk_duplicate_rx = 0;  // already-held chunks received again
-  std::uint64_t chunk_wasted_bytes = 0;  // wire bytes those duplicates cost
+  std::uint64_t chunks_sent = 0;          // data chunks sent (push + repair)
+  std::uint64_t chunks_received = 0;      // chunks verified into partial assembly
+  std::uint64_t chunk_duplicate_rx = 0;   // already-held chunks received again
+  std::uint64_t chunk_wasted_bytes = 0;   // wire bytes those duplicates cost
+  std::uint64_t chunk_rejects = 0;        // failed digest/bounds verification
+  std::uint64_t chunk_orphans = 0;        // chunks without assembly state here
+  std::uint64_t chunk_retransmits = 0;    // rpc-retry resends of a pushed chunk
+  std::uint64_t chunk_repair_reqs = 0;    // chunk pull rounds sent
+  std::uint64_t chunk_repair_served = 0;  // chunks served to pull requests
+  std::uint64_t chunk_bytes_sent = 0;     // payload bytes across chunk sends
   // Swarm path:
+  std::uint64_t swarm_begins_sent = 0;       // SwarmBegins sent, resends included
   std::uint64_t swarm_haves_sent = 0;        // gossip bitmaps sent
   std::uint64_t swarm_reqs_sent = 0;         // rarest-first request messages
   std::uint64_t swarm_chunks_requested = 0;  // chunk indices across those
   std::uint64_t swarm_chunks_served = 0;     // chunks served to swarm requests
   std::uint64_t swarm_relay_suppressed = 0;  // relays skipped: child already has it
+  std::uint64_t swarm_orphans = 0;           // gossip for a transfer unknown here
 };
+
+// One row per NodeStats field: its scrape name (`station.<field>`) and the
+// process-wide registry counter that sums it over every station in the
+// process (null for station-only rows).
+struct NodeStatRow {
+  const char* scrape;
+  std::uint64_t NodeStats::*field;
+  const char* registry;
+};
+
+inline constexpr NodeStatRow kNodeStatRows[] = {
+    {"station.pushes_received", &NodeStats::pushes_received, nullptr},
+    {"station.pushes_forwarded", &NodeStats::pushes_forwarded, nullptr},
+    {"station.push_attempts", &NodeStats::push_attempts, "dist.pushes"},
+    {"station.fetches_local", &NodeStats::fetches_local, nullptr},
+    {"station.fetches_remote", &NodeStats::fetches_remote, nullptr},
+    {"station.pulls", &NodeStats::pulls, "dist.pulls"},
+    {"station.serves", &NodeStats::serves, "dist.serves"},
+    {"station.relays", &NodeStats::relays, nullptr},
+    {"station.forwards_up", &NodeStats::forwards_up, nullptr},
+    {"station.replications", &NodeStats::replications, "dist.replications"},
+    {"station.demotions", &NodeStats::demotions, "dist.migrations"},
+    {"station.failed_fetches", &NodeStats::failed_fetches, "dist.failed_fetches"},
+    {"station.failovers", &NodeStats::failovers, "dist.failovers"},
+    {"station.resurrections", &NodeStats::resurrections, "dist.resurrections"},
+    {"station.scrape_partials", &NodeStats::scrape_partials, "dist.scrape_partials"},
+    {"station.chunks_sent", &NodeStats::chunks_sent, "dist.chunk.sent"},
+    {"station.chunks_received", &NodeStats::chunks_received, nullptr},
+    {"station.chunk_duplicate_rx", &NodeStats::chunk_duplicate_rx,
+     "dist.chunk.duplicate_rx"},
+    {"station.chunk_wasted_bytes", &NodeStats::chunk_wasted_bytes,
+     "dist.chunk.wasted_bytes"},
+    {"station.chunk_rejects", &NodeStats::chunk_rejects, "dist.chunk.rejects"},
+    {"station.chunk_orphans", &NodeStats::chunk_orphans, "dist.chunk.orphaned"},
+    {"station.chunk_retransmits", &NodeStats::chunk_retransmits,
+     "dist.chunk.retransmits"},
+    {"station.chunk_repair_reqs", &NodeStats::chunk_repair_reqs,
+     "dist.chunk.repair_reqs"},
+    {"station.chunk_repair_served", &NodeStats::chunk_repair_served,
+     "dist.chunk.repair_served"},
+    {"station.chunk_bytes_sent", &NodeStats::chunk_bytes_sent, "dist.chunk.bytes_sent"},
+    {"station.swarm_begins_sent", &NodeStats::swarm_begins_sent, "swarm.begins"},
+    {"station.swarm_haves_sent", &NodeStats::swarm_haves_sent, "swarm.haves"},
+    {"station.swarm_reqs_sent", &NodeStats::swarm_reqs_sent, "swarm.reqs"},
+    {"station.swarm_chunks_requested", &NodeStats::swarm_chunks_requested,
+     "swarm.req_chunks"},
+    {"station.swarm_chunks_served", &NodeStats::swarm_chunks_served, "swarm.served"},
+    {"station.swarm_relay_suppressed", &NodeStats::swarm_relay_suppressed,
+     "swarm.relay_suppressed"},
+    {"station.swarm_orphans", &NodeStats::swarm_orphans, "swarm.orphans"},
+};
+static_assert(sizeof(NodeStats) == std::size(kNodeStatRows) * sizeof(std::uint64_t),
+              "every NodeStats field needs exactly one kNodeStatRows row");
 
 class StationNode {
  public:
@@ -139,13 +195,6 @@ class StationNode {
   using FetchCallback = net::Rpc<DocManifest>;
   using BlobFetchCallback = net::Rpc<BlobRef>;
   using SnapshotCallback = net::Rpc<obs::Snapshot>;
-
-  // Deprecated legacy shapes (kept one release): fetch_blob and scrape_tree
-  // accept these via their template entry points and adapt. BlobCallback
-  // loses the distinction between payload variants (it only sees Status);
-  // ScrapeCallback receives an empty snapshot on terminal failure.
-  using BlobCallback = std::function<void(Status, SimTime)>;
-  using ScrapeCallback = std::function<void(obs::Snapshot, SimTime)>;
 
   StationNode(net::Fabric& fabric, StationId self, ObjectStore& store,
               StationConfig config = {});
@@ -181,15 +230,15 @@ class StationNode {
 
   // --- instructor side ------------------------------------------------------
   // Root of a multicast: stores a persistent instance (if not already held)
-  // and pushes down the tree. Children receive ephemeral copies. With
-  // config().chunk.enabled (the default) the push is chunked and pipelined:
-  // interior stations relay each verified chunk before the next arrives, so
-  // makespan approaches blob_time + depth * chunk_time instead of
-  // depth * blob_time. Disabled, it is the historical whole-manifest
-  // store-and-forward push.
+  // and pushes down the tree. Children receive ephemeral copies. The push
+  // is chunked and pipelined: interior stations relay each verified chunk
+  // before the next arrives, so makespan approaches
+  // blob_time + depth * chunk_time instead of depth * blob_time. With
+  // config().swarm.enabled it is the multi-source swarm push instead.
   [[nodiscard]] Status broadcast_push(const DocManifest& manifest);
-  // The pre-chunking store-and-forward push, kept callable for A/B
-  // comparison (bench_prebroadcast, the pipelining regression test).
+  // The paper's whole-manifest store-and-forward push, kept as the
+  // reference for A/B comparison (bench_prebroadcast, bench_broadcast_fanout,
+  // the pipelining regression test). Only reachable through this call.
   [[nodiscard]] Status broadcast_push_store_forward(const DocManifest& manifest);
 
   // "References to the instance are broadcasted and stored in many remote
@@ -206,31 +255,14 @@ class StationNode {
   [[nodiscard]] Status fetch(const std::string& doc_key, FetchCallback cb,
                              std::optional<net::RpcOptions> options = std::nullopt);
 
-  // Fetches one BLOB's payload from `holder` (charged at blob size). On
-  // completion the payload is registered in the local BlobStore, so a
-  // repeat fetch of the same content completes locally without network
-  // traffic. Accepts the canonical Rpc<BlobRef> shape or the deprecated
-  // (Status, SimTime) shape.
-  template <typename Cb>
+  // Fetches one BLOB's payload from `holder`, pulled chunk by chunk (a blob
+  // no larger than one chunk is a single chunk), so an interrupted fetch
+  // resumes from the bitmap. On completion the payload is registered in
+  // the local BlobStore, so a repeat fetch of the same content completes
+  // locally without network traffic.
   [[nodiscard]] Status fetch_blob(StationId holder, const std::string& doc_key,
-                                  const BlobRef& blob, Cb&& cb,
-                                  std::optional<net::RpcOptions> options = std::nullopt) {
-    if constexpr (std::is_invocable_v<Cb&, Result<BlobRef>, SimTime>) {
-      return fetch_blob_rpc(holder, doc_key, blob,
-                            BlobFetchCallback(std::forward<Cb>(cb)), options);
-    } else {
-      BlobCallback legacy(std::forward<Cb>(cb));
-      return fetch_blob_rpc(
-          holder, doc_key, blob,
-          [legacy = std::move(legacy)](Result<BlobRef> r, SimTime t) {
-            legacy(r.status(), t);
-          },
-          options);
-    }
-  }
-  [[nodiscard]] Status fetch_blob_rpc(StationId holder, const std::string& doc_key,
-                                      const BlobRef& blob, BlobFetchCallback cb,
-                                      std::optional<net::RpcOptions> options = std::nullopt);
+                                  const BlobRef& blob, BlobFetchCallback cb,
+                                  std::optional<net::RpcOptions> options = std::nullopt);
 
   // Chunk-granularity anti-entropy: ensures a local reference, then pulls
   // only the chunks of the manifest's blobs this station is missing (up the
@@ -249,7 +281,9 @@ class StationNode {
 
   // --- observability plane -------------------------------------------------
   // This station's own counters as a metrics snapshot, every sample tagged
-  // with a `station=<id>` label. This is what a scrape response carries.
+  // with a `station=<id>` label: one counter per kNodeStatRows row, the rpc
+  // lifecycle counters, and the disk/doc gauges. This is what a scrape
+  // response carries.
   [[nodiscard]] obs::Snapshot local_snapshot() const;
 
   // Initiates a hierarchical scrape of this node's subtree: the request
@@ -258,22 +292,8 @@ class StationNode {
   // fires once here with the subtree-wide merge. Called on the tree root
   // (directly or via AdminNode::scrape_cluster) this yields the whole
   // cluster in one snapshot. A merge waiting on a dead subtree completes
-  // partially after a height-scaled deadline instead of hanging. Accepts
-  // the canonical Rpc<obs::Snapshot> shape or the deprecated
-  // (obs::Snapshot, SimTime) shape.
-  template <typename Cb>
-  [[nodiscard]] Status scrape_tree(Cb&& cb) {
-    if constexpr (std::is_invocable_v<Cb&, Result<obs::Snapshot>, SimTime>) {
-      return scrape_tree_rpc(SnapshotCallback(std::forward<Cb>(cb)));
-    } else {
-      ScrapeCallback legacy(std::forward<Cb>(cb));
-      return scrape_tree_rpc(
-          [legacy = std::move(legacy)](Result<obs::Snapshot> r, SimTime t) {
-            legacy(r.is_ok() ? std::move(r).value() : obs::Snapshot{}, t);
-          });
-    }
-  }
-  [[nodiscard]] Status scrape_tree_rpc(SnapshotCallback cb);
+  // partially after a height-scaled deadline instead of hanging.
+  [[nodiscard]] Status scrape_tree(SnapshotCallback cb);
 
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
@@ -300,8 +320,6 @@ class StationNode {
   static constexpr const char* kFetchReq = "dist.fetch_req";
   static constexpr const char* kFetchRsp = "dist.fetch_rsp";
   static constexpr const char* kFetchErr = "dist.fetch_err";
-  static constexpr const char* kBlobReq = "dist.blob_req";
-  static constexpr const char* kBlobRsp = "dist.blob_rsp";
   static constexpr const char* kChunkBegin = net::kChunkBegin;
   static constexpr const char* kChunkData = net::kChunkData;
   static constexpr const char* kChunkAck = net::kChunkAck;
@@ -318,9 +336,6 @@ class StationNode {
   void on_fetch_req(const net::Message& msg);
   void on_fetch_rsp(const net::Message& msg);
   void on_fetch_err(const net::Message& msg);
-  void on_blob_req(const net::Message& msg);
-  void on_blob_rsp(const net::Message& msg);
-  void on_chunk_begin(const net::Message& msg);
   void on_chunk_data(const net::Message& msg);
   void on_chunk_ack(const net::Message& msg);
   void on_chunk_req(const net::Message& msg);
@@ -331,10 +346,13 @@ class StationNode {
   // One (re)send of an in-flight pull: recomputes the route each attempt,
   // so retries travel the repaired chain after a reparent.
   [[nodiscard]] Status send_fetch_req(std::uint64_t req_id, const std::string& doc_key);
-  [[nodiscard]] Status send_blob_req(std::uint64_t req_id, StationId holder,
-                                     const std::string& doc_key, const BlobRef& blob);
   [[nodiscard]] Status send_push(StationId to, const DocManifest& manifest,
                                  obs::TraceContext trace = {});
+
+  // Adds `n` to stats_.*Field and, for a row with a registry name, to its
+  // process-wide counter.
+  template <auto Field>
+  void count(std::uint64_t n = 1);
 
   // Failure detector: consecutive attempt timeouts per routed-to peer.
   void note_attempt_timeout(StationId target);
@@ -418,7 +436,21 @@ class StationNode {
     bool pacing = false;
   };
 
-  [[nodiscard]] Status start_chunked_push(const DocManifest& manifest);
+  // Root side of broadcast_push: a new transfer, chunked pipelined or (with
+  // config().swarm.enabled) swarm.
+  [[nodiscard]] Status start_push(const DocManifest& manifest);
+  // Receiving side: a ChunkBegin or SwarmBegin from the parent opens the
+  // transfer here (the first begin wins; later ones are idempotent no-ops).
+  template <typename Begin>
+  void on_begin(const net::Message& msg);
+  // Registers the transfer and opens its children; `trees` > 0 selects
+  // swarm mode with that many stripe trees.
+  void open_transfer(std::uint64_t transfer_id, Transfer t, std::uint32_t trees);
+  // The transfer's ChunkBegin (or SwarmBegin in swarm mode), encoded once
+  // and shared by every child it is sent to.
+  [[nodiscard]] net::Payload begin_payload(std::uint64_t transfer_id,
+                                           const Transfer& t) const;
+  [[nodiscard]] Status send_begin(StationId to, const Transfer& t, net::Payload payload);
   // Forwards the transfer's begin to this node's tree children and creates
   // their cursors; enqueues every locally-held chunk (cut-through for the
   // rest happens as chunks verify in on_chunk_data).
@@ -428,12 +460,22 @@ class StationNode {
   [[nodiscard]] Status send_chunk(std::uint64_t transfer_id, const Transfer& t,
                                   StationId child, std::uint64_t key,
                                   std::uint64_t req_id, bool retransmit);
+  // Chunk `index` of a blob held here (or nothing: not held), its body the
+  // stored slice itself; a synthetic blob's chunk has no body and is
+  // charged chunk_len on the wire.
+  [[nodiscard]] Result<net::ChunkData> held_chunk(const Digest128& digest,
+                                                  std::uint64_t size, std::uint32_t index,
+                                                  std::uint32_t chunk_bytes) const;
+  [[nodiscard]] Status send_chunk_data(StationId to, const net::ChunkData& d,
+                                       obs::TraceContext trace = {});
   [[nodiscard]] bool transfer_blobs_complete(const Transfer& t) const;
   void deliver_transfer(std::uint64_t transfer_id);
+  // Holds an ephemeral materialized copy of `m` here: a new instance, or
+  // the local reference materialized (an instance already held stays).
+  [[nodiscard]] Status hold_ephemeral(const DocManifest& m);
   void maybe_retire_transfer(std::uint64_t transfer_id);
 
   // --- swarm mode (multi-source distribution, DESIGN.md §4f) ---------------
-  [[nodiscard]] Status start_swarm_push(const DocManifest& manifest);
   // Builds the transfer's swarm state: chunk prefix table, scheduler with
   // stripe parents and gossip neighbors, self bitmap seeded from the blob
   // store, and the first gossip tick.
@@ -441,11 +483,6 @@ class StationNode {
   // Sends SwarmBegin to every stripe-tree child and creates one cursor per
   // (child, tree); each cursor relays only its tree's chunks.
   void open_swarm_children(std::uint64_t transfer_id, Transfer& t);
-  // Re-announce a transfer to a child that has never gossiped back — its
-  // SwarmBegin may have been lost on every stripe tree (begins are
-  // idempotent, so over-sending is safe).
-  void resend_swarm_begin(std::uint64_t transfer_id, const Transfer& t,
-                          const ChildCursor& c);
   void enqueue_swarm_send(std::uint64_t transfer_id, Transfer& t, SwarmSend entry);
   void swarm_pace_tick(std::uint64_t transfer_id);
   [[nodiscard]] SimTime swarm_pace_interval(const Transfer& t) const;
@@ -453,7 +490,6 @@ class StationNode {
   // One gossip round: progress/idle bookkeeping, termination check, then
   // SwarmHave to every known peer and SwarmReq per scheduler plan.
   void on_swarm_tick(std::uint64_t transfer_id);
-  void on_swarm_begin(const net::Message& msg);
   void on_swarm_have(const net::Message& msg);
   void on_swarm_req(const net::Message& msg);
   // Maps a sender-claimed position to its station id, validating it against

@@ -1,7 +1,5 @@
 #include "storage/txn.hpp"
 
-#include <algorithm>
-
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
@@ -99,7 +97,9 @@ class TransactionManager::UndoSink final : public MutationSink {
   void on_mutation(const Mutation& m) override {
     {
       std::lock_guard<std::mutex> g(mgr_->mu_);
-      mgr_->txns_[id_.value()].undo.push_back(m);
+      auto it = mgr_->txns_.find(id_.value());
+      WDOC_CHECK(it != mgr_->txns_.end(), "mutation in finished txn");
+      it->second.undo.push_back(m);
     }
     LogRecord rec;
     switch (m.kind) {
@@ -141,9 +141,7 @@ std::unique_ptr<Txn> TransactionManager::begin() {
 
 std::size_t TransactionManager::active_txns() const {
   std::lock_guard<std::mutex> g(mu_);
-  return static_cast<std::size_t>(
-      std::count_if(txns_.begin(), txns_.end(),
-                    [](const auto& kv) { return kv.second.active; }));
+  return txns_.size();
 }
 
 std::size_t TransactionManager::held_locks(TxnId id) const {
@@ -187,19 +185,24 @@ bool TransactionManager::would_deadlock(std::uint64_t waiter, const ResourceKey&
 
 Status TransactionManager::acquire(TxnId txn, const ResourceKey& key, TxnLockMode mode) {
   std::unique_lock<std::mutex> g(mu_);
-  auto& state = txns_[txn.value()];
-  WDOC_CHECK(state.active, "acquire on finished txn");
+  auto state = txns_.find(txn.value());
+  WDOC_CHECK(state != txns_.end(), "acquire on finished txn");
 
-  auto& lock = locks_[key];
-  auto held_it = lock.holders.find(txn.value());
   TxnLockMode target = mode;
-  if (held_it != lock.holders.end()) {
-    target = combine(held_it->second, mode);
-    if (target == held_it->second) return Status::ok();  // already strong enough
+  if (auto lit = locks_.find(key); lit != locks_.end()) {
+    auto held_it = lit->second.holders.find(txn.value());
+    if (held_it != lit->second.holders.end()) {
+      target = combine(held_it->second, mode);
+      if (target == held_it->second) return Status::ok();  // already strong enough
+    }
   }
 
+  // Looks the entry up afresh on every call: while we wait, release_all
+  // erases it once its last holder leaves.
   auto grantable = [&] {
-    for (const auto& [holder, held] : lock.holders) {
+    auto lit = locks_.find(key);
+    if (lit == locks_.end()) return true;
+    for (const auto& [holder, held] : lit->second.holders) {
       if (holder == txn.value()) continue;
       if (!txn_lock_compatible(held, target)) return false;
     }
@@ -241,8 +244,8 @@ Status TransactionManager::acquire(TxnId txn, const ResourceKey& key, TxnLockMod
               "txn " + std::to_string(txn.value()) + " lock timeout on " + key.table};
     }
   }
-  lock.holders[txn.value()] = target;
-  state.held.insert(key);
+  locks_[key].holders[txn.value()] = target;
+  state->second.held.insert(key);
   return Status::ok();
 }
 
@@ -256,8 +259,7 @@ void TransactionManager::release_all(TxnId txn) {
     lit->second.holders.erase(txn.value());
     if (lit->second.holders.empty()) locks_.erase(lit);
   }
-  it->second.held.clear();
-  it->second.active = false;
+  txns_.erase(it);
   cv_.notify_all();
 }
 
@@ -278,17 +280,14 @@ Status TransactionManager::finish_commit(Txn& txn) {
   rec.txn = txn.id().value();
   WDOC_TRY(db_.log(rec));
   WDOC_TRY(db_.flush());
+  // Lock order physical_mu_ then mu_, as in DML (whose UndoSink takes mu_
+  // under the latch) and finish_abort.
+  std::lock_guard<std::mutex> latch(physical_mu_);
   std::lock_guard<std::mutex> g(mu_);
   // Auto-checkpoint only when this is the sole active transaction: a
   // snapshot must not capture other transactions' uncommitted writes.
   // Holding mu_ keeps new transactions from beginning mid-snapshot.
-  std::size_t active = static_cast<std::size_t>(
-      std::count_if(txns_.begin(), txns_.end(),
-                    [](const auto& kv) { return kv.second.active; }));
-  if (active == 1) {
-    std::lock_guard<std::mutex> latch(physical_mu_);
-    WDOC_TRY(db_.maybe_checkpoint());
-  }
+  if (txns_.size() == 1) WDOC_TRY(db_.maybe_checkpoint());
   release_all(txn.id());
   TxnMetrics::get().commits.inc();
   return Status::ok();
@@ -298,7 +297,9 @@ void TransactionManager::finish_abort(Txn& txn) {
   std::vector<Mutation> undo;
   {
     std::lock_guard<std::mutex> g(mu_);
-    undo = std::move(txns_[txn.id().value()].undo);
+    auto it = txns_.find(txn.id().value());
+    WDOC_CHECK(it != txns_.end(), "abort of finished txn");
+    undo = std::move(it->second.undo);
   }
   // Roll back through Table directly: constraint checks already passed for
   // the before-images, and FK cascades must not re-fire during undo.

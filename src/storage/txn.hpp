@@ -90,10 +90,10 @@ class TransactionManager {
     std::map<std::uint64_t, TxnLockMode> holders;  // txn id -> strongest mode
   };
 
+  // One entry per unfinished transaction; release_all erases it.
   struct TxnState {
     std::set<ResourceKey> held;
     std::vector<Mutation> undo;
-    bool active = true;
   };
 
   class UndoSink;
@@ -114,7 +114,8 @@ class TransactionManager {
 
   // Physical latch: serializes access to Catalog/Table internals, which are
   // not thread-safe. Logical 2PL locks provide isolation; this provides
-  // memory safety. Held only for the duration of one engine call.
+  // memory safety. Held only for the duration of one engine call. Lock
+  // order: physical_mu_ before mu_.
   std::mutex physical_mu_;
 
   mutable std::mutex mu_;

@@ -16,8 +16,8 @@
 namespace wdoc::swarm {
 
 struct SwarmConfig {
-  // Off by default: broadcast_push falls back to the single-tree chunked
-  // pipeline (or store-and-forward when that is disabled too).
+  // Off by default: broadcast_push then uses the single-tree chunked
+  // pipeline.
   bool enabled = false;
   // Interleaved stripe trees. Chunk g rides tree g % trees; each tree is a
   // rotation of the same full m-ary placement, so a station interior in

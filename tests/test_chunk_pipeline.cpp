@@ -67,9 +67,7 @@ struct PushRun {
 };
 
 PushRun run_push(bool chunked) {
-  StationConfig cfg;
-  cfg.chunk.enabled = chunked;
-  Cluster c(15, 2, cfg);
+  Cluster c(15, 2, StationConfig{});
   auto doc = ten_mb_lecture(c.node(0).id());
   Status s = chunked ? c.node(0).broadcast_push(doc)
                      : c.node(0).broadcast_push_store_forward(doc);

@@ -342,7 +342,7 @@ ChunkDrillResult run_chunk_drill(std::uint64_t seed) {
     out.retransmits += st.chunk_retransmits;
     out.repair_served += st.chunk_repair_served;
     journal << "station=" << i << " sent=" << st.chunks_sent
-            << " recv=" << st.chunks_received << " dup=" << st.chunk_duplicates
+            << " recv=" << st.chunks_received << " dup=" << st.chunk_duplicate_rx
             << " rej=" << st.chunk_rejects << " rtx=" << st.chunk_retransmits
             << " repair=" << st.chunk_repair_served
             << " bytes=" << st.chunk_bytes_sent

@@ -3,8 +3,12 @@
 // deterministic Perfetto export of a lecture-push trace.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
+
 #include "dist/admin_node.hpp"
 #include "net/sim_network.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 
 namespace wdoc::dist {
@@ -23,54 +27,31 @@ double station_sample(const obs::Snapshot& snap, const std::string& name,
   return -1.0;
 }
 
-constexpr const char* kCounters[] = {
-    "station.blob_serves",        "station.chunk_duplicates",
-    "station.chunk_rejects",      "station.chunk_repair_served",
-    "station.chunk_retransmits",  "station.chunks_received",
-    "station.chunks_sent",        "station.demotions",
-    "station.failed_fetches",     "station.failovers",
-    "station.fetches_local",      "station.fetches_remote",
-    "station.forwards_up",        "station.pushes_forwarded",
-    "station.pushes_received",    "station.relays",
-    "station.replications",       "station.resurrections",
-    "station.rpc_exhausted",      "station.rpc_retries",
-    "station.rpc_timeouts",       "station.serves",
-};
+// Samples per station in local_snapshot(): one counter per kNodeStatRows
+// row, the three rpc lifecycle counters, and the disk/doc gauges.
+constexpr std::size_t kSamplesPerStation = std::size(kNodeStatRows) + 5;
 
-// Samples per station in local_snapshot(): the 22 counters above + 2 gauges.
-constexpr std::size_t kSamplesPerStation = 26;
-
-std::uint64_t stat_by_name(const StationNode& node, std::string_view name) {
+// Every table row of `node` (plus its rpc counters) appears in `snap` with
+// the station's own value.
+void expect_station_rows(const obs::Snapshot& snap, const StationNode& node) {
   const NodeStats& st = node.stats();
+  for (const NodeStatRow& row : kNodeStatRows) {
+    EXPECT_EQ(station_sample(snap, row.scrape, node.id()),
+              static_cast<double>(st.*row.field))
+        << row.scrape << " station " << node.id().value();
+  }
   const net::RpcStats rpc = node.rpc_stats();
-  if (name == "station.blob_serves") return st.blob_serves;
-  if (name == "station.chunk_duplicates") return st.chunk_duplicates;
-  if (name == "station.chunk_rejects") return st.chunk_rejects;
-  if (name == "station.chunk_repair_served") return st.chunk_repair_served;
-  if (name == "station.chunk_retransmits") return st.chunk_retransmits;
-  if (name == "station.chunks_received") return st.chunks_received;
-  if (name == "station.chunks_sent") return st.chunks_sent;
-  if (name == "station.demotions") return st.demotions;
-  if (name == "station.failed_fetches") return st.failed_fetches;
-  if (name == "station.failovers") return st.failovers;
-  if (name == "station.fetches_local") return st.fetches_local;
-  if (name == "station.fetches_remote") return st.fetches_remote;
-  if (name == "station.forwards_up") return st.forwards_up;
-  if (name == "station.pushes_forwarded") return st.pushes_forwarded;
-  if (name == "station.pushes_received") return st.pushes_received;
-  if (name == "station.relays") return st.relays;
-  if (name == "station.replications") return st.replications;
-  if (name == "station.resurrections") return st.resurrections;
-  if (name == "station.rpc_exhausted") return rpc.exhausted;
-  if (name == "station.rpc_retries") return rpc.retries;
-  if (name == "station.rpc_timeouts") return rpc.attempt_timeouts;
-  if (name == "station.serves") return st.serves;
-  ADD_FAILURE() << "unknown counter " << name;
-  return 0;
+  EXPECT_EQ(station_sample(snap, "station.rpc_exhausted", node.id()),
+            static_cast<double>(rpc.exhausted));
+  EXPECT_EQ(station_sample(snap, "station.rpc_retries", node.id()),
+            static_cast<double>(rpc.retries));
+  EXPECT_EQ(station_sample(snap, "station.rpc_timeouts", node.id()),
+            static_cast<double>(rpc.attempt_timeouts));
 }
 
 struct Cluster {
-  explicit Cluster(std::size_t n, std::uint64_t m, std::uint64_t seed = 7)
+  explicit Cluster(std::size_t n, std::uint64_t m, std::uint64_t seed = 7,
+                   const StationConfig& config = {})
       : net(seed) {
     std::vector<StationId> vec;
     for (std::size_t i = 0; i < n; ++i) {
@@ -78,7 +59,7 @@ struct Cluster {
       vec.push_back(id);
       blobs.push_back(std::make_unique<blob::BlobStore>());
       stores.push_back(std::make_unique<ObjectStore>(*blobs.back()));
-      nodes.push_back(std::make_unique<StationNode>(net, id, *stores.back()));
+      nodes.push_back(std::make_unique<StationNode>(net, id, *stores.back(), config));
       nodes.back()->bind();
     }
     for (auto& node : nodes) node->set_tree(vec, m);
@@ -93,6 +74,22 @@ struct Cluster {
     net.run();
   }
 
+  // Scrapes the whole tree from the root and runs it to completion.
+  obs::Snapshot scrape() {
+    obs::Snapshot merged;
+    bool done = false;
+    EXPECT_TRUE(nodes[0]
+                    ->scrape_tree([&](Result<obs::Snapshot> snap, SimTime) {
+                      EXPECT_TRUE(snap.is_ok());
+                      if (snap.is_ok()) merged = std::move(snap).value();
+                      done = true;
+                    })
+                    .is_ok());
+    net.run();
+    EXPECT_TRUE(done);
+    return merged;
+  }
+
   net::SimNetwork net;
   std::vector<std::unique_ptr<blob::BlobStore>> blobs;
   std::vector<std::unique_ptr<ObjectStore>> stores;
@@ -103,26 +100,11 @@ TEST(ScrapeTree, MergedSnapshotMatchesEveryStationsLocalCounters) {
   Cluster c(13, 3);
   c.push_lecture("http://mmu.edu/CS102/lecture1");
 
-  obs::Snapshot merged;
-  bool done = false;
-  ASSERT_TRUE(c.nodes[0]
-                  ->scrape_tree([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
-                    done = true;
-                  })
-                  .is_ok());
-  c.net.run();
-  ASSERT_TRUE(done);
+  obs::Snapshot merged = c.scrape();
 
   // One sample per (counter+gauge, station).
   EXPECT_EQ(merged.samples.size(), kSamplesPerStation * 13u);
-  for (const auto& node : c.nodes) {
-    for (const char* name : kCounters) {
-      EXPECT_EQ(station_sample(merged, name, node->id()),
-                static_cast<double>(stat_by_name(*node, name)))
-          << name << " station " << node->id().value();
-    }
-  }
+  for (const auto& node : c.nodes) expect_station_rows(merged, *node);
   // And the cluster totals are plain sums of the per-station samples.
   std::uint64_t pushes = 0;
   for (const auto& node : c.nodes) pushes += node->stats().pushes_received;
@@ -136,8 +118,9 @@ TEST(ScrapeTree, LeafScrapeReturnsOnlyItself) {
   obs::Snapshot merged;
   // Node 4 (position 5) is a leaf: its subtree is itself.
   ASSERT_TRUE(c.nodes[4]
-                  ->scrape_tree([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
+                  ->scrape_tree([&](Result<obs::Snapshot> snap, SimTime) {
+                    ASSERT_TRUE(snap.is_ok());
+                    merged = std::move(snap).value();
                   })
                   .is_ok());
   c.net.run();
@@ -150,17 +133,68 @@ TEST(ScrapeTree, LeafScrapeReturnsOnlyItself) {
 TEST(ScrapeTree, SnapshotRendersWithExistingExporters) {
   Cluster c(4, 2);
   c.push_lecture("http://mmu.edu/CS101/lecture1");
-  obs::Snapshot merged;
-  ASSERT_TRUE(c.nodes[0]
-                  ->scrape_tree([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
-                  })
-                  .is_ok());
-  c.net.run();
+  obs::Snapshot merged = c.scrape();
   std::string table = obs::to_table(merged);
   EXPECT_NE(table.find("station.pushes_received"), std::string::npos);
   std::string json = obs::to_json(merged);
   EXPECT_NE(json.find("\"station.pushes_received"), std::string::npos);
+}
+
+TEST(NodeStatTable, EveryRowNamesOneDistinctField) {
+  // Write a distinct value through every row: two rows aliasing one field
+  // (and so leaving another unlisted) would read back the later value.
+  NodeStats st;
+  for (std::size_t i = 0; i < std::size(kNodeStatRows); ++i) {
+    st.*kNodeStatRows[i].field = i + 1;
+  }
+  std::set<std::string> scrape_names, registry_names;
+  for (std::size_t i = 0; i < std::size(kNodeStatRows); ++i) {
+    const NodeStatRow& row = kNodeStatRows[i];
+    EXPECT_EQ(st.*row.field, i + 1) << row.scrape;
+    EXPECT_EQ(std::string_view(row.scrape).substr(0, 8), "station.");
+    EXPECT_TRUE(scrape_names.insert(row.scrape).second) << row.scrape;
+    if (row.registry != nullptr) {
+      EXPECT_TRUE(registry_names.insert(row.registry).second) << row.registry;
+    }
+  }
+}
+
+TEST(ScrapeTree, SwarmPushScrapeCoversEveryRowAndMatchesTheRegistry) {
+  StationConfig cfg;
+  cfg.swarm.enabled = true;
+  cfg.swarm.trees = 2;
+  Cluster c(63, 2, /*seed=*/7, cfg);
+  DocManifest doc;
+  doc.doc_key = "http://mmu.edu/CS102/swarm";
+  doc.structure_bytes = 5000;
+  doc.home = c.nodes[0]->id();
+  BlobRef video;
+  video.digest = digest128("scrape swarm video");
+  video.size = 4 << 20;
+  video.type = blob::MediaType::video;
+  doc.blobs.push_back(video);
+
+  // Registry counters accumulate across the whole process: measure deltas.
+  auto& reg = obs::MetricsRegistry::global();
+  std::vector<std::uint64_t> before;
+  for (const NodeStatRow& row : kNodeStatRows) {
+    before.push_back(row.registry != nullptr ? reg.counter(row.registry).value() : 0);
+  }
+  ASSERT_TRUE(c.nodes[0]->broadcast_push(doc).is_ok());
+  c.net.run();
+  for (std::size_t i = 0; i < std::size(kNodeStatRows); ++i) {
+    const NodeStatRow& row = kNodeStatRows[i];
+    if (row.registry == nullptr) continue;
+    std::uint64_t sum = 0;
+    for (const auto& node : c.nodes) sum += node->stats().*row.field;
+    EXPECT_EQ(reg.counter(row.registry).value() - before[i], sum) << row.registry;
+  }
+
+  obs::Snapshot merged = c.scrape();
+  EXPECT_EQ(merged.samples.size(), kSamplesPerStation * 63u);
+  // Includes the swarm rows (swarm_haves_sent, swarm_chunks_served, ...).
+  for (const auto& node : c.nodes) expect_station_rows(merged, *node);
+  EXPECT_GT(obs::counter_total(merged, "station.swarm_haves_sent"), 0.0);
 }
 
 // --- AdminNode::scrape_cluster ----------------------------------------------
@@ -215,8 +249,9 @@ TEST_F(ScrapeClusterFixture, MergesThirteenStationTree) {
   obs::Snapshot merged;
   bool done = false;
   ASSERT_TRUE(admin_
-                  ->scrape_cluster([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
+                  ->scrape_cluster([&](Result<obs::Snapshot> snap, SimTime) {
+                    ASSERT_TRUE(snap.is_ok());
+                    merged = std::move(snap).value();
                     done = true;
                   })
                   .is_ok());
@@ -225,13 +260,7 @@ TEST_F(ScrapeClusterFixture, MergesThirteenStationTree) {
   EXPECT_EQ(admin_->scrapes_completed(), 1u);
 
   EXPECT_EQ(merged.samples.size(), kSamplesPerStation * 13u);
-  for (const auto& m : members_) {
-    for (const char* name : kCounters) {
-      EXPECT_EQ(station_sample(merged, name, m->id),
-                static_cast<double>(stat_by_name(*m->node, name)))
-          << name << " station " << m->id.value();
-    }
-  }
+  for (const auto& m : members_) expect_station_rows(merged, *m->node);
   // Tree push accounting: 12 non-root stations received the push, and
   // forward counts sum to the edges the push travelled.
   EXPECT_EQ(obs::counter_total(merged, "station.pushes_received"), 12.0);
@@ -241,8 +270,9 @@ TEST_F(ScrapeClusterFixture, EmptyClusterCompletesImmediately) {
   bool done = false;
   obs::Snapshot merged;
   ASSERT_TRUE(admin_
-                  ->scrape_cluster([&](obs::Snapshot snap, SimTime) {
-                    merged = std::move(snap);
+                  ->scrape_cluster([&](Result<obs::Snapshot> snap, SimTime) {
+                    ASSERT_TRUE(snap.is_ok());
+                    merged = std::move(snap).value();
                     done = true;
                   })
                   .is_ok());
@@ -255,7 +285,7 @@ TEST_F(ScrapeClusterFixture, BackToBackScrapesUseDistinctRequestIds) {
   join_members(5);
   int fired = 0;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(admin_->scrape_cluster([&](obs::Snapshot, SimTime) { ++fired; })
+    ASSERT_TRUE(admin_->scrape_cluster([&](Result<obs::Snapshot>, SimTime) { ++fired; })
                     .is_ok());
     net_.run();
   }

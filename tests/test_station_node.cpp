@@ -25,7 +25,7 @@ DocManifest lecture_manifest(StationId home) {
 // A cluster of N stations on one simulator, wired into an m-ary tree.
 class Cluster {
  public:
-  Cluster(std::size_t n, std::uint64_t m, NodeConfig config = {}) : net_(42) {
+  Cluster(std::size_t n, std::uint64_t m, StationConfig config = {}) : net_(42) {
     for (std::size_t i = 0; i < n; ++i) {
       StationId id = net_.add_station();
       ids_.push_back(id);
@@ -134,7 +134,7 @@ TEST(StationNode, FetchPullsUpParentChain) {
 }
 
 TEST(StationNode, RelayCacheRetainsAtIntermediates) {
-  NodeConfig config;
+  StationConfig config;
   config.relay_cache = true;
   config.watermark = 1000;  // disable requester replication
   Cluster c(13, 3, config);
@@ -147,7 +147,7 @@ TEST(StationNode, RelayCacheRetainsAtIntermediates) {
 }
 
 TEST(StationNode, WatermarkTriggersReplication) {
-  NodeConfig config;
+  StationConfig config;
   config.watermark = 3;
   Cluster c(4, 3, config);
   auto manifest = lecture_manifest(c.id(0));
@@ -258,8 +258,8 @@ TEST(StationNode, BlobFetchChargesBlobSize) {
   SimTime arrival;
   ASSERT_TRUE(c.node(1)
                   .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
-                              [&](Status s, SimTime t) {
-                                ASSERT_TRUE(s.is_ok());
+                              [&](Result<BlobRef> r, SimTime t) {
+                                ASSERT_TRUE(r.is_ok());
                                 done = true;
                                 arrival = t;
                               })
@@ -276,23 +276,25 @@ TEST(StationNode, BlobFetchChargesBlobSize) {
   EXPECT_GE(c.net().stats(c.id(0)).bytes_sent, manifest.blobs[0].size);
 }
 
-TEST(StationNode, BlobFetchLegacyPathChargesBlobSize) {
-  StationConfig cfg;
-  cfg.chunk.enabled = false;
-  Cluster c(2, 2, cfg);
+TEST(StationNode, SubChunkBlobFetchIsOneChunk) {
+  Cluster c(2, 2);
   auto manifest = lecture_manifest(c.id(0));
+  manifest.blobs[0].size = c.node(0).config().chunk.chunk_bytes / 4;
   ASSERT_TRUE(c.store(0).put_instance(manifest, false).is_ok());
   bool done = false;
   ASSERT_TRUE(c.node(1)
                   .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
-                              [&](Status s, SimTime) {
-                                ASSERT_TRUE(s.is_ok());
+                              [&](Result<BlobRef> r, SimTime) {
+                                ASSERT_TRUE(r.is_ok());
                                 done = true;
                               })
                   .is_ok());
   c.net().run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(c.node(0).stats().blob_serves, 1u);
+  EXPECT_EQ(c.node(0).stats().chunk_repair_served, 1u);
+  EXPECT_EQ(c.node(1).stats().chunk_repair_reqs, 1u);
+  EXPECT_EQ(c.node(1).stats().chunks_received, 1u);
+  EXPECT_TRUE(c.store(1).blobs().find(manifest.blobs[0].digest).has_value());
   EXPECT_GE(c.net().stats(c.id(0)).bytes_sent, manifest.blobs[0].size);
 }
 
@@ -351,8 +353,8 @@ TEST(StationNode, RepeatBlobFetchIsLocal) {
   int completions = 0;
   ASSERT_TRUE(c.node(1)
                   .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
-                              [&](Status s, SimTime) {
-                                ASSERT_TRUE(s.is_ok());
+                              [&](Result<BlobRef> r, SimTime) {
+                                ASSERT_TRUE(r.is_ok());
                                 ++completions;
                               })
                   .is_ok());
@@ -364,8 +366,8 @@ TEST(StationNode, RepeatBlobFetchIsLocal) {
   // synchronously, with zero new wire traffic.
   ASSERT_TRUE(c.node(1)
                   .fetch_blob(c.id(0), manifest.doc_key, manifest.blobs[0],
-                              [&](Status s, SimTime) {
-                                ASSERT_TRUE(s.is_ok());
+                              [&](Result<BlobRef> r, SimTime) {
+                                ASSERT_TRUE(r.is_ok());
                                 ++completions;
                               })
                   .is_ok());

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "storage/txn.hpp"
 
 namespace wdoc::storage {
@@ -274,6 +275,35 @@ TEST_F(TxnFixture, LocksReleasedAfterCommit) {
   EXPECT_GT(mgr_.held_locks(id), 0u);
   ASSERT_TRUE(txn->commit().is_ok());
   EXPECT_EQ(mgr_.held_locks(id), 0u);
+}
+
+TEST_F(TxnFixture, BlockedReaderWakesAfterHolderCommits) {
+  // T1's commit erases the row's lock entry (its last holder leaves) while
+  // T2 sleeps on it; T2's wake must look the entry up afresh.
+  TransactionManager mgr(*db_, std::chrono::seconds(10));
+  obs::Counter& s_waits =
+      obs::MetricsRegistry::global().counter("storage.lock_waits", {{"mode", "S"}});
+  const std::uint64_t waits_before = s_waits.value();
+  auto t1 = mgr.begin();
+  ASSERT_TRUE(t1->update_column("accounts", a_, "balance", Value(7)).is_ok());
+  std::int64_t seen = -1;
+  std::thread reader([&] {
+    auto t2 = mgr.begin();
+    auto row = t2->get("accounts", a_);  // blocks: T1 holds the row X
+    if (row.is_ok()) seen = row.value()[1].as_int();
+    (void)t2->commit();
+  });
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (s_waits.value() == waits_before && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  EXPECT_GT(s_waits.value(), waits_before) << "reader never blocked";
+  EXPECT_TRUE(t1->commit().is_ok());
+  reader.join();
+  EXPECT_EQ(seen, 7);
+  // Finished transactions are pruned, not kept as inactive history.
+  EXPECT_EQ(mgr.active_txns(), 0u);
+  EXPECT_EQ(mgr.held_locks(t1->id()), 0u);
 }
 
 TEST_F(TxnFixture, UniqueViolationInsideTxnSurfacesCleanly) {
