@@ -9,10 +9,11 @@
 // open-loop style — completion time minus *scheduled* arrival — so
 // queueing delay counts against the server instead of throttling load.
 //
-// Reported: per-endpoint p50/p99 and sustained QPS, dumped with the full
-// metrics registry into BENCH_http.json via --metrics-json. Request/
-// response/byte counters are deterministic for a given seed (latency
-// histograms and p50/p99/QPS gauges are not); CI drift-checks the counters.
+// Reported: per-endpoint p50/p99 and sustained QPS on stdout, and the full
+// metrics registry via --metrics-json (baselined in BENCH_http.json).
+// Request/response/byte counters are deterministic for a given seed and CI
+// drift-checks them; latency is host-dependent and ungated here (the repo
+// benchmark's `gateway` workload, bench/suite, owns the gated figures).
 //
 // Tracing drill: --stall-micros=N --stall-every=K injects an N-microsecond
 // stall into every K-th document fetch. The bench then self-checks the
@@ -324,9 +325,6 @@ int main(int argc, char** argv) {
     std::printf("  UNEXPECTED STATUSES: %llu\n", static_cast<unsigned long long>(wrong));
   }
 
-  reg.gauge("http_bench.p50_us").set(p50);
-  reg.gauge("http_bench.p99_us").set(p99);
-  reg.gauge("http_bench.qps").set(static_cast<std::int64_t>(qps));
   reg.gauge("http_bench.simulated_users").set(static_cast<std::int64_t>(trace_cfg.users));
   reg.counter("http_bench.wrong_status").inc(wrong);
 

@@ -80,6 +80,7 @@ class StudentSession {
   [[nodiscard]] const std::string& name() const { return name_; }
 
   // --- virtual library ------------------------------------------------------
+  // Ranked like the HTTP gateway's GET /search (library::SearchIndex).
   [[nodiscard]] std::vector<library::SearchHit> search(const std::string& query) const;
   [[nodiscard]] std::vector<library::LibraryEntry> courses_by_instructor(
       const std::string& instructor) const;

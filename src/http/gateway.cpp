@@ -104,14 +104,11 @@ Gateway::Gateway(GatewayConfig cfg, std::vector<library::VirtualLibrary*> shards
                  DocumentSource* docs)
     : cfg_(cfg),
       shards_(std::move(shards)),
-      search_([&] {
-        std::vector<const library::VirtualLibrary*> views;
-        views.reserve(shards_.size());
-        for (auto* s : shards_) views.push_back(s);
-        return FederatedSearch(std::move(views));
-      }()),
       docs_(docs),
       slo_(cfg.slo) {
+  for (const auto* shard : shards_) {
+    for (const auto& [_, entry] : shard->entries()) index_.add_entry(entry);
+  }
   auto& reg = obs::MetricsRegistry::global();
   for (const char* endpoint : {"search", "check-out", "check-in", "doc", "metrics",
                                "debug", "healthz", "admin", "other"}) {
@@ -179,8 +176,12 @@ Response Gateway::do_search(const Request& req) {
 
   obs::SpanScope span("gateway.search");
   std::shared_lock lock(mu_);
-  std::vector<RankedHit> hits = search_.search(*q, limit);
-  const std::size_t corpus = search_.corpus_size();
+  std::vector<library::SearchHit> hits;
+  {
+    obs::SpanScope federated("search.federated");
+    hits = index_.search(*q, limit);
+  }
+  const std::size_t corpus = index_.size();
   lock.unlock();
   span.end(obs::SpanScope::wall_now());
 
@@ -189,7 +190,7 @@ Response Gateway::do_search(const Request& req) {
   std::string body = "{\"query\":\"" + json_escape(*q) +
                      "\",\"corpus\":" + std::to_string(corpus) + ",\"hits\":[";
   for (std::size_t i = 0; i < hits.size(); ++i) {
-    const RankedHit& h = hits[i];
+    const library::SearchHit& h = hits[i];
     if (i > 0) body += ',';
     body += "{\"course\":\"" + json_escape(h.course_number) + "\",\"title\":\"" +
             json_escape(h.title) + "\",\"instructor\":\"" + json_escape(h.instructor) +

@@ -39,7 +39,6 @@
 
 #include "common/result.hpp"
 #include "http/message.hpp"
-#include "http/search.hpp"
 #include "library/virtual_library.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
@@ -95,9 +94,12 @@ struct GatewayConfig {
 
 class Gateway {
  public:
-  // `shards` are the library instances federated behind /search; mutations
-  // route to the shard(s) actually holding the course. `docs` may be null
-  // (then /doc answers 404). Neither is owned.
+  // `shards` are the library instances federated behind /search: one index
+  // over all their entries, where a course on several shards is one hit
+  // whose `instances` counts them. The index points into the shards'
+  // catalogs, which must not change while the gateway lives; ledger
+  // mutations route to the shard(s) actually holding the course. `docs` may
+  // be null (then /doc answers 404). Neither is owned.
   Gateway(GatewayConfig cfg, std::vector<library::VirtualLibrary*> shards,
           DocumentSource* docs);
 
@@ -136,7 +138,7 @@ class Gateway {
 
   GatewayConfig cfg_;
   std::vector<library::VirtualLibrary*> shards_;
-  FederatedSearch search_;
+  library::SearchIndex index_;  // every shard's entries
   DocumentSource* docs_;
   mutable std::shared_mutex mu_;  // read: search/doc; write: check-in/out
   std::atomic<std::int64_t> clock_{0};

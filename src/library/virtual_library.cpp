@@ -1,7 +1,6 @@
 #include "library/virtual_library.hpp"
 
-#include <algorithm>
-#include <cctype>
+#include <set>
 
 #include "storage/database.hpp"
 
@@ -62,61 +61,13 @@ std::vector<std::string> split_keywords(const std::string& s) {
 
 }  // namespace
 
-std::vector<std::string> tokenize(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::string cur;
-  for (char c : text) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      cur.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    } else if (!cur.empty()) {
-      tokens.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) tokens.push_back(std::move(cur));
-  return tokens;
-}
-
-void VirtualLibrary::index_entry(const LibraryEntry& entry) {
-  auto add_tokens = [&](const std::string& text) {
-    for (const std::string& tok : tokenize(text)) {
-      ++keyword_index_[tok][entry.course_number];
-    }
-  };
-  add_tokens(entry.title);
-  for (const std::string& kw : entry.keywords) add_tokens(kw);
-  instructor_index_[entry.instructor].insert(entry.course_number);
-}
-
-void VirtualLibrary::unindex_entry(const LibraryEntry& entry) {
-  auto drop_tokens = [&](const std::string& text) {
-    for (const std::string& tok : tokenize(text)) {
-      auto it = keyword_index_.find(tok);
-      if (it == keyword_index_.end()) continue;
-      auto cit = it->second.find(entry.course_number);
-      if (cit == it->second.end()) continue;
-      if (--cit->second == 0) it->second.erase(cit);
-      if (it->second.empty()) keyword_index_.erase(it);
-    }
-  };
-  drop_tokens(entry.title);
-  for (const std::string& kw : entry.keywords) drop_tokens(kw);
-  auto iit = instructor_index_.find(entry.instructor);
-  if (iit != instructor_index_.end()) {
-    iit->second.erase(entry.course_number);
-    if (iit->second.empty()) instructor_index_.erase(iit);
-  }
-}
-
 Status VirtualLibrary::add_entry(const LibraryEntry& entry) {
   if (entry.course_number.empty()) {
     return {Errc::invalid_argument, "empty course number"};
   }
-  if (entries_.contains(entry.course_number)) {
-    return {Errc::already_exists, "course exists: " + entry.course_number};
-  }
-  entries_.emplace(entry.course_number, entry);
-  index_entry(entry);
+  auto [it, fresh] = entries_.emplace(entry.course_number, entry);
+  if (!fresh) return {Errc::already_exists, "course exists: " + entry.course_number};
+  index_.add_entry(it->second);
   return Status::ok();
 }
 
@@ -124,7 +75,7 @@ Status VirtualLibrary::remove_entry(const std::string& course_number) {
   auto it = entries_.find(course_number);
   if (it == entries_.end()) return {Errc::not_found, "no course: " + course_number};
   // Outstanding loans keep their ledger rows; the entry disappears.
-  unindex_entry(it->second);
+  index_.remove_entry(course_number);
   entries_.erase(it);
   return Status::ok();
 }
@@ -135,50 +86,9 @@ Result<LibraryEntry> VirtualLibrary::get(const std::string& course_number) const
   return it->second;
 }
 
-std::vector<SearchHit> VirtualLibrary::search_keywords(const std::string& query) const {
-  std::map<std::string, double> scores;
-  for (const std::string& tok : tokenize(query)) {
-    auto it = keyword_index_.find(tok);
-    if (it == keyword_index_.end()) continue;
-    for (const auto& [course, tf] : it->second) {
-      scores[course] += 1.0 + 0.1 * static_cast<double>(tf - 1);
-    }
-  }
-  std::vector<SearchHit> hits;
-  hits.reserve(scores.size());
-  for (const auto& [course, score] : scores) hits.push_back(SearchHit{course, score});
-  std::stable_sort(hits.begin(), hits.end(), [](const SearchHit& a, const SearchHit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.course_number < b.course_number;
-  });
-  return hits;
-}
-
-const std::map<std::string, std::uint32_t>* VirtualLibrary::postings(
-    const std::string& token) const {
-  auto it = keyword_index_.find(token);
-  return it == keyword_index_.end() ? nullptr : &it->second;
-}
-
-std::size_t VirtualLibrary::doc_freq(const std::string& token) const {
-  const auto* p = postings(token);
-  return p == nullptr ? 0 : p->size();
-}
-
-const std::set<std::string>* VirtualLibrary::instructor_courses(
-    const std::string& name) const {
-  auto it = instructor_index_.find(name);
-  return it == instructor_index_.end() ? nullptr : &it->second;
-}
-
 std::vector<LibraryEntry> VirtualLibrary::by_instructor(const std::string& name) const {
   std::vector<LibraryEntry> out;
-  auto it = instructor_index_.find(name);
-  if (it == instructor_index_.end()) return out;
-  out.reserve(it->second.size());
-  for (const std::string& course : it->second) {
-    out.push_back(entries_.at(course));
-  }
+  for (const LibraryEntry* entry : index_.taught_by(name)) out.push_back(*entry);
   return out;
 }
 
@@ -187,26 +97,6 @@ std::optional<LibraryEntry> VirtualLibrary::by_course_number(
   auto it = entries_.find(course_number);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
-}
-
-std::vector<SearchHit> VirtualLibrary::search(const std::string& query) const {
-  std::vector<SearchHit> hits = search_keywords(query);
-  std::map<std::string, double> scores;
-  for (const SearchHit& h : hits) scores[h.course_number] = h.score;
-  // Exact course-number match dominates.
-  if (entries_.contains(query)) scores[query] += 100.0;
-  // Instructor-name match ranks above plain keyword hits.
-  if (auto it = instructor_index_.find(query); it != instructor_index_.end()) {
-    for (const std::string& course : it->second) scores[course] += 10.0;
-  }
-  std::vector<SearchHit> out;
-  out.reserve(scores.size());
-  for (const auto& [course, score] : scores) out.push_back(SearchHit{course, score});
-  std::stable_sort(out.begin(), out.end(), [](const SearchHit& a, const SearchHit& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.course_number < b.course_number;
-  });
-  return out;
 }
 
 Status VirtualLibrary::check_out(const std::string& course_number, UserId student,
@@ -284,8 +174,7 @@ Status VirtualLibrary::load(storage::Database& db) {
   const storage::Table* entries = db.catalog().table(kEntryTable);
   if (entries == nullptr) return {Errc::not_found, "no saved library"};
   entries_.clear();
-  keyword_index_.clear();
-  instructor_index_.clear();
+  index_ = SearchIndex{};
   ledger_.clear();
   open_loans_.clear();
 

@@ -4,19 +4,19 @@
 // pages out and in, with no limit on concurrent check-outs; "the check
 // in/out procedure serves as an assessment criteria to the study
 // performance of a student". Retrieval is "according to matching keywords,
-// instructor names, and course numbers/titles" — implemented with an
-// inverted keyword index plus instructor and course-number maps.
+// instructor names, and course numbers/titles" — one SearchIndex answers
+// all three (library/search_index.hpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/result.hpp"
+#include "library/search_index.hpp"
 
 namespace wdoc::storage {
 class Database;
@@ -34,11 +34,6 @@ struct LibraryEntry {
   std::int64_t added_at = 0;
 };
 
-struct SearchHit {
-  std::string course_number;
-  double score = 0.0;  // matched query tokens (tf-weighted)
-};
-
 struct LedgerRecord {
   std::string course_number;
   UserId student;
@@ -54,11 +49,13 @@ struct AssessmentReport {
   std::int64_t total_borrow_micros = 0;  // completed loans only
 };
 
-// Lowercased alphanumeric tokens of `text`.
-[[nodiscard]] std::vector<std::string> tokenize(const std::string& text);
-
 class VirtualLibrary {
  public:
+  VirtualLibrary() = default;
+  // Move-only: the index points into entries_, which a copy would not own.
+  VirtualLibrary(VirtualLibrary&&) = default;
+  VirtualLibrary& operator=(VirtualLibrary&&) = default;
+
   // --- instructor operations --------------------------------------------
   [[nodiscard]] Status add_entry(const LibraryEntry& entry);
   [[nodiscard]] Status remove_entry(const std::string& course_number);
@@ -66,35 +63,18 @@ class VirtualLibrary {
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
 
   // --- retrieval ---------------------------------------------------------
-  // Ranked multi-token keyword search over title + keywords.
-  [[nodiscard]] std::vector<SearchHit> search_keywords(const std::string& query) const;
+  // Courses taught by `name`, in course-number order.
   [[nodiscard]] std::vector<LibraryEntry> by_instructor(const std::string& name) const;
   [[nodiscard]] std::optional<LibraryEntry> by_course_number(
       const std::string& course_number) const;
-  // Union of all three retrieval modes, ranked.
-  [[nodiscard]] std::vector<SearchHit> search(const std::string& query) const;
-
-  // --- index introspection (the http federated TF-IDF layer) -------------
-  // Term postings for one token: course -> term frequency, nullptr when the
-  // token is unindexed. Pointers stay valid until the next add/remove.
-  [[nodiscard]] const std::map<std::string, std::uint32_t>* postings(
-      const std::string& token) const;
-  // Number of entries whose title/keywords contain `token`.
-  [[nodiscard]] std::size_t doc_freq(const std::string& token) const;
-  // Courses taught by `name`, nullptr when unknown.
-  [[nodiscard]] const std::set<std::string>* instructor_courses(
-      const std::string& name) const;
+  // Keyword, instructor and course-number retrieval in one TF-IDF ranking;
+  // at most `limit` hits (0 = all).
+  [[nodiscard]] std::vector<SearchHit> search(const std::string& query,
+                                              std::size_t limit = 0) const {
+    return index_.search(query, limit);
+  }
   [[nodiscard]] const std::map<std::string, LibraryEntry>& entries() const {
     return entries_;
-  }
-  // Whole-index views, for building merged federation indexes.
-  [[nodiscard]] const std::map<std::string, std::map<std::string, std::uint32_t>>&
-  keyword_index() const {
-    return keyword_index_;
-  }
-  [[nodiscard]] const std::map<std::string, std::set<std::string>>& instructor_index()
-      const {
-    return instructor_index_;
   }
 
   // --- check-out / check-in ledger ----------------------------------------
@@ -112,18 +92,14 @@ class VirtualLibrary {
   // --- persistence ----------------------------------------------------------
   // Mirrors the catalog and the full ledger into two relational tables
   // (`wd_library_entry`, `wd_library_loan`), replacing prior contents; load
-  // rebuilds the in-memory indexes. Library state thus survives a durable
+  // rebuilds the in-memory index. Library state thus survives a durable
   // Database restart alongside the document tables.
   [[nodiscard]] Status save(storage::Database& db) const;
   [[nodiscard]] Status load(storage::Database& db);
 
  private:
-  void index_entry(const LibraryEntry& entry);
-  void unindex_entry(const LibraryEntry& entry);
-
-  std::map<std::string, LibraryEntry> entries_;
-  std::map<std::string, std::map<std::string, std::uint32_t>> keyword_index_;  // token -> course -> tf
-  std::map<std::string, std::set<std::string>> instructor_index_;
+  std::map<std::string, LibraryEntry> entries_;  // map nodes never move
+  SearchIndex index_;                             // points into entries_
   std::vector<LedgerRecord> ledger_;
   // (course, student id) -> index of the open ledger row; keeps check-out /
   // check-in O(log n) instead of scanning the full history.

@@ -187,6 +187,10 @@ void ThreadTransport::shutdown() {
   if (timer.joinable()) timer.join();
   std::lock_guard<std::mutex> g(mu_);
   for (auto& [_, box] : stations_) {
+    // Notify under the mailbox lock: a worker that has checked its wait
+    // predicate but not yet blocked would otherwise miss the wakeup, and
+    // the join below would wait forever.
+    std::lock_guard<std::mutex> bg(box->mu);
     box->cv.notify_all();
   }
   for (auto& [_, box] : stations_) {

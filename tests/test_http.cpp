@@ -1,15 +1,19 @@
 // HTTP gateway subsystem: incremental parser (split reads, pipelining,
-// limits), federated TF-IDF search (merge, dedup, determinism), gateway
+// limits), federated TF-IDF search (merge, dedup, determinism, the golden
+// /search ranking, and federation ranking like one union library), gateway
 // endpoints over VirtualLibrary + storage, and the real socket server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <thread>
 
+#include "common/rng.hpp"
 #include "http/client.hpp"
 #include "http/gateway.hpp"
 #include "http/parser.hpp"
-#include "http/search.hpp"
 #include "http/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -157,6 +161,14 @@ TEST(Parser, FeedRefusesBeyondBufferCap) {
   EXPECT_FALSE(p.feed(blob));
 }
 
+Request make_request(Method m, const std::string& target) {
+  Request req;
+  req.method = m;
+  req.target = target;
+  split_target(target, req.path, req.query);
+  return req;
+}
+
 // --- federated search -------------------------------------------------------
 
 library::LibraryEntry make_entry(const std::string& course, const std::string& title,
@@ -172,6 +184,15 @@ library::LibraryEntry make_entry(const std::string& course, const std::string& t
   return e;
 }
 
+// The gateway's federation: one index over every shard's entries.
+library::SearchIndex federate(const std::vector<library::VirtualLibrary>& libs) {
+  library::SearchIndex index;
+  for (const auto& lib : libs) {
+    for (const auto& [_, entry] : lib.entries()) index.add_entry(entry);
+  }
+  return index;
+}
+
 struct Shards {
   Shards() : libs(2) {
     libs[0].add_entry(make_entry("CS101", "btree indexing", "knuth", {"btree", "storage"}))
@@ -184,13 +205,11 @@ struct Shards {
     libs[1].add_entry(make_entry("CS101", "btree indexing", "knuth", {"btree", "storage"}))
         .expect("add");
   }
-  [[nodiscard]] FederatedSearch search() const {
-    return FederatedSearch({&libs[0], &libs[1]});
-  }
+  [[nodiscard]] library::SearchIndex search() const { return federate(libs); }
   std::vector<library::VirtualLibrary> libs;
 };
 
-TEST(FederatedSearch, MergesAndDeduplicatesReplicas) {
+TEST(Federation, MergesAndDeduplicatesReplicas) {
   Shards s;
   auto hits = s.search().search("btree");
   ASSERT_EQ(hits.size(), 1u);
@@ -198,7 +217,7 @@ TEST(FederatedSearch, MergesAndDeduplicatesReplicas) {
   EXPECT_EQ(hits[0].instances, 2u);  // held by both shards, scored once
 }
 
-TEST(FederatedSearch, GlobalDfRanksRareTokensHigher) {
+TEST(Federation, GlobalDfRanksRareTokensHigher) {
   Shards s;
   // "storage" appears in 2 courses, "hypertext" in 1: a hypertext hit must
   // outscore a storage hit (equal tf=1).
@@ -209,17 +228,17 @@ TEST(FederatedSearch, GlobalDfRanksRareTokensHigher) {
   EXPECT_GT(hyper_hits[0].score, storage_hits[0].score);
 }
 
-TEST(FederatedSearch, TieBreaksByCourseAscending) {
+TEST(Federation, TieBreaksByCourseAscending) {
   Shards s;
   auto hits = s.search().search("storage");
   ASSERT_EQ(hits.size(), 2u);
-  // CS101 has tf("storage")=1 same as CS301; tie resolves by course id.
+  // CS101 has tf("storage")=1 same as CS301; the tie resolves by course number.
   EXPECT_LT(hits[0].score - hits[1].score, 1e-12);
   EXPECT_EQ(hits[0].course_number, "CS101");
   EXPECT_EQ(hits[1].course_number, "CS301");
 }
 
-TEST(FederatedSearch, CourseNumberAndInstructorBoosts) {
+TEST(Federation, CourseNumberAndInstructorBoosts) {
   Shards s;
   auto by_course = s.search().search("CS301");
   ASSERT_FALSE(by_course.empty());
@@ -234,7 +253,7 @@ TEST(FederatedSearch, CourseNumberAndInstructorBoosts) {
   EXPECT_LT(by_instructor[0].score, 20.0);
 }
 
-TEST(FederatedSearch, RepeatedQueryTokensScoreOnce) {
+TEST(Federation, RepeatedQueryTokensScoreOnce) {
   Shards s;
   auto once = s.search().search("btree");
   auto twice = s.search().search("btree btree");
@@ -242,7 +261,7 @@ TEST(FederatedSearch, RepeatedQueryTokensScoreOnce) {
   EXPECT_DOUBLE_EQ(once[0].score, twice[0].score);
 }
 
-TEST(FederatedSearch, DeterministicAcrossRebuilds) {
+TEST(Federation, DeterministicAcrossRebuilds) {
   workload::LibraryCorpusConfig cfg;
   cfg.courses = 60;
   cfg.shards = 3;
@@ -252,10 +271,10 @@ TEST(FederatedSearch, DeterministicAcrossRebuilds) {
   auto run = [&] {
     std::vector<library::VirtualLibrary> libs(cfg.shards);
     workload::populate_shards(libs, entries, cfg);
-    FederatedSearch fs({&libs[0], &libs[1], &libs[2]});
+    const library::SearchIndex index = federate(libs);
     std::string rendered;
     for (const auto& q : queries) {
-      for (const auto& h : fs.search(q, 10)) {
+      for (const auto& h : index.search(q, 10)) {
         rendered += h.course_number + ":" + std::to_string(h.score) + ":" +
                     std::to_string(h.instances) + ";";
       }
@@ -266,15 +285,135 @@ TEST(FederatedSearch, DeterministicAcrossRebuilds) {
   EXPECT_EQ(run(), run());  // byte-identical result lists
 }
 
-// --- gateway ----------------------------------------------------------------
-
-Request make_request(Method m, const std::string& target) {
-  Request req;
-  req.method = m;
-  req.target = target;
-  split_target(target, req.path, req.query);
-  return req;
+// Pool queries plus exact course-number and instructor queries.
+std::vector<std::string> ranking_queries(const workload::LibraryCorpusConfig& cfg,
+                                         const std::vector<library::LibraryEntry>& entries,
+                                         std::size_t pool, std::size_t courses,
+                                         std::size_t instructors) {
+  std::vector<std::string> queries = workload::query_pool(cfg, pool);
+  const std::size_t course_step = std::max<std::size_t>(1, entries.size() / courses);
+  for (std::size_t i = 0; i < courses && i * course_step < entries.size(); ++i) {
+    queries.push_back(entries[i * course_step].course_number);
+  }
+  const std::size_t prof_step = std::max<std::size_t>(1, cfg.instructors / instructors);
+  for (std::size_t i = 0; i < instructors; ++i) {
+    queries.push_back("prof" + std::to_string(i * prof_step));
+  }
+  return queries;
 }
+
+// One line per hit of a /search body: query, rank, course, score as
+// rendered, instances (tab-separated).
+std::string render_hits(const std::string& query, std::string_view body) {
+  std::string out;
+  std::size_t at = 0;
+  auto field = [&](std::string_view key, char end) {
+    at = body.find(key, at) + key.size();
+    const std::size_t stop = body.find(end, at);
+    const std::string value(body.substr(at, stop - at));
+    at = stop;
+    return value;
+  };
+  for (std::size_t rank = 1; body.find("{\"course\":\"", at) != std::string_view::npos;
+       ++rank) {
+    const std::string course = field("{\"course\":\"", '"');
+    const std::string score = field("\"score\":", ',');
+    const std::string instances = field("\"instances\":", '}');
+    out += query + '\t' + std::to_string(rank) + '\t' + course + '\t' + score + '\t' +
+           instances + '\n';
+  }
+  return out;
+}
+
+// GET /search's top 10 on the default corpus (500 courses, 3 shards, 20%
+// replicated) for the first 200 pool queries, 20 course numbers and 10
+// instructor names, pinned byte for byte in tests/golden/search_ranking.txt.
+TEST(Federation, GoldenRanking) {
+  workload::LibraryCorpusConfig cfg;
+  auto entries = workload::library_corpus(cfg);
+  std::vector<library::VirtualLibrary> libs(cfg.shards);
+  workload::populate_shards(libs, entries, cfg);
+  std::vector<library::VirtualLibrary*> ptrs;
+  for (auto& lib : libs) ptrs.push_back(&lib);
+  Gateway gateway(GatewayConfig{}, ptrs, nullptr);
+
+  std::string rendered;
+  for (const std::string& q : ranking_queries(cfg, entries, 200, 20, 10)) {
+    std::string target = "/search?q=" + q + "&limit=10";
+    std::replace(target.begin(), target.end(), ' ', '+');
+    Response rsp = gateway.handle(make_request(Method::get, target));
+    ASSERT_EQ(rsp.status, 200) << target;
+    rendered += render_hits(q, rsp.body.text());
+  }
+  std::ifstream in(WDOC_GOLDEN_DIR "/search_ranking.txt");
+  ASSERT_TRUE(in) << "missing " WDOC_GOLDEN_DIR "/search_ranking.txt";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_TRUE(rendered == golden.str()) << "rendered ranking:\n" << rendered;
+}
+
+// First difference between two rankings, or "" when they are the same
+// courses in the same order with bit-identical scores.
+std::string first_difference(const std::vector<library::SearchHit>& a,
+                             const std::vector<library::SearchHit>& b) {
+  if (a.size() != b.size()) {
+    return std::to_string(a.size()) + " hits vs " + std::to_string(b.size());
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].course_number != b[i].course_number || a[i].title != b[i].title ||
+        a[i].instructor != b[i].instructor || a[i].score != b[i].score) {
+      std::ostringstream why;
+      why.precision(17);
+      why << "rank " << i << ": " << a[i].course_number << " " << a[i].score << " vs "
+          << b[i].course_number << " " << b[i].score;
+      return why.str();
+    }
+  }
+  return "";
+}
+
+// A federation of shards ranks every query exactly like one library
+// holding the union catalog, whatever the sharding and replication, and
+// counts each course's shards in `instances`. Catalog 0 is the gateway's
+// default corpus with its whole 1,000-query pool.
+TEST(Federation, RanksLikeTheUnionCatalog) {
+  Rng rng(20);
+  for (std::uint64_t seed = 0; seed <= 200; ++seed) {
+    workload::LibraryCorpusConfig cfg;
+    std::size_t pool = 1000;
+    if (seed > 0) {
+      cfg.seed = seed;
+      cfg.courses = 10 + rng.uniform(191);
+      cfg.instructors = 1 + rng.uniform(30);
+      cfg.shards = 1 + rng.uniform(5);
+      cfg.replicate_fraction = static_cast<double>(rng.uniform(51)) / 100.0;
+      pool = 40;
+    }
+    auto entries = workload::library_corpus(cfg);
+    std::vector<library::VirtualLibrary> libs(cfg.shards);
+    workload::populate_shards(libs, entries, cfg);
+    const library::SearchIndex federated = federate(libs);
+    library::VirtualLibrary whole;
+    for (const auto& e : entries) whole.add_entry(e).expect("union add");
+    ASSERT_EQ(federated.size(), whole.entry_count());
+
+    for (const std::string& q : ranking_queries(cfg, entries, pool, 5, 3)) {
+      const auto hits = federated.search(q);
+      ASSERT_EQ(first_difference(hits, whole.search(q)), "")
+          << "catalog " << seed << " (" << cfg.courses << " courses, " << cfg.shards
+          << " shards, " << cfg.replicate_fraction << " replicated), query '" << q << "'";
+      ASSERT_EQ(first_difference(federated.search(q, 10), whole.search(q, 10)), "");
+      for (const auto& h : hits) {
+        const auto held = std::count_if(libs.begin(), libs.end(), [&](const auto& lib) {
+          return lib.entries().contains(h.course_number);
+        });
+        ASSERT_EQ(h.instances, static_cast<std::uint32_t>(held)) << h.course_number;
+      }
+    }
+  }
+}
+
+// --- gateway ----------------------------------------------------------------
 
 struct GatewayHarness {
   explicit GatewayHarness(const GatewayConfig& gw_cfg = GatewayConfig{})

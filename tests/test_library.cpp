@@ -1,9 +1,14 @@
 // Virtual-library tests: keyword/instructor/course retrieval, ranked
-// search, the check-in/out ledger and the assessment report.
+// search (and that a mutated index ranks like a fresh one), the
+// check-in/out ledger and the assessment report.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "library/virtual_library.hpp"
 #include "storage/database.hpp"
+#include "workload/library_corpus.hpp"
 
 namespace wdoc::library {
 namespace {
@@ -60,7 +65,7 @@ TEST_F(LibraryFixture, AddAndGet) {
 }
 
 TEST_F(LibraryFixture, KeywordSearchRanksByMatches) {
-  auto hits = lib_.search_keywords("introduction engineering");
+  auto hits = lib_.search("introduction engineering");
   ASSERT_GE(hits.size(), 3u);
   // CS101 and CS103 match both tokens ("introduction", "engineering");
   // CS102 matches only "introduction".
@@ -69,14 +74,14 @@ TEST_F(LibraryFixture, KeywordSearchRanksByMatches) {
 }
 
 TEST_F(LibraryFixture, KeywordSearchFindsKeywordField) {
-  auto hits = lib_.search_keywords("video");
+  auto hits = lib_.search("video");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].course_number, "CS102");
 }
 
 TEST_F(LibraryFixture, SearchMissesReturnEmpty) {
-  EXPECT_TRUE(lib_.search_keywords("quantum").empty());
-  EXPECT_TRUE(lib_.search_keywords("").empty());
+  EXPECT_TRUE(lib_.search("quantum").empty());
+  EXPECT_TRUE(lib_.search("").empty());
 }
 
 TEST_F(LibraryFixture, ByInstructor) {
@@ -109,11 +114,11 @@ TEST_F(LibraryFixture, CombinedSearchBoostsInstructorName) {
 
 TEST_F(LibraryFixture, RemoveEntryCleansIndexes) {
   ASSERT_TRUE(lib_.remove_entry("CS102").is_ok());
-  EXPECT_TRUE(lib_.search_keywords("multimedia").empty());
+  EXPECT_TRUE(lib_.search("multimedia").empty());
   EXPECT_TRUE(lib_.by_instructor("ma").empty());
   EXPECT_EQ(lib_.remove_entry("CS102").code(), Errc::not_found);
   // Other entries unaffected.
-  EXPECT_EQ(lib_.search_keywords("introduction").size(), 2u);
+  EXPECT_EQ(lib_.search("introduction").size(), 2u);
 }
 
 TEST_F(LibraryFixture, CheckOutAndIn) {
@@ -178,7 +183,7 @@ TEST_F(LibraryFixture, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.load(*db).is_ok());
   EXPECT_EQ(loaded.entry_count(), 3u);
   // Indexes rebuilt.
-  EXPECT_EQ(loaded.search_keywords("multimedia").size(), 1u);
+  EXPECT_EQ(loaded.search("multimedia").size(), 1u);
   EXPECT_EQ(loaded.by_instructor("shih").size(), 2u);
   // Ledger and open loans restored.
   EXPECT_EQ(loaded.holders_of("CS101").size(), 1u);
@@ -212,10 +217,59 @@ TEST(Library, TermFrequencyBreaksTies) {
   lib.add_entry(course("A1", "video", "x", {"video", "video editing"}))
       .expect("A1");
   lib.add_entry(course("A2", "video", "y", {})).expect("A2");
-  auto hits = lib.search_keywords("video");
+  auto hits = lib.search("video");
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].course_number, "A1");  // higher tf
   EXPECT_GT(hits[0].score, hits[1].score);
+}
+
+// After a seeded random run of add_entry/remove_entry, a library ranks every
+// query exactly like a library built fresh from its surviving entries: idf
+// reads the live counts, and reused course ids never leak into the order.
+TEST(Library, MutatedIndexRanksLikeFreshOne) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    workload::LibraryCorpusConfig cfg;
+    cfg.seed = seed;
+    cfg.courses = 20 + rng.uniform(100);
+    cfg.instructors = 1 + rng.uniform(20);
+    const auto entries = workload::library_corpus(cfg);
+
+    VirtualLibrary live;
+    for (std::size_t op = 0; op < 4 * cfg.courses; ++op) {
+      const LibraryEntry& e = entries[rng.uniform(entries.size())];
+      if (live.get(e.course_number).is_ok() && rng.bernoulli(0.5)) {
+        live.remove_entry(e.course_number).expect("remove");
+      } else {
+        (void)live.add_entry(e);
+      }
+    }
+    VirtualLibrary fresh;
+    for (const auto& [_, e] : live.entries()) fresh.add_entry(e).expect("fresh add");
+
+    std::vector<std::string> queries = workload::query_pool(cfg, 40);
+    for (const auto& e : entries) {
+      queries.push_back(e.course_number);
+      queries.push_back(e.instructor);
+    }
+    for (const std::string& q : queries) {
+      const auto got = live.search(q);
+      const auto want = fresh.search(q);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " query '" << q << "'";
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].course_number, want[i].course_number)
+            << "seed " << seed << " query '" << q << "' rank " << i;
+        ASSERT_EQ(got[i].score, want[i].score) << "seed " << seed << " query '" << q << "'";
+        ASSERT_EQ(got[i].instances, 1u);
+      }
+      const auto taught = live.by_instructor(q);
+      ASSERT_EQ(taught.size(), fresh.by_instructor(q).size());
+      ASSERT_TRUE(std::is_sorted(taught.begin(), taught.end(),
+                                 [](const LibraryEntry& a, const LibraryEntry& b) {
+                                   return a.course_number < b.course_number;
+                                 }));
+    }
+  }
 }
 
 }  // namespace

@@ -370,5 +370,15 @@ TEST(ThreadTransport, ShutdownIsIdempotent) {
   transport.shutdown();
 }
 
+// A worker that has just started may sit between its wait predicate and
+// its wait when shutdown() notifies; the wakeup must not be lost.
+TEST(ThreadTransport, ShutdownRightAfterAddStation) {
+  for (int i = 0; i < 300; ++i) {
+    ThreadTransport transport;
+    (void)transport.add_station([](const Message&) {});
+    transport.shutdown();
+  }
+}
+
 }  // namespace
 }  // namespace wdoc::net
