@@ -8,7 +8,8 @@
 // threshold they reparent to the grandparent (the root, by the paper's
 // ⌊(k−i−1)/m⌋+1 applied twice) and the repair loop pulls the lecture
 // around the dead station. Metrics: rounds and simulated time to converge,
-// retry/failover counts, and repair traffic.
+// failovers, the push's chunk resends, the rpc retries and timeouts of the
+// fetches and chunk pulls, and repair traffic.
 #include <cstdio>
 
 #include "dist/lecture.hpp"
@@ -25,6 +26,7 @@ struct FailoverResult {
   double recovery_s = 0;      // simulated time at convergence
   bool converged = false;
   std::uint64_t failovers = 0;
+  std::uint64_t resends = 0;  // pushed chunks resent by their parent's cursor
   std::uint64_t retries = 0;
   std::uint64_t attempt_timeouts = 0;
   std::uint64_t exhausted = 0;
@@ -82,6 +84,7 @@ FailoverResult run_drill(double loss, bool crash) {
   r.wire_mb = cluster.net().total_bytes_on_wire() >> 20;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     r.failovers += cluster.node(i).stats().failovers;
+    r.resends += cluster.node(i).stats().chunk_retransmits;
     const net::RpcStats st = cluster.node(i).rpc_stats();
     r.retries += st.retries;
     r.attempt_timeouts += st.attempt_timeouts;
@@ -96,17 +99,18 @@ int main(int argc, char** argv) {
   MetricsDump metrics(argc, argv);
   std::printf("=== E-failover: crash + loss recovery on a 13-station m=3 tree ===\n");
   std::printf("4 MB lecture; rpc deadline 500 ms, 3 retries, backoff 100 ms..1 s\n\n");
-  std::printf("  %-6s %-6s %8s %12s %10s %8s %9s %10s %8s\n", "loss", "crash",
-              "rounds", "recovery(s)", "failovers", "retries", "timeouts",
+  std::printf("  %-6s %-6s %8s %12s %10s %8s %8s %9s %10s %8s\n", "loss", "crash",
+              "rounds", "recovery(s)", "failovers", "resends", "retries", "timeouts",
               "exhausted", "wire MB");
 
   auto& reg = obs::MetricsRegistry::global();
   for (double loss : {0.0, 0.1, 0.2}) {
     for (bool crash : {false, true}) {
       FailoverResult r = run_drill(loss, crash);
-      std::printf("  %-6.2f %-6s %8d %12.2f %10llu %8llu %9llu %10llu %8llu%s\n",
+      std::printf("  %-6.2f %-6s %8d %12.2f %10llu %8llu %8llu %9llu %10llu %8llu%s\n",
                   loss, crash ? "yes" : "no", r.rounds, r.recovery_s,
                   static_cast<unsigned long long>(r.failovers),
+                  static_cast<unsigned long long>(r.resends),
                   static_cast<unsigned long long>(r.retries),
                   static_cast<unsigned long long>(r.attempt_timeouts),
                   static_cast<unsigned long long>(r.exhausted),
@@ -125,7 +129,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nshape check: without faults recovery is one push (0 rounds);\n"
-              "loss adds retries but the lifecycle layer still converges; a\n"
+              "loss adds chunk resends but the push still converges; a\n"
               "crashed interior station costs its orphans %u attempt-timeouts\n"
               "before they reparent to the grandparent and pull around it.\n",
               dist::StationConfig{}.failover_threshold);

@@ -147,7 +147,7 @@ std::vector<library::SearchHit> StudentSession::search(const std::string& query)
   return db_->library().search(query);
 }
 
-std::vector<library::LibraryEntry> StudentSession::courses_by_instructor(
+std::vector<const library::LibraryEntry*> StudentSession::courses_by_instructor(
     const std::string& instructor) const {
   return db_->library().by_instructor(instructor);
 }

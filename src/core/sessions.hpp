@@ -82,7 +82,8 @@ class StudentSession {
   // --- virtual library ------------------------------------------------------
   // Ranked like the HTTP gateway's GET /search (library::SearchIndex).
   [[nodiscard]] std::vector<library::SearchHit> search(const std::string& query) const;
-  [[nodiscard]] std::vector<library::LibraryEntry> courses_by_instructor(
+  // The library's own entries; see VirtualLibrary::by_instructor.
+  [[nodiscard]] std::vector<const library::LibraryEntry*> courses_by_instructor(
       const std::string& instructor) const;
   [[nodiscard]] Status check_out(const std::string& course_number, std::int64_t now);
   [[nodiscard]] Status check_in(const std::string& course_number, std::int64_t now);

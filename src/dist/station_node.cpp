@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 #include <type_traits>
+#include <utility>
 
 #include "blob/chunk.hpp"
 #include "common/hash.hpp"
@@ -42,6 +43,10 @@ const std::array<obs::Counter*, kNodeStatCount>& registry_counters() {
   return counters;
 }
 
+void cancel(const net::Fabric::TimerHandle& timer) {
+  if (timer) timer->store(true);
+}
+
 // Packs (blob ordinal, chunk index) into the cursor queues' chunk key.
 [[nodiscard]] constexpr std::uint64_t chunk_key(std::uint32_t ordinal, std::uint32_t index) {
   return (static_cast<std::uint64_t>(ordinal) << 32) | index;
@@ -53,8 +58,26 @@ const std::array<obs::Counter*, kNodeStatCount>& registry_counters() {
   return static_cast<std::uint32_t>(key & 0xffffffffu);
 }
 
-// fetch_req payload: req_id, doc_key, path of station ids walked so far
-// (originator first).
+// The relay path a fetch request and its response carry: station ids,
+// originator first.
+void write_path(Writer& w, const std::vector<StationId>& path) {
+  w.u32(static_cast<std::uint32_t>(path.size()));
+  for (StationId s : path) w.u64(s.value());
+}
+
+Status read_path(Reader& r, std::vector<StationId>& path) {
+  auto n = r.count(8);
+  if (!n) return n.status();
+  path.reserve(n.value());
+  for (std::uint32_t i = 0; i < n.value(); ++i) {
+    auto s = r.u64();
+    if (!s) return s.status();
+    path.push_back(StationId{s.value()});
+  }
+  return Status::ok();
+}
+
+// fetch_req payload: req_id, doc_key, path of station ids walked so far.
 struct FetchReq {
   std::uint64_t req_id = 0;
   std::string doc_key;
@@ -64,8 +87,7 @@ struct FetchReq {
     Writer w;
     w.u64(req_id);
     w.str(doc_key);
-    w.u32(static_cast<std::uint32_t>(path.size()));
-    for (StationId s : path) w.u64(s.value());
+    write_path(w, path);
     return w.take();
   }
   [[nodiscard]] static Result<FetchReq> decode(std::span<const std::uint8_t> b) {
@@ -77,20 +99,13 @@ struct FetchReq {
     auto key = r.str();
     if (!key) return key.error();
     out.doc_key = std::move(key).value();
-    auto n = r.count(8);
-    if (!n) return n.error();
-    out.path.reserve(n.value());
-    for (std::uint32_t i = 0; i < n.value(); ++i) {
-      auto s = r.u64();
-      if (!s) return s.error();
-      out.path.push_back(StationId{s.value()});
-    }
+    WDOC_TRY(read_path(r, out.path));
     return out;
   }
 };
 
-// fetch_rsp payload: req_id, manifest, remaining relay path (originator
-// first; the next hop is path.back()).
+// fetch_rsp payload: req_id, manifest, remaining relay path (the next hop
+// is path.back()).
 struct FetchRsp {
   std::uint64_t req_id = 0;
   DocManifest manifest;
@@ -100,8 +115,7 @@ struct FetchRsp {
     Writer w;
     w.u64(req_id);
     manifest.serialize(w);
-    w.u32(static_cast<std::uint32_t>(path.size()));
-    for (StationId s : path) w.u64(s.value());
+    write_path(w, path);
     return w.take();
   }
   [[nodiscard]] static Result<FetchRsp> decode(std::span<const std::uint8_t> b) {
@@ -113,14 +127,7 @@ struct FetchRsp {
     auto m = DocManifest::deserialize(r);
     if (!m) return m.error();
     out.manifest = std::move(m).value();
-    auto n = r.count(8);
-    if (!n) return n.error();
-    out.path.reserve(n.value());
-    for (std::uint32_t i = 0; i < n.value(); ++i) {
-      auto s = r.u64();
-      if (!s) return s.error();
-      out.path.push_back(StationId{s.value()});
-    }
+    WDOC_TRY(read_path(r, out.path));
     return out;
   }
 };
@@ -205,6 +212,11 @@ StationNode::StationNode(net::Fabric& fabric, StationId self, ObjectStore& store
   });
 }
 
+StationNode::~StationNode() {
+  for (auto& [id, t] : transfers_) cancel_timers(t);
+  for (const auto& [id, scrape] : pending_scrapes_) cancel(scrape.timer);
+}
+
 void StationNode::bind() {
   fabric_->set_handler(self_, [this](const net::Message& msg) { on_message(msg); });
 }
@@ -215,13 +227,9 @@ void StationNode::set_tree(std::shared_ptr<const std::vector<StationId>> broadca
   WDOC_CHECK(broadcast_vector != nullptr, "set_tree: null broadcast vector");
   broadcast_vector_ = std::move(broadcast_vector);
   m_ = m;
-  position_ = 0;
-  for (std::size_t i = 0; i < tree_order().size(); ++i) {
-    if (tree_order()[i] == self_) {
-      position_ = i + 1;
-      break;
-    }
-  }
+  const auto& order = tree_order();
+  const auto it = std::find(order.begin(), order.end(), self_);
+  position_ = it == order.end() ? 0 : static_cast<std::uint64_t>(it - order.begin()) + 1;
 }
 
 void StationNode::set_tree(std::vector<StationId> broadcast_vector, std::uint64_t m) {
@@ -287,21 +295,31 @@ void StationNode::note_alive(StationId from) {
   }
 }
 
+Status StationNode::send(StationId to, const char* type, net::Payload payload,
+                         std::uint64_t wire_size, obs::TraceContext trace,
+                         net::Payload body) {
+  net::Message out;
+  out.from = self_;
+  out.to = to;
+  out.type = type;
+  out.payload = std::move(payload);
+  out.body = std::move(body);
+  out.wire_size = wire_size;
+  out.trace = trace;
+  return fabric_->send(std::move(out));
+}
+
 // --- push --------------------------------------------------------------------
 
-Status StationNode::send_push(StationId to, const DocManifest& manifest,
+Status StationNode::send_push(const net::Payload& manifest, std::uint64_t wire_size,
                               obs::TraceContext trace) {
-  Writer w;
-  manifest.serialize(w);
-  net::Message msg;
-  msg.from = self_;
-  msg.to = to;
-  msg.type = kPush;
-  msg.payload = w.take();
-  msg.wire_size = manifest.total_bytes();
-  msg.trace = trace;
-  count<&NodeStats::push_attempts>();
-  return fabric_->send(std::move(msg));
+  if (position_ == 0) return Status::ok();
+  for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
+    count<&NodeStats::push_attempts>();
+    WDOC_TRY(send(tree_order()[child - 1], kPush, manifest, wire_size, trace));
+    count<&NodeStats::pushes_forwarded>();
+  }
+  return Status::ok();
 }
 
 Status StationNode::broadcast_push(const DocManifest& manifest) {
@@ -310,33 +328,7 @@ Status StationNode::broadcast_push(const DocManifest& manifest) {
   if (store_->doc(manifest.doc_key) == nullptr) {
     WDOC_TRY(store_->put_instance(manifest, /*ephemeral=*/false));
   }
-  return start_push(manifest);
-}
-
-Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
-  if (position_ == 0) return {Errc::invalid_argument, "station not in broadcast tree"};
-  if (store_->doc(manifest.doc_key) == nullptr) {
-    WDOC_TRY(store_->put_instance(manifest, /*ephemeral=*/false));
-  }
-  last_delivery_ = fabric_->now();
-  auto& tracer = obs::Tracer::global();
-  const std::uint64_t trace_id =
-      obs::derive_trace_id((self_.value() << 24) | ++next_req_);
-  std::uint64_t span = tracer.begin("dist.push " + manifest.doc_key, 0,
-                                    fabric_->now(), self_.value(), trace_id);
-  for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-    WDOC_TRY(send_push(tree_order()[child - 1], manifest,
-                       obs::TraceContext{trace_id, span, false}));
-    count<&NodeStats::pushes_forwarded>();
-  }
-  tracer.end(span, fabric_->now());
-  return Status::ok();
-}
-
-// --- chunked push ------------------------------------------------------------
-
-Status StationNode::start_push(const DocManifest& manifest) {
-  const std::uint64_t transfer_id = (self_.value() << 24) | ++next_req_;
+  const std::uint64_t transfer_id = next_id();
   const std::uint32_t trees = config_.swarm.enabled ? config_.swarm.trees : 0;
   Transfer t;
   t.manifest = manifest;
@@ -356,6 +348,26 @@ Status StationNode::start_push(const DocManifest& manifest) {
   open_transfer(transfer_id, std::move(t), trees);
   return Status::ok();
 }
+
+Status StationNode::broadcast_push_store_forward(const DocManifest& manifest) {
+  if (position_ == 0) return {Errc::invalid_argument, "station not in broadcast tree"};
+  if (store_->doc(manifest.doc_key) == nullptr) {
+    WDOC_TRY(store_->put_instance(manifest, /*ephemeral=*/false));
+  }
+  last_delivery_ = fabric_->now();
+  auto& tracer = obs::Tracer::global();
+  const std::uint64_t trace_id = obs::derive_trace_id(next_id());
+  std::uint64_t span = tracer.begin("dist.push " + manifest.doc_key, 0,
+                                    fabric_->now(), self_.value(), trace_id);
+  Writer w;
+  manifest.serialize(w);
+  WDOC_TRY(send_push(w.take(), manifest.total_bytes(),
+                     obs::TraceContext{trace_id, span, false}));
+  tracer.end(span, fabric_->now());
+  return Status::ok();
+}
+
+// --- chunked push ------------------------------------------------------------
 
 template <typename Begin>
 void StationNode::on_begin(const net::Message& msg) {
@@ -397,10 +409,8 @@ void StationNode::on_begin(const net::Message& msg) {
   // Mirror entry first, so even a transfer that loses its tail leaves the
   // routing information chunk-level repair needs.
   if (store_->doc(m.doc_key) == nullptr) (void)store_->put_reference(m);
-  auto& bs = store_->blobs();
-  for (const BlobRef& b : m.blobs) {
-    if (bs.find(b.digest).has_value() || b.size == 0) continue;
-    (void)bs.begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
+  for (const BlobRef& b : missing_blobs(m)) {
+    (void)store_->blobs().begin_partial(b.digest, b.size, b.type, t.chunk_bytes);
   }
   open_transfer(transfer_id, std::move(t), trees);
 }
@@ -416,7 +426,7 @@ void StationNode::open_transfer(std::uint64_t transfer_id, Transfer t,
   } else {
     open_transfer_children(transfer_id, tr);
   }
-  if (!tr.delivered && transfer_blobs_complete(tr)) deliver_transfer(transfer_id);
+  deliver_if_complete(tr);
   maybe_retire_transfer(transfer_id);
 }
 
@@ -440,21 +450,16 @@ net::Payload StationNode::begin_payload(std::uint64_t transfer_id,
 }
 
 Status StationNode::send_begin(StationId to, const Transfer& t, net::Payload payload) {
-  net::Message out;
-  out.from = self_;
-  out.to = to;
-  out.type = t.swarm ? kSwarmBegin : kChunkBegin;
-  // The begin carries the structure (the small copied objects) plus the
-  // manifest itself; blob bytes are charged chunk by chunk.
-  out.wire_size = t.manifest.structure_bytes + payload.size();
-  out.payload = std::move(payload);
-  out.trace = obs::TraceContext{t.trace_id, t.span, t.trace_sampled};
   if (t.swarm) {
     count<&NodeStats::swarm_begins_sent>();
   } else {
     count<&NodeStats::push_attempts>();
   }
-  return fabric_->send(std::move(out));
+  // The begin carries the structure (the small copied objects) plus the
+  // manifest itself; blob bytes are charged chunk by chunk.
+  const std::uint64_t wire_size = t.manifest.structure_bytes + payload.size();
+  return send(to, t.swarm ? net::kSwarmBegin : net::kChunkBegin, std::move(payload),
+              wire_size, obs::TraceContext{t.trace_id, t.span, t.trace_sampled});
 }
 
 void StationNode::open_transfer_children(std::uint64_t transfer_id, Transfer& t) {
@@ -501,64 +506,90 @@ void StationNode::pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
   Transfer& t = it->second;
+  const SimTime now = fabric_->now();
+  // Each overdue chunk is one attempt timeout against the child, and the
+  // failure detector rules on all of them before any is resent.
+  for (const auto& [key, chunk] : cursor.in_flight) {
+    if (chunk.due <= now) note_attempt_timeout(cursor.child);
+  }
   if (dead_.contains(cursor.child)) {
     // Stop feeding a declared-dead child; its reparented subtree recovers
     // the tail through chunk-level repair instead.
     cursor.pending.clear();
-    return;
+    cursor.in_flight.clear();
+  }
+  // A chunk may legitimately wait behind every other in-flight chunk of
+  // this transfer on the shared uplink before its ack can even start back
+  // (the windows of ALL children serialize through one link — a star
+  // parent queues children × window chunks); scale its deadline by that
+  // worst-case backlog on the slowest modeled link.
+  const SimTime due = now + config_.rpc.deadline +
+                      SimTime::seconds(static_cast<double>(t.children.size()) *
+                                       static_cast<double>(config_.chunk.window) *
+                                       static_cast<double>(t.chunk_bytes) * 8.0 /
+                                       config_.min_bandwidth_bps);
+  for (auto f = cursor.in_flight.begin(); f != cursor.in_flight.end();) {
+    if (f->second.due > now) {
+      ++f;
+    } else if (f->second.resends < config_.rpc.max_retries &&
+               send_chunk(transfer_id, t, cursor.child, f->first, f->first + 1,
+                          /*retransmit=*/true)
+                   .is_ok()) {
+      f->second = {due, f->second.resends + 1};
+      ++f;
+    } else {
+      // Budget spent: the slot frees, and the child's chunk-level repair
+      // re-pulls exactly the missing indices.
+      f = cursor.in_flight.erase(f);
+    }
   }
   while (!cursor.pending.empty() && cursor.in_flight.size() < config_.chunk.window) {
     const std::uint64_t key = cursor.pending.front();
     cursor.pending.pop_front();
-    const std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-    const StationId child = cursor.child;
-    rpc_target_[req_id] = child;
-    net::RpcOptions opts = config_.rpc;
-    // A chunk may legitimately wait behind every other in-flight chunk of
-    // this transfer on the shared uplink before its ack can even start back
-    // (the windows of ALL children serialize through one link — a star
-    // parent queues children × window chunks); scale the per-attempt
-    // deadline by that worst-case backlog on the slowest modeled link.
-    opts.deadline += SimTime::seconds(
-        static_cast<double>(t.children.size()) *
-        static_cast<double>(config_.chunk.window) *
-        static_cast<double>(t.chunk_bytes) * 8.0 / config_.min_bandwidth_bps);
-    rpc_.track<std::uint64_t>(
-        req_id, opts,
-        [this, transfer_id, child, key, req_id](Result<std::uint64_t>, SimTime) {
-          // Acked or given up: either way the window slot frees. A lost
-          // chunk is not re-pushed past its retry budget — the child's
-          // chunk-level repair re-pulls exactly the missing indices.
-          rpc_target_.erase(req_id);
-          auto ti = transfers_.find(transfer_id);
-          if (ti == transfers_.end()) return;
-          for (ChildCursor& c : ti->second.children) {
-            if (c.child != child) continue;
-            c.in_flight.erase(key);
-            pump_cursor(transfer_id, c);
-            break;
-          }
-          maybe_retire_transfer(transfer_id);
-        },
-        [this, transfer_id, child, key, req_id](std::uint32_t) {
-          if (dead_.contains(child)) {
-            return Status{Errc::unreachable, "child declared dead"};
-          }
-          auto ti = transfers_.find(transfer_id);
-          if (ti == transfers_.end()) {
-            return Status{Errc::unavailable, "transfer retired"};
-          }
-          return send_chunk(transfer_id, ti->second, child, key, req_id,
-                            /*retransmit=*/true);
-        });
-    Status s = send_chunk(transfer_id, t, child, key, req_id, /*retransmit=*/false);
-    if (!s.is_ok()) {
-      rpc_.cancel(req_id);
-      rpc_target_.erase(req_id);
-      continue;
+    // The ack token is the chunk key + 1 (0 marks unacked data).
+    if (send_chunk(transfer_id, t, cursor.child, key, key + 1, /*retransmit=*/false)
+            .is_ok()) {
+      cursor.in_flight.emplace(key, InFlightChunk{due});
     }
-    cursor.in_flight.emplace(key, req_id);
   }
+  if (cursor.in_flight.empty()) {
+    // Drained for good once every chunk is held here: nothing more can
+    // queue behind it, so its deadline must not outlive the push.
+    if (t.delivered) cancel(std::exchange(cursor.timer, nullptr));
+    return;
+  }
+  // Every later due time is at or after the armed one, so the timer is only
+  // re-armed when it fires.
+  if (cursor.timer) return;
+  SimTime first = due;
+  for (const auto& [key, chunk] : cursor.in_flight) first = std::min(first, chunk.due);
+  cursor.timer = fabric_->schedule_on(
+      self_, first - now, [this, transfer_id, child = cursor.child] {
+        settle_cursor(transfer_id, child, 0);
+      });
+}
+
+void StationNode::settle_cursor(std::uint64_t transfer_id, StationId child,
+                                std::uint64_t ack_token) {
+  auto it = transfers_.find(transfer_id);
+  if (it == transfers_.end()) return;
+  for (ChildCursor& cursor : it->second.children) {
+    if (cursor.child != child) continue;
+    if (ack_token == 0) {
+      cursor.timer = nullptr;  // this is the timer firing
+    } else if (cursor.in_flight.erase(ack_token - 1) == 0) {
+      return;  // a second ack for one chunk (the child also got its resend)
+    }
+    pump_cursor(transfer_id, cursor);
+    maybe_retire_transfer(transfer_id);
+    return;
+  }
+}
+
+void StationNode::cancel_timers(Transfer& t) {
+  cancel(t.gossip_timer);
+  cancel(t.pace_timer);
+  for (const ChildCursor& c : t.children) cancel(c.timer);
 }
 
 Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
@@ -574,8 +605,6 @@ Status StationNode::send_chunk(std::uint64_t transfer_id, const Transfer& t,
   if (!d) return d.status();
   d.value().req_id = req_id;
   d.value().transfer_id = transfer_id;
-  count<&NodeStats::chunks_sent>();
-  count<&NodeStats::chunk_bytes_sent>(d.value().chunk_len);
   if (retransmit) count<&NodeStats::chunk_retransmits>();
   return send_chunk_data(child, d.value(),
                          obs::TraceContext{t.trace_id, t.span, t.trace_sampled});
@@ -600,31 +629,28 @@ Result<net::ChunkData> StationNode::held_chunk(const Digest128& digest, std::uin
 
 Status StationNode::send_chunk_data(StationId to, const net::ChunkData& d,
                                     obs::TraceContext trace) {
-  net::Message out;
-  out.from = self_;
-  out.to = to;
-  out.type = kChunkData;
-  out.payload = d.encode();  // the small per-hop header
-  // The chunk bytes ride out-of-band: the slice from the blob store is
-  // forwarded untouched (a refcount bump, not a copy).
-  out.body = d.payload;
-  if (!d.has_payload) out.wire_size = d.chunk_len + net::kWireHeaderBytes;
-  out.trace = trace;
-  return fabric_->send(std::move(out));
+  count<&NodeStats::chunks_sent>();
+  count<&NodeStats::chunk_bytes_sent>(d.chunk_len);
+  // The small per-hop header is encoded anew; the chunk bytes ride
+  // out-of-band, the slice from the blob store forwarded untouched (a
+  // refcount bump, not a copy).
+  return send(to, net::kChunkData, d.encode(),
+              d.has_payload ? 0 : d.chunk_len + net::kWireHeaderBytes, trace, d.payload);
 }
 
-bool StationNode::transfer_blobs_complete(const Transfer& t) const {
+std::vector<BlobRef> StationNode::missing_blobs(const DocManifest& m,
+                                                std::size_t limit) const {
+  std::vector<BlobRef> out;
   const auto& bs = store_->blobs();
-  for (const BlobRef& b : t.manifest.blobs) {
-    if (b.size != 0 && !bs.find(b.digest).has_value()) return false;
+  for (const BlobRef& b : m.blobs) {
+    if (out.size() == limit) break;
+    if (b.size != 0 && !bs.find(b.digest).has_value()) out.push_back(b);
   }
-  return true;
+  return out;
 }
 
-void StationNode::deliver_transfer(std::uint64_t transfer_id) {
-  auto it = transfers_.find(transfer_id);
-  if (it == transfers_.end() || it->second.delivered) return;
-  Transfer& t = it->second;
+void StationNode::deliver_if_complete(Transfer& t) {
+  if (t.delivered || !missing_blobs(t.manifest, 1).empty()) return;
   t.delivered = true;
   last_delivery_ = fabric_->now();
   (void)hold_ephemeral(t.manifest);
@@ -649,8 +675,7 @@ void StationNode::maybe_retire_transfer(std::uint64_t transfer_id) {
   for (const ChildCursor& c : t.children) {
     if (!c.pending.empty() || !c.in_flight.empty()) return;
   }
-  if (t.gossip_timer) t.gossip_timer->store(true);
-  if (t.pace_timer) t.pace_timer->store(true);
+  cancel_timers(it->second);
   obs::Tracer::global().end(t.span, fabric_->now());
   transfers_.erase(it);
 }
@@ -670,12 +695,7 @@ void StationNode::on_chunk_data(const net::Message& msg) {
     ack.transfer_id = d.transfer_id;
     ack.digest = d.digest;
     ack.index = d.index;
-    net::Message out;
-    out.from = self_;
-    out.to = msg.from;
-    out.type = kChunkAck;
-    out.payload = ack.encode();
-    (void)fabric_->send(std::move(out));
+    (void)send(msg.from, net::kChunkAck, ack.encode());
   }
   auto add = store_->blobs().add_chunk(d.digest, d.index, d.chunk_digest,
                                        d.payload.span());
@@ -702,14 +722,11 @@ void StationNode::on_chunk_data(const net::Message& msg) {
   auto it = transfers_.find(d.transfer_id);
   if (it == transfers_.end()) return;
   Transfer& t = it->second;
-  std::uint32_t ordinal = std::numeric_limits<std::uint32_t>::max();
-  for (std::uint32_t i = 0; i < t.manifest.blobs.size(); ++i) {
-    if (t.manifest.blobs[i].digest == d.digest) {
-      ordinal = i;
-      break;
-    }
-  }
-  if (ordinal == std::numeric_limits<std::uint32_t>::max()) return;
+  const auto& blobs = t.manifest.blobs;
+  const auto blob = std::find_if(blobs.begin(), blobs.end(),
+                                 [&d](const BlobRef& b) { return b.digest == d.digest; });
+  if (blob == blobs.end()) return;
+  const auto ordinal = static_cast<std::uint32_t>(blob - blobs.begin());
   if (t.swarm && t.sched && ordinal + 1 < t.chunk_prefix.size()) {
     // Even a duplicate settles the in-flight request for this chunk.
     t.sched->mark_have(t.chunk_prefix[ordinal] + d.index, fabric_->now());
@@ -734,16 +751,15 @@ void StationNode::on_chunk_data(const net::Message& msg) {
     for (ChildCursor& c : t.children) c.pending.push_back(key);
     for (ChildCursor& c : t.children) pump_cursor(d.transfer_id, c);
   }
-  if (!t.delivered && transfer_blobs_complete(t)) deliver_transfer(d.transfer_id);
+  deliver_if_complete(t);
   maybe_retire_transfer(d.transfer_id);
 }
 
 void StationNode::on_chunk_ack(const net::Message& msg) {
   auto ack = net::ChunkAck::decode(msg.payload);
-  if (!ack) return;
-  // An ack for a resolved request is counted as a duplicate by the tracker.
-  (void)rpc_.complete<std::uint64_t>(ack.value().req_id,
-                                     std::uint64_t{ack.value().index});
+  if (ack && ack.value().req_id != 0) {
+    settle_cursor(ack.value().transfer_id, msg.from, ack.value().req_id);
+  }
 }
 
 void StationNode::on_chunk_req(const net::Message& msg) {
@@ -752,15 +768,13 @@ void StationNode::on_chunk_req(const net::Message& msg) {
   const net::ChunkReq& q = req.value();
   std::uint32_t served = 0;
   for (std::uint32_t index : q.indices) {
-    // Not held here: the requester walks further up. Repair data carries
-    // neither req_id (unacked; the rsp summary closes the rpc) nor
-    // transfer_id (not part of a push: no relay downstream).
+    // A chunk not held here is skipped: a round that serves nothing ends
+    // the pull `unavailable`, and the next repair round retries. Repair
+    // data carries neither req_id (unacked; the rsp summary closes the rpc)
+    // nor transfer_id (not part of a push: no relay downstream).
     auto d = held_chunk(q.digest, q.size, index, q.chunk_bytes);
     if (!d || d.value().chunk_len == 0) continue;
-    if (!send_chunk_data(msg.from, d.value()).is_ok()) continue;
-    ++served;
-    count<&NodeStats::chunks_sent>();
-    count<&NodeStats::chunk_bytes_sent>(d.value().chunk_len);
+    if (send_chunk_data(msg.from, d.value()).is_ok()) ++served;
   }
   count<&NodeStats::chunk_repair_served>(served);
   // FIFO links guarantee the data above lands before this summary.
@@ -768,12 +782,7 @@ void StationNode::on_chunk_req(const net::Message& msg) {
   rsp.req_id = q.req_id;
   rsp.served = served;
   rsp.requested = static_cast<std::uint32_t>(q.indices.size());
-  net::Message out;
-  out.from = self_;
-  out.to = msg.from;
-  out.type = kChunkRsp;
-  out.payload = rsp.encode();
-  (void)fabric_->send(std::move(out));
+  (void)send(msg.from, net::kChunkRsp, rsp.encode());
 }
 
 void StationNode::on_chunk_rsp(const net::Message& msg) {
@@ -1052,12 +1061,9 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     if (pos < 1 || pos > n || pos == position_) continue;
     StationId peer = tree_order()[pos - 1];
     if (dead_.contains(peer)) continue;
-    net::Message out;
-    out.from = self_;
-    out.to = peer;
-    out.type = kSwarmHave;
-    out.payload = have_payload;
-    if (fabric_->send(std::move(out)).is_ok()) count<&NodeStats::swarm_haves_sent>();
+    if (send(peer, net::kSwarmHave, have_payload).is_ok()) {
+      count<&NodeStats::swarm_haves_sent>();
+    }
   }
   // Rarest-first pulls for stalled stripes, our bitmap piggybacked.
   for (const swarm::SwarmPlan& plan : t.sched->plan(now)) {
@@ -1072,12 +1078,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     req.total_chunks = total;
     req.have_words = t.sched->self().words();
     req.pending_words = t.sched->pending_words();
-    net::Message out;
-    out.from = self_;
-    out.to = peer;
-    out.type = kSwarmReq;
-    out.payload = req.encode();
-    if (fabric_->send(std::move(out)).is_ok()) {
+    if (send(peer, net::kSwarmReq, req.encode()).is_ok()) {
       count<&NodeStats::swarm_reqs_sent>();
       count<&NodeStats::swarm_chunks_requested>(plan.chunks.size());
     }
@@ -1102,60 +1103,59 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   schedule_swarm_tick(transfer_id);
 }
 
-bool StationNode::position_matches(std::uint64_t position, StationId from) const {
-  return position >= 1 && position <= tree_order().size() &&
-         tree_order()[position - 1] == from;
+StationNode::Transfer* StationNode::take_gossip(std::uint64_t transfer_id,
+                                                std::uint32_t total_chunks,
+                                                std::uint64_t position, StationId from,
+                                                swarm::PeerReport report) {
+  auto it = transfers_.find(transfer_id);
+  if (it == transfers_.end()) {
+    count<&NodeStats::swarm_orphans>();
+    return nullptr;
+  }
+  Transfer& t = it->second;
+  // The geometry must match, and the claimed position must be the sender's.
+  if (!t.swarm || t.sched == nullptr || std::uint64_t{total_chunks} != t.total_chunks ||
+      position < 1 || position > tree_order().size() ||
+      tree_order()[position - 1] != from) {
+    return nullptr;
+  }
+  report.now = fabric_->now();
+  t.sched->peer_update(position, report);
+  return &t;
 }
 
 void StationNode::on_swarm_have(const net::Message& msg) {
   auto have = net::SwarmHave::decode(msg.payload);
   if (!have) return;
   const net::SwarmHave& h = have.value();
-  auto it = transfers_.find(h.transfer_id);
-  if (it == transfers_.end()) {
-    count<&NodeStats::swarm_orphans>();
-    return;
-  }
-  Transfer& t = it->second;
-  if (!t.swarm || t.sched == nullptr) return;
-  if (std::uint64_t{h.total_chunks} != t.total_chunks) return;  // geometry mismatch
-  if (!position_matches(h.position, msg.from)) return;
   swarm::PeerReport report;
   report.have = &h.words;
   report.pending = &h.pending_words;
   report.backlog = h.backlog;
   report.recovering = h.recovering;
-  report.now = fabric_->now();
-  t.sched->peer_update(h.position, report);
+  Transfer* t = take_gossip(h.transfer_id, h.total_chunks, h.position, msg.from, report);
   // Only an *incomplete* neighbor holds this transfer open — it may still
   // need our serves. Completed neighbors echoing their full bitmaps must
   // not reset the idle countdown, or the cluster keep-alives itself to
   // max_rounds after everyone is done.
-  if (!t.sched->peer_complete(h.position)) t.gossip_heard = true;
+  if (t != nullptr && !t->sched->peer_complete(h.position)) t->gossip_heard = true;
 }
 
 void StationNode::on_swarm_req(const net::Message& msg) {
   auto req = net::SwarmReq::decode(msg.payload);
   if (!req) return;
   const net::SwarmReq& q = req.value();
-  auto it = transfers_.find(q.transfer_id);
-  if (it == transfers_.end()) {
-    count<&NodeStats::swarm_orphans>();
-    return;
-  }
-  Transfer& t = it->second;
-  if (!t.swarm || t.sched == nullptr) return;
-  if (std::uint64_t{q.total_chunks} != t.total_chunks) return;
-  if (!position_matches(q.position, msg.from)) return;
-  t.gossip_heard = true;  // an explicit request is always a sign of need
   // A request doubles as gossip: the piggybacked bitmaps update our view
   // (and suppress future relays of chunks the requester has or is pulling).
   swarm::PeerReport report;
   report.have = &q.have_words;
   report.pending = &q.pending_words;
   report.backlog = q.backlog;
-  report.now = fabric_->now();
-  t.sched->peer_update(q.position, report);
+  Transfer* gossip =
+      take_gossip(q.transfer_id, q.total_chunks, q.position, msg.from, report);
+  if (gossip == nullptr) return;
+  Transfer& t = *gossip;
+  t.gossip_heard = true;  // an explicit request is always a sign of need
   std::uint32_t queued = 0;
   for (std::uint32_t g : q.indices) {
     if (queued >= config_.swarm.request_batch) break;  // hostile-length guard
@@ -1188,17 +1188,15 @@ Status StationNode::pull_blob_chunks(BlobPull pull) {
   WDOC_TRY(bs.begin_partial(pull.blob.digest, pull.blob.size, pull.blob.type,
                             pull.chunk_bytes)
                .status());
-  const std::size_t missing =
-      bs.missing_chunks(pull.blob.digest,
-                        std::numeric_limits<std::uint32_t>::max())
-          .size();
-  auto shared = std::make_shared<BlobPull>(std::move(pull));
-  return start_pull_round(std::move(shared), missing);
+  return start_pull_round(std::make_shared<BlobPull>(std::move(pull)));
 }
 
-Status StationNode::start_pull_round(std::shared_ptr<BlobPull> pull,
-                                     std::size_t missing_before) {
-  const std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
+Status StationNode::start_pull_round(std::shared_ptr<BlobPull> pull) {
+  const std::size_t missing_before =
+      store_->blobs()
+          .missing_chunks(pull->blob.digest, std::numeric_limits<std::uint32_t>::max())
+          .size();
+  const std::uint64_t req_id = next_id();
   net::RpcOptions opts = pull->base;
   // The server streams up to repair_batch chunks ahead of its summary;
   // scale this round's deadline by that serialized burst.
@@ -1227,7 +1225,7 @@ Status StationNode::start_pull_round(std::shared_ptr<BlobPull> pull,
         if (now_missing < missing_before) {
           // Progress: keep pulling. The next round re-routes, so a repaired
           // parent chain (or resurrected holder) is picked up mid-pull.
-          Status s = start_pull_round(pull, now_missing);
+          Status s = start_pull_round(pull);
           if (!s.is_ok()) pull->done(s, t);
           return;
         }
@@ -1265,12 +1263,7 @@ Status StationNode::send_chunk_req(std::uint64_t req_id, const BlobPull& pull) {
   q.media_type = static_cast<std::uint8_t>(pull.blob.type);
   q.chunk_bytes = pull.chunk_bytes;
   q.indices = std::move(missing);
-  net::Message out;
-  out.from = self_;
-  out.to = *target;
-  out.type = kChunkReq;
-  out.payload = q.encode();
-  return fabric_->send(std::move(out));
+  return send(*target, net::kChunkReq, q.encode());
 }
 
 Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
@@ -1282,11 +1275,7 @@ Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
     cb(manifest, fabric_->now());
     return Status::ok();
   }
-  auto& bs = store_->blobs();
-  std::vector<BlobRef> incomplete;
-  for (const BlobRef& b : manifest.blobs) {
-    if (b.size != 0 && !bs.find(b.digest).has_value()) incomplete.push_back(b);
-  }
+  const std::vector<BlobRef> incomplete = missing_blobs(manifest);
   if (incomplete.empty()) {
     WDOC_TRY(hold_ephemeral(manifest));
     cb(manifest, fabric_->now());
@@ -1303,7 +1292,6 @@ Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
   state->manifest = manifest;
   state->cb = std::move(cb);
   const net::RpcOptions base = options.value_or(config_.rpc);
-  std::size_t started = 0;
   for (const BlobRef& b : incomplete) {
     BlobPull pull;
     pull.doc_key = manifest.doc_key;
@@ -1313,18 +1301,16 @@ Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
     pull.done = [this, state](Status s, SimTime t) {
       if (!s.is_ok() && state->first_error.is_ok()) state->first_error = s;
       if (--state->remaining != 0) return;
-      auto& store_bs = store_->blobs();
-      bool complete = true;
-      for (const BlobRef& blob : state->manifest.blobs) {
-        if (blob.size != 0 && !store_bs.find(blob.digest).has_value()) {
-          complete = false;
-          break;
-        }
-      }
-      if (complete) {
-        const StoredDoc* d = store_->doc(state->manifest.doc_key);
-        if (d != nullptr && d->form == ObjectForm::reference) {
-          (void)store_->materialize(state->manifest.doc_key, /*ephemeral=*/true);
+      if (missing_blobs(state->manifest, 1).empty()) {
+        (void)hold_ephemeral(state->manifest);
+        // A push that lost chunks on the way here is delivered now too, and
+        // retires once its own children are fed.
+        for (auto it = transfers_.begin(); it != transfers_.end();) {
+          const std::uint64_t id = it->first;
+          Transfer& pushed = (it++)->second;  // retiring erases only this entry
+          if (pushed.manifest.doc_key != state->manifest.doc_key) continue;
+          deliver_if_complete(pushed);
+          maybe_retire_transfer(id);
         }
         state->cb(state->manifest, t);
         return;
@@ -1339,56 +1325,42 @@ Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
       // Account the failed start without firing cb from inside the loop.
       if (state->first_error.is_ok()) state->first_error = s;
       --state->remaining;
-      continue;
     }
-    ++started;
   }
-  if (started == 0) {
-    return state->first_error.is_ok()
-               ? Status{Errc::unavailable, "repair could not start"}
-               : state->first_error;
-  }
-  return Status::ok();
+  // No pull completes synchronously, so none left means none started.
+  return state->remaining == 0 ? state->first_error : Status::ok();
 }
 
 void StationNode::on_message(const net::Message& msg) {
+  using Handler = void (StationNode::*)(const net::Message&);
+  static constexpr std::pair<const char*, Handler> kHandlers[] = {
+      {kPush, &StationNode::on_push},
+      {kRefAnnounce, &StationNode::on_ref_announce},
+      {kFetchReq, &StationNode::on_fetch_req},
+      {kFetchRsp, &StationNode::on_fetch_rsp},
+      {kFetchErr, &StationNode::on_fetch_err},
+      {net::kChunkBegin, &StationNode::on_begin<net::ChunkBegin>},
+      {net::kChunkData, &StationNode::on_chunk_data},
+      {net::kChunkAck, &StationNode::on_chunk_ack},
+      {net::kChunkReq, &StationNode::on_chunk_req},
+      {net::kChunkRsp, &StationNode::on_chunk_rsp},
+      {net::kSwarmBegin, &StationNode::on_begin<net::SwarmBegin>},
+      {net::kSwarmHave, &StationNode::on_swarm_have},
+      {net::kSwarmReq, &StationNode::on_swarm_req},
+      {net::kMetricsRequest, &StationNode::on_scrape_req},
+      {net::kMetricsResponse, &StationNode::on_scrape_rsp},
+  };
   // Any traffic from a station is proof of life: clear its suspicion and
   // resurrect it if it was declared dead (crash + restart, healed link).
   note_alive(msg.from);
-  if (msg.type == kPush) {
-    on_push(msg);
-  } else if (msg.type == kRefAnnounce) {
-    on_ref_announce(msg);
-  } else if (msg.type == kFetchReq) {
-    on_fetch_req(msg);
-  } else if (msg.type == kFetchRsp) {
-    on_fetch_rsp(msg);
-  } else if (msg.type == kFetchErr) {
-    on_fetch_err(msg);
-  } else if (msg.type == kChunkBegin) {
-    on_begin<net::ChunkBegin>(msg);
-  } else if (msg.type == kChunkData) {
-    on_chunk_data(msg);
-  } else if (msg.type == kChunkAck) {
-    on_chunk_ack(msg);
-  } else if (msg.type == kChunkReq) {
-    on_chunk_req(msg);
-  } else if (msg.type == kChunkRsp) {
-    on_chunk_rsp(msg);
-  } else if (msg.type == kSwarmBegin) {
-    on_begin<net::SwarmBegin>(msg);
-  } else if (msg.type == kSwarmHave) {
-    on_swarm_have(msg);
-  } else if (msg.type == kSwarmReq) {
-    on_swarm_req(msg);
-  } else if (msg.type == net::kMetricsRequest) {
-    on_scrape_req(msg);
-  } else if (msg.type == net::kMetricsResponse) {
-    on_scrape_rsp(msg);
-  } else {
-    WDOC_WARN("station %llu: unknown message type %s",
-              static_cast<unsigned long long>(self_.value()), msg.type.c_str());
+  for (const auto& [type, handler] : kHandlers) {
+    if (msg.type == type) {
+      (this->*handler)(msg);
+      return;
+    }
   }
+  WDOC_WARN("station %llu: unknown message type %s",
+            static_cast<unsigned long long>(self_.value()), msg.type.c_str());
 }
 
 void StationNode::on_push(const net::Message& msg) {
@@ -1409,14 +1381,9 @@ void StationNode::on_push(const net::Message& msg) {
               static_cast<unsigned long long>(self_.value()), s.message().c_str());
   }
   last_delivery_ = fabric_->now();
-  // Forward down the tree.
-  if (position_ != 0) {
-    for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-      Status s = send_push(tree_order()[child - 1], m,
-                           obs::TraceContext{msg.trace.trace_id, span, msg.trace.sampled});
-      if (s.is_ok()) count<&NodeStats::pushes_forwarded>();
-    }
-  }
+  // Forward down the tree: the received manifest itself, refcounted.
+  (void)send_push(msg.payload, m.total_bytes(),
+                  obs::TraceContext{msg.trace.trace_id, span, msg.trace.sampled});
   tracer.end(span, fabric_->now());
 }
 
@@ -1427,14 +1394,9 @@ Status StationNode::announce_reference(const DocManifest& manifest) {
   // One refcounted manifest buffer shared across the whole fan-out.
   const net::Payload payload{w.take()};
   for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-    net::Message msg;
-    msg.from = self_;
-    msg.to = tree_order()[child - 1];
-    msg.type = kRefAnnounce;
-    msg.payload = payload;
     // Reference records are structure-free: only the manifest crosses the
     // wire (charged at payload size), not the document.
-    WDOC_TRY(fabric_->send(std::move(msg)));
+    WDOC_TRY(send(tree_order()[child - 1], kRefAnnounce, payload));
   }
   return Status::ok();
 }
@@ -1450,12 +1412,7 @@ void StationNode::on_ref_announce(const net::Message& msg) {
   // Forward down the tree: the received slice itself, refcounted.
   if (position_ != 0) {
     for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-      net::Message out;
-      out.from = self_;
-      out.to = tree_order()[child - 1];
-      out.type = kRefAnnounce;
-      out.payload = msg.payload;
-      (void)fabric_->send(std::move(out));
+      (void)send(tree_order()[child - 1], kRefAnnounce, msg.payload);
     }
   }
 }
@@ -1482,12 +1439,7 @@ Status StationNode::send_fetch_req(std::uint64_t req_id, const std::string& doc_
   req.req_id = req_id;
   req.doc_key = doc_key;
   req.path.push_back(self_);
-  net::Message msg;
-  msg.from = self_;
-  msg.to = *target;
-  msg.type = kFetchReq;
-  msg.payload = req.encode();
-  return fabric_->send(std::move(msg));
+  return send(*target, kFetchReq, req.encode());
 }
 
 Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
@@ -1508,7 +1460,7 @@ Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
     opts.deadline += SimTime::seconds(
         static_cast<double>(d->manifest.total_bytes()) * 8.0 / config_.min_bandwidth_bps);
   }
-  std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
+  const std::uint64_t req_id = next_id();
   std::string key = doc_key;
   rpc_.track<DocManifest>(
       req_id, opts,
@@ -1546,13 +1498,7 @@ void StationNode::on_fetch_req(const net::Message& msg) {
     rsp.path = q.path;
     StationId next = rsp.path.back();
     rsp.path.pop_back();
-    net::Message out;
-    out.from = self_;
-    out.to = next;
-    out.type = kFetchRsp;
-    out.payload = rsp.encode();
-    out.wire_size = d->manifest.total_bytes();
-    (void)fabric_->send(std::move(out));
+    (void)send(next, kFetchRsp, rsp.encode(), d->manifest.total_bytes());
     return;
   }
 
@@ -1567,22 +1513,12 @@ void StationNode::on_fetch_req(const net::Message& msg) {
     err.req_id = q.req_id;
     err.doc_key = q.doc_key;
     err.code = Errc::not_found;
-    net::Message out;
-    out.from = self_;
-    out.to = q.path.front();
-    out.type = kFetchErr;
-    out.payload = err.encode();
-    (void)fabric_->send(std::move(out));
+    (void)send(q.path.front(), kFetchErr, err.encode());
     return;
   }
   count<&NodeStats::forwards_up>();
   q.path.push_back(self_);
-  net::Message out;
-  out.from = self_;
-  out.to = *up;
-  out.type = kFetchReq;
-  out.payload = q.encode();
-  (void)fabric_->send(std::move(out));
+  (void)send(*up, kFetchReq, q.encode());
 }
 
 void StationNode::on_fetch_rsp(const net::Message& msg) {
@@ -1627,13 +1563,7 @@ void StationNode::on_fetch_rsp(const net::Message& msg) {
   if (config_.relay_cache) (void)hold_ephemeral(r.manifest);
   StationId next = r.path.back();
   r.path.pop_back();
-  net::Message out;
-  out.from = self_;
-  out.to = next;
-  out.type = kFetchRsp;
-  out.payload = r.encode();
-  out.wire_size = r.manifest.total_bytes();
-  (void)fabric_->send(std::move(out));
+  (void)send(next, kFetchRsp, r.encode(), r.manifest.total_bytes());
 }
 
 void StationNode::on_fetch_err(const net::Message& msg) {
@@ -1728,21 +1658,15 @@ obs::Snapshot StationNode::local_snapshot() const {
 }
 
 Status StationNode::scrape_tree(SnapshotCallback cb) {
-  std::uint64_t req_id = (self_.value() << 24) | ++next_req_;
-  return start_scrape(req_id, std::nullopt, std::move(cb));
+  return start_scrape(next_id(), std::nullopt, std::move(cb));
 }
 
 Status StationNode::send_scrape_rsp(StationId to, std::uint64_t req_id,
                                     const obs::Snapshot& snap) {
-  net::Message out;
-  out.from = self_;
-  out.to = to;
-  out.type = net::kMetricsResponse;
   Writer w;
   w.u64(req_id);
   obs::encode_snapshot(w, snap);
-  out.payload = w.take();
-  return fabric_->send(std::move(out));
+  return send(to, net::kMetricsResponse, w.take());
 }
 
 Status StationNode::start_scrape(std::uint64_t req_id,
@@ -1795,14 +1719,9 @@ Status StationNode::start_scrape(std::uint64_t req_id,
   pending_scrapes_[req_id] = std::move(pending);
 
   for (StationId child : targets) {
-    net::Message msg;
-    msg.from = self_;
-    msg.to = child;
-    msg.type = net::kMetricsRequest;
     Writer w;
     w.u64(req_id);
-    msg.payload = w.take();
-    Status s = fabric_->send(std::move(msg));
+    Status s = send(child, net::kMetricsRequest, w.take());
     if (!s.is_ok()) {
       // An unreachable child still has to be accounted for, or the merge
       // would wait forever. Its subtree is simply absent from the result.
@@ -1865,7 +1784,7 @@ void StationNode::finish_scrape_if_done(std::uint64_t req_id) {
   if (it == pending_scrapes_.end() || it->second.outstanding != 0) return;
   PendingScrape done = std::move(it->second);
   pending_scrapes_.erase(it);
-  if (done.timer) done.timer->store(true);
+  cancel(done.timer);
   // Keep the merge around briefly for retries that crossed it on the wire.
   recent_merges_.emplace_back(req_id, done.acc);
   if (recent_merges_.size() > kRecentMerges) recent_merges_.pop_front();

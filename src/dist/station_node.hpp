@@ -14,15 +14,15 @@
 //     document references");
 //   * blob-level fetches for on-demand streaming (experiment E3).
 //
-// Every remote operation runs through the unified rpc lifecycle layer
+// Fetches and chunk pulls run through the unified rpc lifecycle layer
 // (net/rpc.hpp): per-request deadlines, capped exponential backoff with
-// seeded jitter, and terminal error delivery — no callback is ever silently
-// dropped. Consecutive attempt timeouts against one peer feed a failure
-// detector: after StationConfig::failover_threshold of them the peer is
-// declared dead, and routing falls back to the nearest live ancestor — the
-// paper's placement equation ⌊(k−i−1)/m⌋+1 applied repeatedly (see
-// grandparent_position in mtree.hpp). Any message later received from a
-// declared-dead station resurrects it.
+// seeded jitter, and terminal error delivery; a pushed chunk is a slot in
+// its child's cursor instead. Consecutive attempt timeouts of either kind
+// against one peer feed a failure detector: after failover_threshold of
+// them the peer is declared dead, and routing falls back to the nearest
+// live ancestor — the paper's placement equation ⌊(k−i−1)/m⌋+1 applied
+// repeatedly (see grandparent_position in mtree.hpp). Any message later
+// received from a declared-dead station resurrects it.
 //
 // The node is transport-agnostic: it runs identically over SimNetwork and
 // ThreadTransport (Fabric).
@@ -51,9 +51,9 @@ namespace wdoc::dist {
 // Knobs of the chunked cut-through push/pull paths. A push splits every
 // BLOB into `chunk_bytes` chunks; an interior station relays chunk k to its
 // children as soon as it verifies, holding at most `window` unacked chunks
-// in flight per child (each one an rpc with a deadline and retry budget).
-// Pull-side repair and fetch_blob request at most `repair_batch` missing
-// indices per round.
+// in flight per child (each one a slot in the child's cursor, with a due
+// time and the rpc retry budget). Pull-side repair and fetch_blob request
+// at most `repair_batch` missing indices per round.
 struct ChunkConfig {
   std::uint32_t chunk_bytes = 256 * 1024;
   std::uint32_t window = 32;
@@ -121,7 +121,7 @@ struct NodeStats {
   std::uint64_t chunk_wasted_bytes = 0;   // wire bytes those duplicates cost
   std::uint64_t chunk_rejects = 0;        // failed digest/bounds verification
   std::uint64_t chunk_orphans = 0;        // chunks without assembly state here
-  std::uint64_t chunk_retransmits = 0;    // rpc-retry resends of a pushed chunk
+  std::uint64_t chunk_retransmits = 0;    // resends of an overdue pushed chunk
   std::uint64_t chunk_repair_reqs = 0;    // chunk pull rounds sent
   std::uint64_t chunk_repair_served = 0;  // chunks served to pull requests
   std::uint64_t chunk_bytes_sent = 0;     // payload bytes across chunk sends
@@ -198,6 +198,11 @@ class StationNode {
 
   StationNode(net::Fabric& fabric, StationId self, ObjectStore& store,
               StationConfig config = {});
+  // Cancels every timer the node armed, so the fabric may run on after the
+  // node is gone (its owner clears the fabric handler first).
+  ~StationNode();
+  StationNode(const StationNode&) = delete;
+  StationNode& operator=(const StationNode&) = delete;
 
   // Installs this node's message handler on the fabric.
   void bind();
@@ -298,7 +303,8 @@ class StationNode {
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
   [[nodiscard]] net::RpcStats rpc_stats() const { return rpc_.stats(); }
-  // Requests still awaiting a response or retry (0 once the fabric drains).
+  // Fetches and chunk-pull rounds still awaiting a response or retry (0
+  // once the fabric drains). A push's unacked chunks show in active_transfers().
   [[nodiscard]] std::size_t pending_rpcs() const { return rpc_.pending(); }
   [[nodiscard]] StationId id() const { return self_; }
   [[nodiscard]] const StationConfig& config() const { return config_; }
@@ -314,20 +320,13 @@ class StationNode {
   // time — excludes the swarm gossip tail after the last delivery.
   [[nodiscard]] SimTime last_delivery() const { return last_delivery_; }
 
-  // Message type tags (public for tests). Chunk tags live in net/chunk_wire.hpp.
+  // Message type tags (public for tests). Chunk and swarm tags live in
+  // net/chunk_wire.hpp and net/swarm_wire.hpp.
   static constexpr const char* kPush = "dist.push";
   static constexpr const char* kRefAnnounce = "dist.ref";
   static constexpr const char* kFetchReq = "dist.fetch_req";
   static constexpr const char* kFetchRsp = "dist.fetch_rsp";
   static constexpr const char* kFetchErr = "dist.fetch_err";
-  static constexpr const char* kChunkBegin = net::kChunkBegin;
-  static constexpr const char* kChunkData = net::kChunkData;
-  static constexpr const char* kChunkAck = net::kChunkAck;
-  static constexpr const char* kChunkReq = net::kChunkReq;
-  static constexpr const char* kChunkRsp = net::kChunkRsp;
-  static constexpr const char* kSwarmBegin = net::kSwarmBegin;
-  static constexpr const char* kSwarmHave = net::kSwarmHave;
-  static constexpr const char* kSwarmReq = net::kSwarmReq;
 
  private:
   void on_message(const net::Message& msg);
@@ -343,11 +342,20 @@ class StationNode {
   void on_scrape_req(const net::Message& msg);
   void on_scrape_rsp(const net::Message& msg);
 
+  // Sends one `type` message: the only place the node builds a
+  // net::Message. A zero wire_size charges the payload and body themselves.
+  [[nodiscard]] Status send(StationId to, const char* type, net::Payload payload,
+                            std::uint64_t wire_size = 0, obs::TraceContext trace = {},
+                            net::Payload body = {});
+  // A fresh id for a request, transfer or scrape, unique per station.
+  [[nodiscard]] std::uint64_t next_id() { return (self_.value() << 24) | ++next_req_; }
   // One (re)send of an in-flight pull: recomputes the route each attempt,
   // so retries travel the repaired chain after a reparent.
   [[nodiscard]] Status send_fetch_req(std::uint64_t req_id, const std::string& doc_key);
-  [[nodiscard]] Status send_push(StationId to, const DocManifest& manifest,
-                                 obs::TraceContext trace = {});
+  // The store-and-forward push: the manifest to every tree child, charged
+  // at the document's full size.
+  [[nodiscard]] Status send_push(const net::Payload& manifest, std::uint64_t wire_size,
+                                 obs::TraceContext trace);
 
   // Adds `n` to stats_.*Field and, for a row with a registry name, to its
   // process-wide counter.
@@ -360,13 +368,20 @@ class StationNode {
   void note_alive(StationId from);
 
   // --- chunked push ---------------------------------------------------------
+  // A pushed chunk awaiting its ChunkAck, and how often it was resent.
+  struct InFlightChunk {
+    SimTime due;
+    std::uint32_t resends = 0;
+  };
   // Per-child relay state of one transfer: chunks not yet sent (in arrival
-  // order — the cut-through queue) and the bounded in-flight window, each
-  // slot an rpc waiting on its ChunkAck.
+  // order — the cut-through queue) and the bounded in-flight window, the
+  // only ledger of a pushed chunk. One fabric timer, armed at or before the
+  // window's earliest due time, covers every slot.
   struct ChildCursor {
     StationId child;
     std::deque<std::uint64_t> pending;                 // (blob_ordinal<<32)|index
-    std::map<std::uint64_t, std::uint64_t> in_flight;  // chunk key -> rpc req_id
+    std::map<std::uint64_t, InFlightChunk> in_flight;  // chunk key -> its slot
+    net::Fabric::TimerHandle timer;                    // null: no deadline armed
     // Swarm mode: which stripe tree this cursor feeds (only that tree's
     // chunks are relayed through it) and the child's 1-based position,
     // for bitmap-based relay suppression. tree is 0 and child_pos unset
@@ -436,9 +451,6 @@ class StationNode {
     bool pacing = false;
   };
 
-  // Root side of broadcast_push: a new transfer, chunked pipelined or (with
-  // config().swarm.enabled) swarm.
-  [[nodiscard]] Status start_push(const DocManifest& manifest);
   // Receiving side: a ChunkBegin or SwarmBegin from the parent opens the
   // transfer here (the first begin wins; later ones are idempotent no-ops).
   template <typename Begin>
@@ -456,7 +468,14 @@ class StationNode {
   // rest happens as chunks verify in on_chunk_data).
   void open_transfer_children(std::uint64_t transfer_id, Transfer& t);
   void enqueue_held_chunks(Transfer& t, ChildCursor& cursor);
+  // Resends overdue chunks (each an attempt timeout against the child) up
+  // to rpc.max_retries times, fills free slots from pending, then arms the
+  // cursor's timer, or cancels it once the window has drained for good.
   void pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor);
+  // An ack for `child`'s window (its token, the chunk key + 1, frees the
+  // slot) or the cursor's timer firing (token 0); then pumps the cursor.
+  void settle_cursor(std::uint64_t transfer_id, StationId child, std::uint64_t ack_token);
+  static void cancel_timers(Transfer& t);
   [[nodiscard]] Status send_chunk(std::uint64_t transfer_id, const Transfer& t,
                                   StationId child, std::uint64_t key,
                                   std::uint64_t req_id, bool retransmit);
@@ -468,8 +487,11 @@ class StationNode {
                                                   std::uint32_t chunk_bytes) const;
   [[nodiscard]] Status send_chunk_data(StationId to, const net::ChunkData& d,
                                        obs::TraceContext trace = {});
-  [[nodiscard]] bool transfer_blobs_complete(const Transfer& t) const;
-  void deliver_transfer(std::uint64_t transfer_id);
+  // The manifest's blobs not yet complete here, at most `limit` of them.
+  [[nodiscard]] std::vector<BlobRef> missing_blobs(const DocManifest& m,
+                                                   std::size_t limit = SIZE_MAX) const;
+  // Materializes the transfer here once every blob is held.
+  void deliver_if_complete(Transfer& t);
   // Holds an ephemeral materialized copy of `m` here: a new instance, or
   // the local reference materialized (an instance already held stays).
   [[nodiscard]] Status hold_ephemeral(const DocManifest& m);
@@ -492,9 +514,13 @@ class StationNode {
   void on_swarm_tick(std::uint64_t transfer_id);
   void on_swarm_have(const net::Message& msg);
   void on_swarm_req(const net::Message& msg);
-  // Maps a sender-claimed position to its station id, validating it against
-  // the broadcast vector and the message's actual origin.
-  [[nodiscard]] bool position_matches(std::uint64_t position, StationId from) const;
+  // Gossip (a SwarmHave, or the bitmaps a SwarmReq piggybacks): feeds the
+  // sender's report to the scheduler of the swarm transfer it names and
+  // returns that transfer; null when the transfer is unknown here, its
+  // geometry differs, or `position` is not the sender's.
+  [[nodiscard]] Transfer* take_gossip(std::uint64_t transfer_id,
+                                      std::uint32_t total_chunks, std::uint64_t position,
+                                      StationId from, swarm::PeerReport report);
 
   // --- chunked pull / repair ------------------------------------------------
   // One blob's pull loop: request up to repair_batch missing chunks per
@@ -510,8 +536,7 @@ class StationNode {
     std::function<void(Status, SimTime)> done;
   };
   [[nodiscard]] Status pull_blob_chunks(BlobPull pull);
-  [[nodiscard]] Status start_pull_round(std::shared_ptr<BlobPull> pull,
-                                        std::size_t missing_before);
+  [[nodiscard]] Status start_pull_round(std::shared_ptr<BlobPull> pull);
   [[nodiscard]] Status send_chunk_req(std::uint64_t req_id, const BlobPull& pull);
 
   // Starts pending-scrape state for `req_id` and fans the request to this
@@ -543,7 +568,7 @@ class StationNode {
   }
 
   // Failure detector state: consecutive timeouts per peer, peers declared
-  // dead, and the peer each in-flight rpc last routed to.
+  // dead, and the peer each in-flight fetch or pull round last routed to.
   std::map<StationId, std::uint32_t> suspect_;
   std::set<StationId> dead_;
   std::map<std::uint64_t, StationId> rpc_target_;

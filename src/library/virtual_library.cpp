@@ -86,12 +86,6 @@ Result<LibraryEntry> VirtualLibrary::get(const std::string& course_number) const
   return it->second;
 }
 
-std::vector<LibraryEntry> VirtualLibrary::by_instructor(const std::string& name) const {
-  std::vector<LibraryEntry> out;
-  for (const LibraryEntry* entry : index_.taught_by(name)) out.push_back(*entry);
-  return out;
-}
-
 std::optional<LibraryEntry> VirtualLibrary::by_course_number(
     const std::string& course_number) const {
   auto it = entries_.find(course_number);

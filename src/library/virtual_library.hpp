@@ -63,8 +63,12 @@ class VirtualLibrary {
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
 
   // --- retrieval ---------------------------------------------------------
-  // Courses taught by `name`, in course-number order.
-  [[nodiscard]] std::vector<LibraryEntry> by_instructor(const std::string& name) const;
+  // Courses taught by `name`, in course-number order: the library's own
+  // entries, valid until the course is removed or the library reloaded.
+  [[nodiscard]] std::vector<const LibraryEntry*> by_instructor(
+      const std::string& name) const {
+    return index_.taught_by(name);
+  }
   [[nodiscard]] std::optional<LibraryEntry> by_course_number(
       const std::string& course_number) const;
   // Keyword, instructor and course-number retrieval in one TF-IDF ranking;

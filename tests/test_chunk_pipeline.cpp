@@ -13,6 +13,7 @@
 
 #include "dist/station_node.hpp"
 #include "net/sim_network.hpp"
+#include "obs/metrics.hpp"
 
 namespace wdoc::dist {
 namespace {
@@ -37,6 +38,27 @@ class Cluster {
   [[nodiscard]] ObjectStore& store(std::size_t i) { return *stores_[i]; }
   [[nodiscard]] net::SimNetwork& net() { return net_; }
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
+
+  // Station i loses the first `type` message it receives from station
+  // `from`, as if the wire dropped it.
+  void lose_first(std::size_t i, const char* type, std::size_t from) {
+    auto lost = std::make_shared<bool>(false);
+    net_.set_handler(ids_[i], [node = nodes_[i].get(), lost, type,
+                               sender = ids_[from]](const net::Message& m) {
+      if (!*lost && m.type == type && m.from == sender) {
+        *lost = true;
+        return;
+      }
+      node->handle(m);
+    });
+  }
+
+  // Destroys station i's node while the fabric runs on, as a restart that
+  // rebuilds the node would: its handler goes first, then the node.
+  void destroy(std::size_t i) {
+    net_.set_handler(ids_[i], nullptr);
+    nodes_[i].reset();
+  }
 
  private:
   net::SimNetwork net_;
@@ -147,6 +169,86 @@ TEST(ChunkPipeline, RealPayloadRelayIsZeroCopy) {
   // (Pre-refactor, each of the 14 receiving stations re-encoded ~2 MiB per
   // downstream child — gigabytes of memcpy for a wide tree.)
   EXPECT_EQ(copied, 0u);
+}
+
+// The child cursor is a pushed chunk's only ledger, with one deadline
+// timer per cursor, so a clean push keeps the event queue bounded by its
+// live work: the windows' chunks and acks plus a timer per cursor. (When
+// every pushed chunk was an rpc, each left its deadline queued long after
+// the ack; this geometry peaked at 29,092 queued events.)
+TEST(ChunkPipeline, CleanPushKeepsTheEventQueueBoundedByLiveWork) {
+  StationConfig cfg;
+  Cluster c(63, 2, cfg);
+  DocManifest doc;
+  doc.doc_key = "http://mmu.edu/cs500/preload";
+  doc.structure_bytes = 64 << 10;
+  doc.home = c.node(0).id();
+  for (int i = 0; i < 15; ++i) {
+    BlobRef b;
+    b.digest = digest128("preload blob " + std::to_string(i));
+    b.size = 10 << 20;
+    b.type = blob::MediaType::video;
+    doc.blobs.push_back(b);
+  }
+  ASSERT_TRUE(c.node(0).broadcast_push(doc).is_ok());
+  const obs::Gauge& depth = obs::MetricsRegistry::global().gauge("net.queue_depth");
+  std::int64_t peak = 0;
+  while (c.net().step()) peak = std::max(peak, depth.value());
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_TRUE(c.store(i).has_materialized(doc.doc_key)) << "station " << i;
+    EXPECT_EQ(c.node(i).active_transfers(), 0u) << "station " << i;
+  }
+  EXPECT_LE(peak, static_cast<std::int64_t>(c.size() * (cfg.chunk.window + 2)));
+}
+
+// Push-level recovery, with no repair round: a chunk lost on its way to a
+// leaf, and a leaf's ack lost on its way back, are each resent by the
+// parent's cursor once their deadline passes.
+TEST(ChunkPipeline, CursorResendsALostChunkAndALostAck) {
+  StationConfig cfg;
+  Cluster c(15, 2, cfg);
+  // Positions 15 and 8 are leaves under positions 7 and 4.
+  c.lose_first(14, net::kChunkData, 6);
+  c.lose_first(3, net::kChunkAck, 7);
+  auto doc = ten_mb_lecture(c.node(0).id());
+  ASSERT_TRUE(c.node(0).broadcast_push(doc).is_ok());
+  c.net().run();
+  std::uint64_t retransmits = 0;
+  std::uint64_t duplicates = 0;
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    EXPECT_TRUE(c.store(i).has_materialized(doc.doc_key)) << "station " << i;
+    EXPECT_EQ(c.node(i).active_transfers(), 0u) << "station " << i;
+    EXPECT_EQ(c.node(i).pending_rpcs(), 0u) << "station " << i;
+    EXPECT_TRUE(c.node(i).dead_stations().empty()) << "station " << i;
+    retransmits += c.node(i).stats().chunk_retransmits;
+    duplicates += c.node(i).stats().chunk_duplicate_rx;
+  }
+  EXPECT_EQ(retransmits, 2u);
+  EXPECT_EQ(duplicates, 1u);  // the chunk whose ack was lost
+}
+
+// A node destroyed mid-push leaves no timer behind: the rest of the
+// cluster runs on, in the pipelined and in the swarm push (ASan reports a
+// timer that fires into the freed node).
+TEST(ChunkPipeline, NodeDestroyedMidPushLeavesNoTimerBehind) {
+  for (bool swarm : {false, true}) {
+    StationConfig cfg;
+    cfg.swarm.enabled = swarm;
+    Cluster c(15, 2, cfg);
+    auto doc = ten_mb_lecture(c.node(0).id());
+    ASSERT_TRUE(c.node(0).broadcast_push(doc).is_ok());
+    c.net().run_until(SimTime::seconds(2));
+    c.destroy(1);  // position 2, interior: parent of positions 4 and 5
+    c.net().run();
+    // The stations outside position 2's subtree still get the lecture; in
+    // the swarm its orphans pull around the hole too.
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      const bool orphan = i == 3 || i == 4 || (i >= 7 && i <= 10);
+      if (i == 1 || (orphan && !swarm)) continue;
+      EXPECT_TRUE(c.store(i).has_materialized(doc.doc_key))
+          << (swarm ? "swarm" : "chunked") << " station " << i;
+    }
+  }
 }
 
 TEST(ChunkPipeline, SameSeedChunkedPushIsByteDeterministic) {

@@ -127,6 +127,7 @@ std::string run_scenario(Fault f, std::uint64_t seed, bool late_fault = false) {
   for (std::size_t i = 0; i < c.nodes.size(); ++i) {
     const net::RpcStats st = c.nodes[i]->rpc_stats();
     EXPECT_EQ(c.nodes[i]->pending_rpcs(), 0u) << "station " << i;
+    EXPECT_EQ(c.nodes[i]->active_transfers(), 0u) << "station " << i;
     EXPECT_EQ(st.started, st.completed + st.exhausted) << "station " << i;
   }
   return journal.str();
@@ -257,6 +258,7 @@ TEST(FaultAcceptance, OrphansReparentAndRepairConvergesUnderLossAndCrash) {
   for (std::size_t i = 0; i < c.nodes.size(); ++i) {
     const net::RpcStats st = c.nodes[i]->rpc_stats();
     EXPECT_EQ(c.nodes[i]->pending_rpcs(), 0u) << "station " << i;
+    EXPECT_EQ(c.nodes[i]->active_transfers(), 0u) << "station " << i;
     EXPECT_EQ(st.started, st.completed + st.exhausted) << "station " << i;
     EXPECT_GE(st.attempt_timeouts, st.retries) << "station " << i;
   }
@@ -355,6 +357,7 @@ ChunkDrillResult run_chunk_drill(std::uint64_t seed) {
   for (std::size_t i = 0; i < c.nodes.size(); ++i) {
     const net::RpcStats st = c.nodes[i]->rpc_stats();
     EXPECT_EQ(c.nodes[i]->pending_rpcs(), 0u) << "station " << i;
+    EXPECT_EQ(c.nodes[i]->active_transfers(), 0u) << "station " << i;
     EXPECT_EQ(st.started, st.completed + st.exhausted) << "station " << i;
   }
   return out;

@@ -87,8 +87,8 @@ TEST_F(LibraryFixture, SearchMissesReturnEmpty) {
 TEST_F(LibraryFixture, ByInstructor) {
   auto shih = lib_.by_instructor("shih");
   ASSERT_EQ(shih.size(), 2u);
-  EXPECT_EQ(shih[0].course_number, "CS101");
-  EXPECT_EQ(shih[1].course_number, "CS103");
+  EXPECT_EQ(shih[0]->course_number, "CS101");
+  EXPECT_EQ(shih[1]->course_number, "CS103");
   EXPECT_TRUE(lib_.by_instructor("nobody").empty());
 }
 
@@ -265,8 +265,8 @@ TEST(Library, MutatedIndexRanksLikeFreshOne) {
       const auto taught = live.by_instructor(q);
       ASSERT_EQ(taught.size(), fresh.by_instructor(q).size());
       ASSERT_TRUE(std::is_sorted(taught.begin(), taught.end(),
-                                 [](const LibraryEntry& a, const LibraryEntry& b) {
-                                   return a.course_number < b.course_number;
+                                 [](const LibraryEntry* a, const LibraryEntry* b) {
+                                   return a->course_number < b->course_number;
                                  }));
     }
   }
