@@ -228,8 +228,15 @@ void StationNode::set_tree(std::shared_ptr<const std::vector<StationId>> broadca
   broadcast_vector_ = std::move(broadcast_vector);
   m_ = m;
   const auto& order = tree_order();
-  const auto it = std::find(order.begin(), order.end(), self_);
-  position_ = it == order.end() ? 0 : static_cast<std::uint64_t>(it - order.begin()) + 1;
+  // Cluster builders list stations in id order, so this station's slot is
+  // its id's distance from the first; scan only when the slot holds another.
+  // Building N stations then costs O(N), not N²/2 comparisons.
+  std::size_t slot = order.empty() ? 0 : self_.value() - order.front().value();
+  if (slot >= order.size() || order[slot] != self_) {
+    slot = static_cast<std::size_t>(std::find(order.begin(), order.end(), self_) -
+                                    order.begin());
+  }
+  position_ = slot == order.size() ? 0 : slot + 1;
 }
 
 void StationNode::set_tree(std::vector<StationId> broadcast_vector, std::uint64_t m) {

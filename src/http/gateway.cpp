@@ -1,7 +1,9 @@
 #include "http/gateway.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
+#include <limits>
 
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -27,15 +29,20 @@ int status_of(const Status& s) {
 }
 
 Response error_json(int status, std::string_view detail) {
-  return Response::json(status, "{\"error\":\"" + json_escape(detail) + "\"}");
+  std::string body = "{\"error\":\"";
+  json_escape(body, detail);
+  body += "\"}";
+  return Response::json(status, std::move(body));
 }
 
-// Scores are doubles; render with fixed precision so identical rankings
-// serialize byte-identically across runs and platforms.
-std::string format_score(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
+// Scores are doubles; render with six fixed decimals (as printf's "%.6f"
+// does) so identical rankings serialize byte-identically across runs and
+// platforms. The buffer holds any finite double in that form.
+void append_score(std::string& out, double v) {
+  char buf[std::numeric_limits<double>::max_exponent10 + 10];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 6);
+  out.append(buf, r.ptr);
 }
 
 bool parse_u64(const std::string& s, std::uint64_t& out) {
@@ -175,27 +182,41 @@ Response Gateway::do_search(const Request& req) {
   }
 
   obs::SpanScope span("gateway.search");
-  std::shared_lock lock(mu_);
   std::vector<library::SearchHit> hits;
   {
     obs::SpanScope federated("search.federated");
     hits = index_.search(*q, limit);
   }
-  const std::size_t corpus = index_.size();
-  lock.unlock();
   span.end(obs::SpanScope::wall_now());
 
   search_results_->inc(hits.size());
 
-  std::string body = "{\"query\":\"" + json_escape(*q) +
-                     "\",\"corpus\":" + std::to_string(corpus) + ",\"hits\":[";
+  // One buffer, sized for the body unless escapes grow it.
+  std::string body;
+  std::size_t size = 64 + q->size();
+  for (const library::SearchHit& h : hits) {
+    size += 96 + h.course_number.size() + h.title.size() + h.instructor.size();
+  }
+  body.reserve(size);
+  body += "{\"query\":\"";
+  json_escape(body, *q);
+  body += "\",\"corpus\":";
+  body += std::to_string(index_.size());
+  body += ",\"hits\":[";
   for (std::size_t i = 0; i < hits.size(); ++i) {
     const library::SearchHit& h = hits[i];
     if (i > 0) body += ',';
-    body += "{\"course\":\"" + json_escape(h.course_number) + "\",\"title\":\"" +
-            json_escape(h.title) + "\",\"instructor\":\"" + json_escape(h.instructor) +
-            "\",\"score\":" + format_score(h.score) +
-            ",\"instances\":" + std::to_string(h.instances) + "}";
+    body += "{\"course\":\"";
+    json_escape(body, h.course_number);
+    body += "\",\"title\":\"";
+    json_escape(body, h.title);
+    body += "\",\"instructor\":\"";
+    json_escape(body, h.instructor);
+    body += "\",\"score\":";
+    append_score(body, h.score);
+    body += ",\"instances\":";
+    body += std::to_string(h.instances);
+    body += '}';
   }
   body += "]}";
   return Response::json(200, std::move(body));
@@ -213,7 +234,7 @@ Response Gateway::do_ledger(const Request& req, bool check_out) {
   }
 
   obs::SpanScope span("gateway.ledger");
-  std::unique_lock lock(mu_);
+  std::unique_lock lock(ledger_mu_);
   const std::int64_t at = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   // The mutation applies to every shard replicating the course so replicas
   // stay in lockstep; replicas are consistent, so each returns the same
@@ -230,10 +251,11 @@ Response Gateway::do_ledger(const Request& req, bool check_out) {
 
   if (!found) return error_json(404, "no course: " + *course);
   if (!status.is_ok()) return error_json(status_of(status), status.error().message);
-  return Response::json(
-      200, "{\"ok\":true,\"course\":\"" + json_escape(*course) +
-               "\",\"student\":" + std::to_string(student_id) +
-               ",\"at\":" + std::to_string(at) + "}");
+  std::string body = "{\"ok\":true,\"course\":\"";
+  json_escape(body, *course);
+  body += "\",\"student\":" + std::to_string(student_id) + ",\"at\":" +
+          std::to_string(at) + "}";
+  return Response::json(200, std::move(body));
 }
 
 Response Gateway::do_doc(const Request& req) {
@@ -241,17 +263,10 @@ Response Gateway::do_doc(const Request& req) {
   if (!course.has_value() || course->empty()) {
     return error_json(400, "missing parameter course");
   }
-  {
-    std::shared_lock lock(mu_);
-    bool known = false;
-    for (const auto* shard : shards_) {
-      if (shard->entries().contains(*course)) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return error_json(404, "no course: " + *course);
-  }
+  const bool known = std::any_of(shards_.begin(), shards_.end(), [&](const auto* shard) {
+    return shard->entries().contains(*course);
+  });
+  if (!known) return error_json(404, "no course: " + *course);
   if (docs_ == nullptr) return error_json(404, "no document store attached");
   obs::SpanScope span("gateway.doc");
   Result<std::string> body = docs_->fetch(*course);

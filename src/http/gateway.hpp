@@ -13,8 +13,9 @@
 //   POST /admin/quit                   graceful shutdown handshake (optional)
 //
 // The gateway composes *on top of* the library/storage layers (the HCA
-// layering argument in PAPERS.md): it owns no protocol state of theirs,
-// only a reader/writer lock serializing catalog mutations against searches.
+// layering argument in PAPERS.md): it owns no protocol state of theirs. The
+// catalogs do not change while a gateway lives, so /search and /doc read
+// them without a lock; one mutex orders the check-out/check-in ledger.
 // Check-out/check-in timestamps come from a logical clock (one tick per
 // mutation) so same-seed workloads leave byte-identical ledgers behind.
 //
@@ -33,7 +34,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -140,7 +140,12 @@ class Gateway {
   std::vector<library::VirtualLibrary*> shards_;
   library::SearchIndex index_;  // every shard's entries
   DocumentSource* docs_;
-  mutable std::shared_mutex mu_;  // read: search/doc; write: check-in/out
+  // Held only by do_ledger. The read endpoints take no lock: index_ is
+  // written only by the constructor, the shards' catalogs must not change
+  // while the gateway lives (see the constructor), and check-out/check-in
+  // touch only each shard's open loans and ledger, which no read endpoint
+  // reads. The logical clock ticks under it, so same-seed ledgers match.
+  std::mutex ledger_mu_;
   std::atomic<std::int64_t> clock_{0};
   std::atomic<bool> quit_{false};
   std::map<std::string, EndpointStats> endpoint_stats_;  // fixed after ctor

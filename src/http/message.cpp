@@ -97,9 +97,7 @@ const char* status_reason(int status) {
   }
 }
 
-std::string serialize_headers(const Response& r) {
-  std::string out;
-  out.reserve(128);
+void serialize_headers(const Response& r, std::string& out) {
   out += "HTTP/1.1 ";
   out += std::to_string(r.status);
   out += ' ';
@@ -116,11 +114,11 @@ std::string serialize_headers(const Response& r) {
   out += "\r\nConnection: ";
   out += r.keep_alive ? "keep-alive" : "close";
   out += "\r\n\r\n";
-  return out;
 }
 
 std::string serialize(const Response& r) {
-  std::string out = serialize_headers(r);
+  std::string out;
+  serialize_headers(r, out);
   out.append(r.body.text());
   return out;
 }
@@ -169,9 +167,7 @@ void split_target(std::string_view target, std::string& path,
   }
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
+void json_escape(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -189,7 +185,6 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
-  return out;
 }
 
 }  // namespace wdoc::http

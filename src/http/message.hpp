@@ -60,10 +60,11 @@ struct Response {
 // responses, so same-seed runs produce identical wire traffic.
 [[nodiscard]] std::string serialize(const Response& r);
 
-// The wire form up to and including the blank line, without the body — the
-// server writes headers and body as two sends, so a large body is never
+// Appends the wire form up to and including the blank line, without the
+// body, to `out`. The server renders a batch of responses' heads into one
+// buffer and writes each body from its own Payload, so a large body is never
 // copied into a headers+body wire string.
-[[nodiscard]] std::string serialize_headers(const Response& r);
+void serialize_headers(const Response& r, std::string& out);
 
 // Percent-decodes `in` ('+' becomes space when `plus_as_space`). Invalid or
 // truncated %XX escapes are passed through verbatim rather than rejected —
@@ -75,7 +76,8 @@ struct Response {
 void split_target(std::string_view target, std::string& path,
                   std::vector<std::pair<std::string, std::string>>& query);
 
-// Minimal JSON string escaping for gateway response bodies.
-[[nodiscard]] std::string json_escape(std::string_view s);
+// Appends `s` to `out` with minimal JSON string escaping, for gateway
+// response bodies.
+void json_escape(std::string& out, std::string_view s);
 
 }  // namespace wdoc::http

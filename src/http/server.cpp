@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 #include "obs/metrics.hpp"
@@ -15,29 +16,73 @@ namespace wdoc::http {
 
 namespace {
 
-// Full-buffer send; returns false on any socket error.
-bool send_all(int fd, const char* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    ssize_t sent = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
-    if (sent < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(sent);
-  }
-  return true;
-}
+// A pipelining client can put hundreds of requests in one read (one 16 KiB
+// read of `GET /metrics` queues that many large bodies). These bounds cap
+// what it can make a worker hold; a response takes two of the IOV_MAX
+// iovec entries that one sendmsg accepts.
+constexpr std::size_t kFlushBytes = 64 << 10;
+constexpr std::size_t kFlushResponses = IOV_MAX / 2;
 
-bool send_response(int fd, const Response& rsp, obs::Counter& bytes_out) {
-  // Headers and body go out as two sends: the body is a refcounted slice
-  // written in place, never copied into a combined wire string.
-  const std::string head = serialize_headers(rsp);
-  bytes_out.inc(head.size() + rsp.body.size());
-  if (!send_all(fd, head.data(), head.size())) return false;
-  return rsp.body.empty() ||
-         send_all(fd, reinterpret_cast<const char*>(rsp.body.data()),
-                  rsp.body.size());
+// A connection's answers awaiting their write, in order: the heads rendered
+// back to back into one buffer, each body written from its own Payload.
+class ResponseBatch {
+ public:
+  // Returns true once the batch has reached a flush bound.
+  bool add(Response rsp) {
+    serialize_headers(rsp, heads_);
+    bytes_ += rsp.body.size();
+    queued_.emplace_back(heads_.size(), std::move(rsp.body));
+    return heads_.size() + bytes_ >= kFlushBytes || queued_.size() >= kFlushResponses;
+  }
+
+  // Writes and empties the batch (a partial sendmsg resumes); false on error.
+  bool flush(int fd, obs::Counter& writes, obs::Counter& bytes_out) {
+    if (queued_.empty()) return true;
+    iov_.clear();
+    std::size_t head = 0;
+    for (const auto& [head_end, body] : queued_) {
+      iov_.push_back({heads_.data() + head, head_end - head});
+      iov_.push_back({const_cast<std::uint8_t*>(body.data()), body.size()});
+      head = head_end;
+    }
+    bytes_out.inc(heads_.size() + bytes_);
+    msghdr msg{};
+    msg.msg_iov = iov_.data();
+    msg.msg_iovlen = iov_.size();
+    while (msg.msg_iovlen > 0) {
+      writes.inc();
+      const ssize_t sent = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+      if (sent < 0 && errno == EINTR) continue;
+      if (sent < 0) break;
+      auto left = static_cast<std::size_t>(sent);
+      while (msg.msg_iovlen > 0 && left >= msg.msg_iov->iov_len) {
+        left -= msg.msg_iov->iov_len;
+        ++msg.msg_iov;
+        --msg.msg_iovlen;
+      }
+      if (left > 0) {
+        msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + left;
+        msg.msg_iov->iov_len -= left;
+      }
+    }
+    heads_.clear();
+    queued_.clear();
+    bytes_ = 0;
+    return msg.msg_iovlen == 0;
+  }
+
+ private:
+  std::string heads_;
+  std::vector<std::pair<std::size_t, net::Payload>> queued_;  // (end in heads_, body)
+  std::size_t bytes_ = 0;                                      // body bytes queued
+  std::vector<iovec> iov_;
+};
+
+// An answer after which the connection closes.
+Response closing(int status, std::string text) {
+  Response rsp = Response::text(status, std::move(text));
+  rsp.keep_alive = false;
+  return rsp;
 }
 
 }  // namespace
@@ -47,6 +92,7 @@ HttpServer::HttpServer(ServerConfig cfg, Handler handler)
       handler_(std::move(handler)),
       obs_{obs::MetricsRegistry::global().counter("http.bytes_in"),
            obs::MetricsRegistry::global().counter("http.bytes_out"),
+           obs::MetricsRegistry::global().counter("http.writes"),
            obs::MetricsRegistry::global().counter("http.parse_errors"),
            obs::MetricsRegistry::global().counter("http.connections_opened"),
            obs::MetricsRegistry::global().counter("http.overload_rejects"),
@@ -100,7 +146,10 @@ Status HttpServer::start() {
 
 void HttpServer::stop() {
   if (!running_.load(std::memory_order_acquire)) return;
+  // Set under queue_mu_, so no worker misses the notify_all below.
+  std::unique_lock queue_lock(queue_mu_);
   stopping_.store(true, std::memory_order_release);
+  queue_lock.unlock();
   // Wake the acceptor out of accept().
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   // Wake workers blocked in recv() on live connections.
@@ -153,9 +202,9 @@ void HttpServer::accept_loop() {
       lock.unlock();
       // Overload: refuse crisply instead of queueing without bound.
       obs_.overload_rejects.inc();
-      Response rsp = Response::text(503, "overloaded\n");
-      rsp.keep_alive = false;
-      (void)send_response(fd, rsp, obs_.bytes_out);
+      ResponseBatch refusal;
+      (void)refusal.add(closing(503, "overloaded\n"));
+      (void)refusal.flush(fd, obs_.writes, obs_.bytes_out);
       ::close(fd);
       continue;
     }
@@ -193,6 +242,7 @@ void HttpServer::serve_connection(int fd) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 
   RequestParser parser(cfg_.limits);
+  ResponseBatch out;
   char buf[16 << 10];
   bool open = true;
   while (open && !stopping_.load(std::memory_order_acquire)) {
@@ -205,31 +255,23 @@ void HttpServer::serve_connection(int fd) {
     obs_.bytes_in.inc(static_cast<std::uint64_t>(n));
     if (!parser.feed(std::string_view(buf, static_cast<std::size_t>(n)))) {
       obs_.parse_errors.inc();
-      Response rsp = Response::text(431, "request buffer limit exceeded\n");
-      rsp.keep_alive = false;
-      (void)send_response(fd, rsp, obs_.bytes_out);
-      break;
+      (void)out.add(closing(431, "request buffer limit exceeded\n"));
+      open = false;
     }
-    // Drain every pipelined request already buffered, answering in order.
-    for (;;) {
+    // Answer every request already buffered, in order, then write them all.
+    while (open) {
       Request req;
-      ParseStatus st = parser.next(req);
+      const ParseStatus st = parser.next(req);
       if (st == ParseStatus::need_more) break;
-      if (st == ParseStatus::error) {
-        obs_.parse_errors.inc();
-        Response rsp = Response::text(parser.error_status(),
-                                      parser.error_detail() + "\n");
-        rsp.keep_alive = false;
-        (void)send_response(fd, rsp, obs_.bytes_out);
-        open = false;
-        break;
-      }
-      Response rsp = handler_(req);
-      if (!send_response(fd, rsp, obs_.bytes_out) || !rsp.keep_alive) {
-        open = false;
-        break;
-      }
+      if (st == ParseStatus::error) obs_.parse_errors.inc();
+      Response rsp = st == ParseStatus::ready
+                         ? handler_(req)
+                         : closing(parser.error_status(), parser.error_detail() + "\n");
+      open = rsp.keep_alive;
+      const bool full = out.add(std::move(rsp));
+      if (full && !out.flush(fd, obs_.writes, obs_.bytes_out)) open = false;
     }
+    if (!out.flush(fd, obs_.writes, obs_.bytes_out)) break;
   }
 
   track(fd, false);

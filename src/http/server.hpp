@@ -1,6 +1,7 @@
 // Thread-pool HTTP/1.1 server: one acceptor thread, a bounded connection
 // queue, and N workers that each own a connection for its keep-alive
-// lifetime (pipelined requests are answered in order on the connection).
+// lifetime. Pipelined requests are answered in order, all those one read
+// brought in with one sendmsg (http.writes; flush bounds in server.cpp).
 //
 // Backpressure is explicit and two-layered: connections beyond the kernel
 // listen backlog queue in the kernel; once the user-space queue is full the
@@ -88,6 +89,7 @@ class HttpServer {
   struct Instruments {
     obs::Counter& bytes_in;
     obs::Counter& bytes_out;
+    obs::Counter& writes;
     obs::Counter& parse_errors;
     obs::Counter& connections_opened;
     obs::Counter& overload_rejects;

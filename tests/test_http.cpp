@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -431,12 +432,14 @@ struct GatewayHarness {
                                         std::vector<library::VirtualLibrary*>{
                                             &libs[0], &libs[1]},
                                         &docs);
-    first_course = entries[0].course_number;
+    for (const auto& e : entries) courses.push_back(e.course_number);
+    first_course = courses[0];
   }
   std::unique_ptr<storage::Database> db;
   StorageDocumentSource docs;
   std::vector<library::VirtualLibrary> libs;
   std::unique_ptr<Gateway> gateway;
+  std::vector<std::string> courses;
   std::string first_course;
 };
 
@@ -636,15 +639,32 @@ TEST(Server, RoundTripSearchLedgerAndDoc) {
   EXPECT_NE(doc.body.find("<html>"), std::string::npos);
 }
 
+// The wire form of one request, for batches sent in a single client write.
+std::string wire(std::string_view method, std::string_view target,
+                 std::string_view headers = "") {
+  std::string req = std::string(method) + " " + std::string(target) +
+                    " HTTP/1.1\r\nHost: wdoc\r\n" + std::string(headers);
+  if (method == "POST") req += "Content-Length: 0\r\n";
+  return req + "\r\n";
+}
+
+std::uint64_t http_writes() {
+  return obs::MetricsRegistry::global().counter("http.writes").value();
+}
+
 TEST(Server, PipelinedBatchAnsweredInOrder) {
   ServerHarness s;
   HttpClient client;
   client.connect("127.0.0.1", s.server->port()).expect("connect");
-  // Send 20 requests before reading a single response.
+  // Send 20 requests in one write before reading a single response. The
+  // worker drains them from one read (two, if the kernel splits it) and
+  // answers each read with one write, not two sends per response.
+  std::string batch;
   for (int i = 0; i < 20; ++i) {
-    std::string target = (i % 2 == 0) ? "/healthz" : "/search?q=web";
-    client.send_request("GET", target).expect("send");
+    batch += wire("GET", i % 2 == 0 ? "/healthz" : "/search?q=web");
   }
+  const std::uint64_t writes_before = http_writes();
+  client.send_raw(batch).expect("send");
   for (int i = 0; i < 20; ++i) {
     auto rsp = client.read_response().expect("read");
     EXPECT_EQ(rsp.status, 200);
@@ -653,6 +673,102 @@ TEST(Server, PipelinedBatchAnsweredInOrder) {
     } else {
       EXPECT_NE(rsp.body.find("\"hits\""), std::string::npos);
     }
+  }
+  EXPECT_LE(http_writes() - writes_before, 2u);
+}
+
+TEST(Server, BatchPastTheFlushBoundAnsweredInOrder) {
+  ServerHarness s;
+  HttpClient client;
+  client.connect("127.0.0.1", s.server->port()).expect("connect");
+  // /metrics interleaved with /healthz in one write: the /metrics bodies
+  // pass the 64 KiB flush bound, so the worker writes the batch in pieces.
+  std::string batch;
+  for (int i = 0; i < 120; ++i) {
+    batch += wire("GET", i % 2 == 0 ? "/metrics" : "/healthz");
+  }
+  const std::uint64_t writes_before = http_writes();
+  client.send_raw(batch).expect("send");
+  std::size_t metrics_bytes = 0;
+  for (int i = 0; i < 120; ++i) {
+    auto rsp = client.read_response().expect("read");
+    ASSERT_EQ(rsp.status, 200) << "response " << i;
+    if (i % 2 == 0) {
+      ASSERT_EQ(rsp.headers.at("content-type"), "application/json") << "response " << i;
+      metrics_bytes += rsp.body.size();
+    } else {
+      ASSERT_EQ(rsp.body, "ok\n") << "response " << i;
+    }
+  }
+  ASSERT_GT(metrics_bytes, 2u * (64u << 10));
+  EXPECT_GE(http_writes() - writes_before, 2u);
+}
+
+TEST(Server, WorkerBlockedMidWriteResumesInOrder) {
+  // 64 bodies of 256 KiB, each a slice of one shared buffer, are far more
+  // than the socket buffers hold: while the client sleeps the worker blocks
+  // mid-sendmsg, and it resumes once the client reads.
+  constexpr std::size_t kBody = 256 << 10;
+  constexpr int kBig = 64;
+  std::string pattern(kBody + kBig, '\0');
+  for (std::size_t k = 0; k < pattern.size(); ++k) {
+    pattern[k] = static_cast<char>('a' + k % 26);
+  }
+  const net::Payload shared(std::string{pattern});
+  ServerConfig cfg;
+  cfg.workers = 1;
+  HttpServer server(cfg, [&](const Request& req) {
+    const std::size_t i = std::stoul(req.param("i").value_or("0"));
+    Response rsp = Response::text(200, std::to_string(i));
+    if (req.path == "/big") rsp.body = shared.slice(i, kBody);
+    return rsp;
+  });
+  server.start().expect("server start");
+  std::string batch;
+  for (int i = 0; i < kBig; ++i) {
+    batch += wire("GET", "/big?i=" + std::to_string(i)) +
+             wire("GET", "/small?i=" + std::to_string(i));
+  }
+  HttpClient client;
+  client.connect("127.0.0.1", server.port()).expect("connect");
+  obs::Counter& bytes_out = obs::MetricsRegistry::global().counter("http.bytes_out");
+  const std::uint64_t before = bytes_out.value();
+  client.send_raw(batch).expect("send");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::uint64_t handed_over_asleep = bytes_out.value() - before;
+  for (int i = 0; i < kBig; ++i) {
+    auto big = client.read_response().expect("big");
+    ASSERT_TRUE(big.body == std::string_view(pattern).substr(i, kBody)) << "body " << i;
+    ASSERT_EQ(client.read_response().expect("small").body, std::to_string(i));
+  }
+  // Bytes are counted as a batch is handed to sendmsg: the worker was still
+  // blocked on an earlier batch when the client woke.
+  EXPECT_LT(handed_over_asleep, bytes_out.value() - before);
+  server.stop();
+}
+
+TEST(Server, CloseOrParseErrorMidBatchEndsTheConnection) {
+  ServerHarness s;
+  // Two requests are answered, then the closing one, then EOF: nothing after
+  // it in the same read is served.
+  for (const std::string& closer :
+       {wire("GET", "/search?q=web", "Connection: close\r\n"),
+        std::string("GET / HTTP/9.9\r\n\r\n")}) {
+    HttpClient client;
+    client.connect("127.0.0.1", s.server->port()).expect("connect");
+    client.send_raw(wire("GET", "/healthz") + wire("GET", "/search?q=storage") + closer +
+                    wire("GET", "/healthz"))
+        .expect("send");
+    auto first = client.read_response().expect("first");
+    EXPECT_EQ(first.status, 200);
+    EXPECT_EQ(first.body, "ok\n");
+    auto second = client.read_response().expect("second");
+    EXPECT_EQ(second.status, 200);
+    EXPECT_TRUE(second.keep_alive);
+    auto last = client.read_response().expect("closing response");
+    EXPECT_FALSE(last.keep_alive);
+    EXPECT_EQ(last.status, closer.starts_with("GET / ") ? 400 : 200) << closer;
+    EXPECT_FALSE(client.read_response().is_ok()) << "expected EOF after " << closer;
   }
 }
 
@@ -668,8 +784,22 @@ TEST(Server, ParseErrorAnswersAndCloses) {
 
 TEST(Server, ConcurrentClientsStayConsistent) {
   ServerHarness s;
+  GatewayHarness& h = s.harness;
   constexpr int kClients = 4;
-  constexpr int kRequests = 25;
+  constexpr int kBursts = 25;
+  const std::vector<std::string> searches = {"/search?q=distributed+storage",
+                                             "/search?q=web&limit=3", "/search?q=CS101"};
+  // What the gateway answers when called directly; read-only requests do
+  // not tick the ledger clock.
+  std::map<std::string, std::string> expected;
+  auto direct = [&](const std::string& target) {
+    expected[target] = h.gateway->handle(make_request(Method::get, target)).body.text();
+  };
+  for (const std::string& target : searches) direct(target);
+  for (const std::string& course : h.courses) direct("/doc?course=" + course);
+
+  // Every client pipelines bursts of check-out, search, doc and check-in,
+  // so lock-free reads run beside ledger writes on the other workers.
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int c = 0; c < kClients; ++c) {
@@ -679,16 +809,27 @@ TEST(Server, ConcurrentClientsStayConsistent) {
         ++failures;
         return;
       }
-      for (int i = 0; i < kRequests; ++i) {
-        // Distinct students per thread: ledger ops never conflict.
-        std::string student = std::to_string(100 + c);
-        auto co = client.post("/check-out?course=" + s.harness.first_course +
-                              "&student=" + student);
-        auto ci = client.post("/check-in?course=" + s.harness.first_course +
-                              "&student=" + student);
-        auto se = client.get("/search?q=distributed+storage");
-        if (!co.is_ok() || co.value().status != 200 || !ci.is_ok() ||
-            ci.value().status != 200 || !se.is_ok() || se.value().status != 200) {
+      // Distinct students per client: ledger operations never conflict.
+      const std::string student = "&student=" + std::to_string(100 + c);
+      for (int i = 0; i < kBursts; ++i) {
+        const std::string& course = h.courses[(c * kBursts + i) % h.courses.size()];
+        const std::string& search = searches[i % searches.size()];
+        const std::string doc = "/doc?course=" + course;
+        const bool sent =
+            client
+                .send_raw(wire("POST", "/check-out?course=" + course + student) +
+                          wire("GET", search) + wire("GET", doc) +
+                          wire("POST", "/check-in?course=" + course + student))
+                .is_ok();
+        auto co = client.read_response();
+        auto se = client.read_response();
+        auto dc = client.read_response();
+        auto ci = client.read_response();
+        if (!sent || !co.is_ok() || co.value().status != 200 || !se.is_ok() ||
+            se.value().status != 200 || se.value().body != expected.at(search) ||
+            !dc.is_ok() || dc.value().status != 200 ||
+            dc.value().body != expected.at(doc) || !ci.is_ok() ||
+            ci.value().status != 200) {
           ++failures;
           return;
         }
@@ -697,6 +838,25 @@ TEST(Server, ConcurrentClientsStayConsistent) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+
+  // The clock ticked once per ledger operation, and every loan, one per
+  // shard holding its course, is back.
+  EXPECT_EQ(h.gateway->logical_now(), 2 * kClients * kBursts);
+  for (int c = 0; c < kClients; ++c) {
+    std::size_t want = 0;
+    for (int i = 0; i < kBursts; ++i) {
+      const std::string& course = h.courses[(c * kBursts + i) % h.courses.size()];
+      for (const auto& lib : h.libs) want += lib.entries().contains(course) ? 1 : 0;
+    }
+    std::size_t loans = 0;
+    for (const auto& lib : h.libs) {
+      for (const library::LedgerRecord& r : lib.ledger_of(UserId{100u + c})) {
+        EXPECT_TRUE(r.checked_in_at.has_value()) << r.course_number << " still out";
+        ++loans;
+      }
+    }
+    EXPECT_EQ(loans, want) << "student " << 100 + c;
+  }
 }
 
 TEST(Server, StopIsGracefulAndIdempotent) {
@@ -707,6 +867,14 @@ TEST(Server, StopIsGracefulAndIdempotent) {
   s->server->stop();
   s->server->stop();  // idempotent
   EXPECT_FALSE(s->server->running());
+  // stop() right after start() finds workers between their wait predicate
+  // and their wait; every one must still wake and join.
+  for (int i = 0; i < 50; ++i) {
+    HttpServer quick(ServerConfig{},
+                     [](const Request&) { return Response::text(200, "ok\n"); });
+    quick.start().expect("server start");
+    quick.stop();
+  }
 }
 
 }  // namespace

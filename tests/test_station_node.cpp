@@ -3,6 +3,9 @@
 // post-lecture migration, and failure paths.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "dist/station_node.hpp"
 #include "net/sim_network.hpp"
 
@@ -58,6 +61,35 @@ TEST(StationNode, TreePositionsDerivedFromBroadcastVector) {
   EXPECT_EQ(c.node(0).parent_station(), std::nullopt);
   EXPECT_EQ(c.node(2).parent_station(), c.id(0));  // position 3 -> parent 1
   EXPECT_EQ(c.node(5).parent_station(), c.id(2));  // position 6 -> parent 3
+}
+
+// A station's position is its 1-based index in the broadcast vector,
+// whether the vector is in id order from a nonzero first id or shuffled.
+TEST(StationNode, TreePositionIsTheIndexInAnyVector) {
+  net::SimNetwork net(42);
+  blob::BlobStore blobs;
+  ObjectStore store(blobs);
+  std::vector<StationId> ids;
+  std::vector<std::unique_ptr<StationNode>> nodes;
+  for (int i = 0; i < 20; ++i) {
+    ids.push_back(net.add_station());
+    nodes.push_back(std::make_unique<StationNode>(net, ids.back(), store));
+  }
+  const std::vector<StationId> from_third(ids.begin() + 3, ids.end());
+  std::vector<StationId> shuffled = ids;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(7));
+  for (const auto& order : {from_third, shuffled}) {
+    for (auto& node : nodes) node->set_tree(order, 2);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const auto at = std::find(order.begin(), order.end(), ids[i]);
+      const std::uint64_t pos = at == order.end() ? 0 : (at - order.begin()) + 1;
+      EXPECT_EQ(nodes[i]->position(), pos) << "station " << i;
+      EXPECT_EQ(nodes[i]->parent_station(),
+                pos <= 1 ? std::nullopt
+                         : std::optional<StationId>(order[parent_position(pos, 2) - 1]))
+          << "station " << i;
+    }
+  }
 }
 
 TEST(StationNode, BroadcastPushReachesEveryStation) {
