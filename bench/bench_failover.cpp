@@ -37,7 +37,6 @@ FailoverResult run_drill(double loss, bool crash) {
   // Tight lifecycle knobs so recovery happens on a seconds scale.
   dist::StationConfig cfg;
   cfg.rpc.deadline = SimTime::millis(500);
-  cfg.rpc.max_retries = 3;
   cfg.rpc.backoff.initial = SimTime::millis(100);
   cfg.rpc.backoff.cap = SimTime::seconds(1);
   // Payload-scaled deadlines use the real link speed, so a 4 MB pull gets
@@ -132,6 +131,6 @@ int main(int argc, char** argv) {
               "loss adds chunk resends but the push still converges; a\n"
               "crashed interior station costs its orphans %u attempt-timeouts\n"
               "before they reparent to the grandparent and pull around it.\n",
-              dist::StationConfig{}.failover_threshold);
+              dist::kFailoverThreshold);
   return 0;
 }

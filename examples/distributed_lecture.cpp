@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stations[1].id.value()),
         static_cast<unsigned long long>(rpc.attempt_timeouts),
         static_cast<unsigned long long>(rpc.retries),
-        dist::StationConfig{}.failover_threshold,
+        dist::kFailoverThreshold,
         (drill_done - drill_start).to_string().c_str(),
         static_cast<unsigned long long>(orphan.node->stats().failovers));
   }

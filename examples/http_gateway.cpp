@@ -6,13 +6,19 @@
 //                [--workers=8] [--metrics-json=<path>]
 //
 // With --port=0 an ephemeral port is chosen and printed, which is what the
-// smoke job scrapes.
+// smoke job scrapes. --help prints the usage line; an unknown flag or a
+// value that is not a number prints it to stderr and exits 2, before any
+// socket opens.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "http/gateway.hpp"
@@ -27,35 +33,74 @@ namespace {
 
 std::atomic<bool> g_signalled{false};
 
-std::uint64_t flag_u64(int argc, char** argv, const char* name, std::uint64_t fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
-    }
-  }
-  return fallback;
-}
+constexpr const char* kUsage =
+    "usage: http_gateway [--port=8080] [--courses=500] [--seed=1] [--workers=8] "
+    "[--metrics-json=<path>]\n";
 
-std::string flag_str(int argc, char** argv, const char* name) {
-  const std::string prefix = std::string("--") + name + "=";
+struct Flags {
+  bool help = false;
+  std::uint64_t port = 8080;
+  std::uint64_t courses = 500;
+  std::uint64_t seed = 1;
+  std::uint64_t workers = 8;
+  std::string metrics_path;
+};
+
+// The whole command line, or nothing when a flag is unknown or a number is
+// not one (the port must also fit in 16 bits).
+std::optional<Flags> parse_flags(int argc, char** argv) {
+  Flags f;
+  const std::pair<std::string_view, std::uint64_t*> numeric[] = {
+      {"--port=", &f.port},
+      {"--courses=", &f.courses},
+      {"--seed=", &f.seed},
+      {"--workers=", &f.workers}};
+  constexpr std::string_view kMetrics = "--metrics-json=";
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
+    const std::string_view arg = argv[i];
+    if (arg == "--help") {
+      f.help = true;
+      continue;
     }
+    if (arg.starts_with(kMetrics)) {
+      f.metrics_path = arg.substr(kMetrics.size());
+      continue;
+    }
+    bool known = false;
+    for (const auto& [name, value] : numeric) {
+      if (!arg.starts_with(name)) continue;
+      const std::string_view text = arg.substr(name.size());
+      const char* end = text.data() + text.size();
+      const auto parsed = std::from_chars(text.data(), end, *value);
+      if (text.empty() || parsed.ec != std::errc{} || parsed.ptr != end) {
+        return std::nullopt;
+      }
+      known = true;
+    }
+    if (!known) return std::nullopt;
   }
-  return {};
+  if (f.port > 65535) return std::nullopt;
+  return f;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::optional<Flags> flags = parse_flags(argc, argv);
+  if (!flags.has_value()) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  if (flags->help) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   workload::LibraryCorpusConfig corpus_cfg;
-  corpus_cfg.courses = flag_u64(argc, argv, "courses", 500);
-  corpus_cfg.seed = flag_u64(argc, argv, "seed", 1);
-  const auto port = static_cast<std::uint16_t>(flag_u64(argc, argv, "port", 8080));
-  const std::size_t workers = flag_u64(argc, argv, "workers", 8);
-  const std::string metrics_path = flag_str(argc, argv, "metrics-json");
+  corpus_cfg.courses = flags->courses;
+  corpus_cfg.seed = flags->seed;
+  const auto port = static_cast<std::uint16_t>(flags->port);
+  const std::size_t workers = flags->workers;
+  const std::string& metrics_path = flags->metrics_path;
 
   auto entries = workload::library_corpus(corpus_cfg);
   std::vector<library::VirtualLibrary> shards(corpus_cfg.shards);

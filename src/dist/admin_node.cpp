@@ -36,16 +36,12 @@ Result<std::pair<std::uint64_t, std::vector<StationId>>> decode_vector(
 }  // namespace
 
 AdminNode::AdminNode(net::Fabric& fabric, StationId self, Coordinator& coordinator,
-                     std::uint64_t m, net::RpcOptions rpc)
+                     std::uint64_t m)
     : fabric_(&fabric),
       self_(self),
       coordinator_(&coordinator),
       m_(m),
-      rpc_opts_(rpc),
-      rpc_(fabric, self) {
-  Status valid = rpc_opts_.validate();
-  WDOC_CHECK(valid.is_ok(), "AdminNode RpcOptions: " + valid.message());
-}
+      rpc_(fabric, self) {}
 
 void AdminNode::bind() {
   fabric_->set_handler(self_, [this](const net::Message& msg) { on_message(msg); });
@@ -99,22 +95,16 @@ Status AdminNode::scrape_cluster(SnapshotCallback cb) {
   std::uint64_t req_id = (self_.value() << 24) | ++next_scrape_;
   // The root needs to hear from its whole subtree before answering, so the
   // attempt deadline scales with the tree depth (+2: admin hop each way).
-  net::RpcOptions opts = rpc_opts_;
-  opts.deadline = rpc_opts_.deadline *
-                  static_cast<std::int64_t>(tree_depth(vec.size(), m_) + 2);
-  rpc_.track<obs::Snapshot>(
+  net::RpcOptions opts;
+  opts.deadline =
+      opts.deadline * static_cast<std::int64_t>(tree_depth(vec.size(), m_) + 2);
+  return rpc_.track<obs::Snapshot>(
       req_id, opts,
       [this, cb = std::move(cb)](Result<obs::Snapshot> r, SimTime t) {
         ++scrapes_completed_;
         if (cb) cb(std::move(r), t);
       },
       [this, req_id](std::uint32_t) { return send_scrape_req(req_id); });
-  Status s = send_scrape_req(req_id);
-  if (!s.is_ok()) {
-    rpc_.cancel(req_id);
-    return s;
-  }
-  return Status::ok();
 }
 
 void AdminNode::on_scrape_rsp(const net::Message& msg) {

@@ -28,7 +28,7 @@ class AdminNode {
   using SnapshotCallback = StationNode::SnapshotCallback;
 
   AdminNode(net::Fabric& fabric, StationId self, Coordinator& coordinator,
-            std::uint64_t m = 2, net::RpcOptions rpc = {});
+            std::uint64_t m = 2);
 
   void bind();
   [[nodiscard]] StationId id() const { return self_; }
@@ -66,7 +66,6 @@ class AdminNode {
   StationId self_;
   Coordinator* coordinator_;
   std::uint64_t m_;
-  net::RpcOptions rpc_opts_;
   net::RpcTracker rpc_;
   std::uint64_t joins_served_ = 0;
   std::uint64_t scrapes_completed_ = 0;

@@ -188,9 +188,6 @@ Status StationConfig::validate() const {
   WDOC_TRY(rpc.validate());
   WDOC_TRY(chunk.validate());
   WDOC_TRY(swarm.validate());
-  if (failover_threshold == 0) {
-    return {Errc::invalid_argument, "failover_threshold must be >= 1"};
-  }
   if (min_bandwidth_bps <= 0.0) {
     return {Errc::invalid_argument, "min_bandwidth_bps must be > 0"};
   }
@@ -203,7 +200,7 @@ StationNode::StationNode(net::Fabric& fabric, StationId self, ObjectStore& store
       self_(self),
       store_(&store),
       config_(config),
-      rpc_(fabric, self, config.rpc_seed) {
+      rpc_(fabric, self) {
   Status valid = config_.validate();
   WDOC_CHECK(valid.is_ok(), "StationConfig: " + valid.message());
   rpc_.set_timeout_observer([this](std::uint64_t req_id, std::uint32_t) {
@@ -266,7 +263,7 @@ std::optional<StationId> StationNode::live_parent_station() const {
 void StationNode::note_attempt_timeout(StationId target) {
   if (dead_.contains(target)) return;
   std::uint32_t n = ++suspect_[target];
-  if (n >= config_.failover_threshold) declare_dead(target);
+  if (n >= kFailoverThreshold) declare_dead(target);
 }
 
 void StationNode::declare_dead(StationId target) {
@@ -276,7 +273,7 @@ void StationNode::declare_dead(StationId target) {
   obs::FlightRecorder::global().record(
       obs::FlightKind::failover,
       "station " + std::to_string(target.value()) + " declared dead after " +
-          std::to_string(config_.failover_threshold) + " consecutive timeouts",
+          std::to_string(kFailoverThreshold) + " consecutive timeouts",
       self_.value(), target.value(), fabric_->now());
   if (parent_station() == target) {
     // Orphaned: announce the reparent route that live_parent_station()
@@ -538,7 +535,7 @@ void StationNode::pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor) {
   for (auto f = cursor.in_flight.begin(); f != cursor.in_flight.end();) {
     if (f->second.due > now) {
       ++f;
-    } else if (f->second.resends < config_.rpc.max_retries &&
+    } else if (f->second.resends < net::kMaxRetries &&
                send_chunk(transfer_id, t, cursor.child, f->first, f->first + 1,
                           /*retransmit=*/true)
                    .is_ok()) {
@@ -802,9 +799,7 @@ void StationNode::on_chunk_rsp(const net::Message& msg) {
 
 void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32_t trees) {
   t.swarm = true;
-  swarm::SwarmConfig cfg = config_.swarm;
-  cfg.trees = std::clamp<std::uint32_t>(trees, 1, net::kMaxWireTrees);
-  t.stripe_trees = cfg.trees;
+  t.stripe_trees = std::clamp<std::uint32_t>(trees, 1, net::kMaxWireTrees);
   t.chunk_prefix.assign(1, 0);
   for (const BlobRef& b : t.manifest.blobs) {
     t.chunk_prefix.push_back(t.chunk_prefix.back() +
@@ -816,7 +811,7 @@ void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32
   // pulls differently); the neighbor seed is the transfer id, which every
   // station knows, so both ends of a tree link derive the same sets.
   t.sched = std::make_unique<swarm::SwarmScheduler>(
-      total, cfg, hash_combine(self_.value(), transfer_id), fabric_->now());
+      total, t.stripe_trees, hash_combine(self_.value(), transfer_id), fabric_->now());
   t.acting_parent.assign(t.stripe_trees, 0);
   t.acting_since.assign(t.stripe_trees, fabric_->now());
   for (std::uint32_t tree = 0; tree < t.stripe_trees; ++tree) {
@@ -825,7 +820,7 @@ void StationNode::init_swarm(std::uint64_t transfer_id, Transfer& t, std::uint32
     t.acting_parent[tree] = p.value_or(0);
   }
   for (std::uint64_t nb : swarm::gossip_neighbors(position_, m_, n, t.stripe_trees,
-                                                  config_.swarm.extra_peers, transfer_id)) {
+                                                  swarm::kExtraPeers, transfer_id)) {
     t.sched->add_peer(nb);
   }
   // Seed our own bitmap from whatever the blob store already holds
@@ -912,12 +907,12 @@ void StationNode::swarm_pace_tick(std::uint64_t transfer_id) {
   // hole and is recovered by the rarest-first pull path instead.
   bool sent = false;
   while (!sent && !(t.swarm_queue.empty() && t.swarm_serve_queue.empty())) {
-    // Relays before serves, but after serve_stride consecutive relays one
+    // Relays before serves, but after kServeStride consecutive relays one
     // serve cuts in (see the queue comment in the header).
     const bool serve_turn =
         !t.swarm_serve_queue.empty() &&
         (t.swarm_queue.empty() ||
-         t.relays_since_serve >= config_.swarm.serve_stride);
+         t.relays_since_serve >= swarm::kServeStride);
     std::deque<SwarmSend>& q =
         serve_turn ? t.swarm_serve_queue : t.swarm_queue;
     const SwarmSend entry = q.front();
@@ -972,7 +967,7 @@ void StationNode::schedule_swarm_tick(std::uint64_t transfer_id) {
   auto it = transfers_.find(transfer_id);
   if (it == transfers_.end()) return;
   it->second.gossip_timer =
-      fabric_->schedule_on(self_, config_.swarm.gossip_interval,
+      fabric_->schedule_on(self_, swarm::kGossipInterval,
                            [this, transfer_id] { on_swarm_tick(transfer_id); });
 }
 
@@ -984,7 +979,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   if (!fabric_->is_online(self_)) {
     // Crashed mid-transfer: the swarm is done with us. If we restart later
     // the blob-level pull/repair path catches us up; keeping the gossip
-    // timer alive would run the simulation clock out to max_rounds.
+    // timer alive would run the simulation clock out to kMaxRounds.
     t.gossip_done = true;
     maybe_retire_transfer(transfer_id);
     return;
@@ -994,7 +989,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   const std::uint64_t n = tree_order().size();
   const std::uint32_t total = static_cast<std::uint32_t>(t.total_chunks);
   // Stripe-ancestor adoption: while the closest expected ancestor of a
-  // stripe tree stays gossip-silent past stall_timeout, walk one level up
+  // stripe tree stays gossip-silent past kStallTimeout, walk one level up
   // and start gossiping with that ancestor too (one level per walk — each
   // adopted ancestor gets a full timeout to answer before we pass it).
   // Only the head of an orphaned subtree walks; its descendants keep
@@ -1004,7 +999,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
     if (ap == 0 || t.sched->complete()) continue;
     const SimTime heard = t.sched->peer_heard_at(ap);
     const SimTime ref = heard > t.acting_since[tree] ? heard : t.acting_since[tree];
-    if (now - ref <= config_.swarm.stall_timeout) continue;
+    if (now - ref <= swarm::kStallTimeout) continue;
     auto up = swarm::stripe_parent(ap, tree, t.stripe_trees, m_, n);
     t.acting_parent[tree] = up.value_or(0);
     t.acting_since[tree] = now;
@@ -1030,7 +1025,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   }
   // Advertised backlog approximates a new request's serve latency in
   // chunk-times, not raw queue length: while the uplink is relay-busy a
-  // queued serve waits serve_stride relay slots per position, so each one
+  // queued serve waits kServeStride relay slots per position, so each one
   // costs (stride + 1) chunk-times. A raw count makes a stride-throttled
   // interior server look as cheap as an idle leaf, and every requester
   // herds onto it.
@@ -1041,7 +1036,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   // until its own bitmap completes.
   const bool relay_busy = !t.children.empty() && !t.sched->complete();
   const std::size_t serve_cost =
-      relay_busy ? std::min<std::size_t>(config_.swarm.serve_stride, 3) + 1 : 1;
+      relay_busy ? std::min<std::size_t>(swarm::kServeStride, 3) + 1 : 1;
   // The relay-busy base term prices the latency a FIRST serve would see
   // even with an empty queue: cut-through keeps a busy relay's queue near
   // zero between arrivals, and without the base term such a station
@@ -1054,7 +1049,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   // Gossip goes out BEFORE the termination check below: the round on which
   // a station terminates is the round its neighbors learn it is complete,
   // otherwise their view of us freezes one chunk short and they gossip
-  // until max_rounds waiting for it.
+  // until kMaxRounds waiting for it.
   net::SwarmHave have;
   have.transfer_id = transfer_id;
   have.position = position_;
@@ -1092,7 +1087,7 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   }
   // Termination: stop once we are complete and, as far as gossip shows,
   // every neighbor is too — or nothing has changed and no needy neighbor
-  // has been heard for idle_rounds (a crashed neighbor's bitmap freezes
+  // has been heard for kIdleRounds (a crashed neighbor's bitmap freezes
   // forever; waiting on it would keep the whole cluster's timers alive).
   const std::uint64_t sum = t.sched->state_sum();
   const bool self_done = t.delivered && t.sched->complete();
@@ -1100,9 +1095,9 @@ void StationNode::on_swarm_tick(std::uint64_t transfer_id) {
   t.idle_rounds = (self_done && quiet) ? t.idle_rounds + 1 : 0;
   t.last_state_sum = sum;
   t.gossip_heard = false;
-  if (t.gossip_rounds >= config_.swarm.max_rounds ||
+  if (t.gossip_rounds >= swarm::kMaxRounds ||
       (self_done &&
-       (t.sched->peers_complete() || t.idle_rounds >= config_.swarm.idle_rounds))) {
+       (t.sched->peers_complete() || t.idle_rounds >= swarm::kIdleRounds))) {
     t.gossip_done = true;
     maybe_retire_transfer(transfer_id);
     return;
@@ -1144,7 +1139,7 @@ void StationNode::on_swarm_have(const net::Message& msg) {
   // Only an *incomplete* neighbor holds this transfer open — it may still
   // need our serves. Completed neighbors echoing their full bitmaps must
   // not reset the idle countdown, or the cluster keep-alives itself to
-  // max_rounds after everyone is done.
+  // kMaxRounds after everyone is done.
   if (t != nullptr && !t->sched->peer_complete(h.position)) t->gossip_heard = true;
 }
 
@@ -1165,7 +1160,7 @@ void StationNode::on_swarm_req(const net::Message& msg) {
   t.gossip_heard = true;  // an explicit request is always a sign of need
   std::uint32_t queued = 0;
   for (std::uint32_t g : q.indices) {
-    if (queued >= config_.swarm.request_batch) break;  // hostile-length guard
+    if (queued >= swarm::kRequestBatch) break;  // hostile-length guard
     // g -> (ordinal, index) through the prefix table; zero-chunk blobs make
     // prefix values repeat, so take the last blob whose base covers g.
     auto ub = std::upper_bound(t.chunk_prefix.begin(), t.chunk_prefix.end(), g);
@@ -1204,7 +1199,7 @@ Status StationNode::start_pull_round(std::shared_ptr<BlobPull> pull) {
           .missing_chunks(pull->blob.digest, std::numeric_limits<std::uint32_t>::max())
           .size();
   const std::uint64_t req_id = next_id();
-  net::RpcOptions opts = pull->base;
+  net::RpcOptions opts = config_.rpc;
   // The server streams up to repair_batch chunks ahead of its summary;
   // scale this round's deadline by that serialized burst.
   const std::uint64_t batch =
@@ -1212,7 +1207,7 @@ Status StationNode::start_pull_round(std::shared_ptr<BlobPull> pull) {
   opts.deadline += SimTime::seconds(static_cast<double>(batch) *
                                     static_cast<double>(pull->chunk_bytes) * 8.0 /
                                     config_.min_bandwidth_bps);
-  rpc_.track<std::uint32_t>(
+  Status sent = rpc_.track<std::uint32_t>(
       req_id, opts,
       [this, pull, missing_before, req_id](Result<std::uint32_t> r, SimTime t) {
         rpc_target_.erase(req_id);
@@ -1239,11 +1234,9 @@ Status StationNode::start_pull_round(std::shared_ptr<BlobPull> pull) {
         pull->done({Errc::unavailable, "chunk repair made no progress"}, t);
       },
       [this, pull, req_id](std::uint32_t) { return send_chunk_req(req_id, *pull); });
-  Status s = send_chunk_req(req_id, *pull);
-  if (!s.is_ok()) {
-    rpc_.cancel(req_id);
+  if (!sent.is_ok()) {
     rpc_target_.erase(req_id);
-    return s;
+    return sent;
   }
   count<&NodeStats::chunk_repair_reqs>();
   return Status::ok();
@@ -1273,8 +1266,7 @@ Status StationNode::send_chunk_req(std::uint64_t req_id, const BlobPull& pull) {
   return send(*target, net::kChunkReq, q.encode());
 }
 
-Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
-                                std::optional<net::RpcOptions> options) {
+Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb) {
   if (store_->doc(manifest.doc_key) == nullptr) {
     WDOC_TRY(store_->put_reference(manifest));
   }
@@ -1298,13 +1290,11 @@ Status StationNode::repair_pull(const DocManifest& manifest, FetchCallback cb,
   state->remaining = incomplete.size();
   state->manifest = manifest;
   state->cb = std::move(cb);
-  const net::RpcOptions base = options.value_or(config_.rpc);
   for (const BlobRef& b : incomplete) {
     BlobPull pull;
     pull.doc_key = manifest.doc_key;
     pull.blob = b;
     pull.home = manifest.home;
-    pull.base = base;
     pull.done = [this, state](Status s, SimTime t) {
       if (!s.is_ok() && state->first_error.is_ok()) state->first_error = s;
       if (--state->remaining != 0) return;
@@ -1449,8 +1439,7 @@ Status StationNode::send_fetch_req(std::uint64_t req_id, const std::string& doc_
   return send(*target, kFetchReq, req.encode());
 }
 
-Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
-                          std::optional<net::RpcOptions> options) {
+Status StationNode::fetch(const std::string& doc_key, FetchCallback cb) {
   const StoredDoc* d = store_->doc(doc_key);
   if (d != nullptr && d->form != ObjectForm::reference) {
     count<&NodeStats::fetches_local>();
@@ -1459,7 +1448,7 @@ Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
   }
   count<&NodeStats::pulls>();
 
-  net::RpcOptions opts = options.value_or(config_.rpc);
+  net::RpcOptions opts = config_.rpc;
   if (d != nullptr) {
     // A local reference knows the document's size: give each attempt room
     // for the transfer itself on the slowest link this cluster models,
@@ -1469,7 +1458,7 @@ Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
   }
   const std::uint64_t req_id = next_id();
   std::string key = doc_key;
-  rpc_.track<DocManifest>(
+  Status sent = rpc_.track<DocManifest>(
       req_id, opts,
       [this, req_id, cb = std::move(cb)](Result<DocManifest> r, SimTime t) {
         rpc_target_.erase(req_id);
@@ -1477,14 +1466,12 @@ Status StationNode::fetch(const std::string& doc_key, FetchCallback cb,
         cb(std::move(r), t);
       },
       [this, req_id, key](std::uint32_t) { return send_fetch_req(req_id, key); });
-  Status s = send_fetch_req(req_id, doc_key);
-  if (!s.is_ok()) {
-    // Never left the station: unwind the tracker and report synchronously,
-    // preserving the historical "no route" contract.
-    rpc_.cancel(req_id);
+  if (!sent.is_ok()) {
+    // Never left the station: reported synchronously, the "no route"
+    // contract callers rely on.
     rpc_target_.erase(req_id);
     count<&NodeStats::failed_fetches>();
-    return s;
+    return sent;
   }
   count<&NodeStats::fetches_remote>();
   return Status::ok();
@@ -1584,8 +1571,7 @@ void StationNode::on_fetch_err(const net::Message& msg) {
 // --- blobs -------------------------------------------------------------------
 
 Status StationNode::fetch_blob(StationId holder, const std::string& doc_key,
-                               const BlobRef& blob, BlobFetchCallback cb,
-                               std::optional<net::RpcOptions> options) {
+                               const BlobRef& blob, BlobFetchCallback cb) {
   // Already resident (e.g. a previous fetch or a pushed lecture): no wire
   // traffic needed.
   if (store_->blobs().find(blob.digest).has_value()) {
@@ -1600,7 +1586,6 @@ Status StationNode::fetch_blob(StationId holder, const std::string& doc_key,
   pull.blob = blob;
   pull.holder = holder;
   pull.home = holder;
-  pull.base = options.value_or(config_.rpc);
   pull.done = [cb = std::move(cb), blob](Status s, SimTime t) {
     if (s.is_ok()) {
       cb(blob, t);

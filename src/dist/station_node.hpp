@@ -18,7 +18,7 @@
 // (net/rpc.hpp): per-request deadlines, capped exponential backoff with
 // seeded jitter, and terminal error delivery; a pushed chunk is a slot in
 // its child's cursor instead. Consecutive attempt timeouts of either kind
-// against one peer feed a failure detector: after failover_threshold of
+// against one peer feed a failure detector: after kFailoverThreshold of
 // them the peer is declared dead, and routing falls back to the nearest
 // live ancestor — the paper's placement equation ⌊(k−i−1)/m⌋+1 applied
 // repeatedly (see grandparent_position in mtree.hpp). Any message later
@@ -62,8 +62,11 @@ struct ChunkConfig {
   [[nodiscard]] Status validate() const;
 };
 
-// All of a station's protocol knobs in one validated place: replication
-// behavior plus the rpc lifecycle every remote operation runs under.
+// All of a station's protocol settings in one validated place: replication
+// behavior plus the rpc lifecycle every remote operation runs under. The
+// tunings no deployment varies are constants: kFailoverThreshold below,
+// the retry budget and backoff shape in net/rpc.hpp, and the swarm's in
+// swarm/config.hpp.
 struct StationConfig {
   // Remote retrievals of one document before it is replicated locally.
   // 1 replicates on first fetch; a very large value disables replication.
@@ -73,18 +76,12 @@ struct StationConfig {
   // If true, intermediate stations relaying a pull response also keep an
   // ephemeral copy (ablation of the paper's "only reviewers duplicate").
   bool relay_cache = false;
-  // Deadline / retry / backoff defaults for every rpc this node issues;
-  // individual calls may override via their RpcOptions parameter.
+  // Deadline and backoff of every rpc this node issues.
   net::RpcOptions rpc;
-  // Consecutive attempt timeouts against one peer before it is declared
-  // dead and routing reparents around it.
-  std::uint32_t failover_threshold = 3;
   // Floor on the assumed transfer rate when scaling a blob fetch's deadline
   // by payload size (a 25 MB blob legitimately serializes for ~40 s on a
   // 10 Mb/s campus link; a flat deadline would retransmit mid-transfer).
   double min_bandwidth_bps = 1e6;
-  // Seed for the rpc tracker's deterministic backoff jitter.
-  std::uint64_t rpc_seed = 0x77d0c;
   // Chunked transfer knobs (push pipelining, windowing, chunk repair).
   ChunkConfig chunk;
   // Multi-source swarm distribution (stripe trees + bitmap gossip +
@@ -94,6 +91,10 @@ struct StationConfig {
 
   [[nodiscard]] Status validate() const;
 };
+
+// Consecutive attempt timeouts against one peer before it is declared
+// dead and routing reparents around it.
+inline constexpr std::uint32_t kFailoverThreshold = 3;
 
 // A station's event counters. Every field is listed once in kNodeStatRows
 // below, which is the single definition behind local_snapshot() (and thus
@@ -257,8 +258,7 @@ class StationNode {
   // tree is configured) and `cb` fires exactly once — with the manifest, or
   // with a terminal error (Errc::timeout / Errc::unreachable / the remote
   // Errc) once the retry budget is spent.
-  [[nodiscard]] Status fetch(const std::string& doc_key, FetchCallback cb,
-                             std::optional<net::RpcOptions> options = std::nullopt);
+  [[nodiscard]] Status fetch(const std::string& doc_key, FetchCallback cb);
 
   // Fetches one BLOB's payload from `holder`, pulled chunk by chunk (a blob
   // no larger than one chunk is a single chunk), so an interrupted fetch
@@ -266,8 +266,7 @@ class StationNode {
   // the local BlobStore, so a repeat fetch of the same content completes
   // locally without network traffic.
   [[nodiscard]] Status fetch_blob(StationId holder, const std::string& doc_key,
-                                  const BlobRef& blob, BlobFetchCallback cb,
-                                  std::optional<net::RpcOptions> options = std::nullopt);
+                                  const BlobRef& blob, BlobFetchCallback cb);
 
   // Chunk-granularity anti-entropy: ensures a local reference, then pulls
   // only the chunks of the manifest's blobs this station is missing (up the
@@ -277,8 +276,7 @@ class StationNode {
   // exactly once: with the manifest after materialization, or with the
   // first terminal error of the round (partial progress is kept — the next
   // repair round continues from the bitmap).
-  [[nodiscard]] Status repair_pull(const DocManifest& manifest, FetchCallback cb,
-                                   std::optional<net::RpcOptions> options = std::nullopt);
+  [[nodiscard]] Status repair_pull(const DocManifest& manifest, FetchCallback cb);
 
   // Post-lecture migration: every ephemeral instance demotes to a
   // reference; returns reclaimable bytes (after the BlobStore gc).
@@ -421,7 +419,7 @@ class StationNode {
     std::unique_ptr<swarm::SwarmScheduler> sched;
     // Stripe-ancestor adoption (the swarm analogue of tree failover): the
     // closest ancestor per stripe tree we currently expect gossip from.
-    // While it stays silent past stall_timeout we walk one level further
+    // While it stays silent past kStallTimeout we walk one level further
     // up and adopt that ancestor as a gossip peer — a shallow ancestor
     // sees the chunk frontier seconds before the orphaned subtree does,
     // and its uplink has the dead child's relay slots to spare.
@@ -441,9 +439,9 @@ class StationNode {
     // and small control traffic (begins, gossip) is never stuck behind
     // seconds of bulk data. Stripe relays (swarm_queue) take priority over
     // request serves (swarm_serve_queue) — a relay feeds a whole subtree —
-    // but after serve_stride consecutive relays one serve is interleaved,
+    // but after kServeStride consecutive relays one serve is interleaved,
     // so crash recovery drains steadily instead of waiting for the entire
-    // relay backlog (see SwarmConfig::serve_stride).
+    // relay backlog (see swarm::kServeStride).
     std::deque<SwarmSend> swarm_queue;
     std::deque<SwarmSend> swarm_serve_queue;
     std::uint32_t relays_since_serve = 0;
@@ -469,7 +467,7 @@ class StationNode {
   void open_transfer_children(std::uint64_t transfer_id, Transfer& t);
   void enqueue_held_chunks(Transfer& t, ChildCursor& cursor);
   // Resends overdue chunks (each an attempt timeout against the child) up
-  // to rpc.max_retries times, fills free slots from pending, then arms the
+  // to net::kMaxRetries times, fills free slots from pending, then arms the
   // cursor's timer, or cancels it once the window has drained for good.
   void pump_cursor(std::uint64_t transfer_id, ChildCursor& cursor);
   // An ack for `child`'s window (its token, the chunk key + 1, frees the
@@ -532,7 +530,6 @@ class StationNode {
     std::optional<StationId> holder;
     StationId home;
     std::uint32_t chunk_bytes = 0;
-    net::RpcOptions base;
     std::function<void(Status, SimTime)> done;
   };
   [[nodiscard]] Status pull_blob_chunks(BlobPull pull);

@@ -16,6 +16,16 @@ namespace {
 
 constexpr const char* kDocTable = "wd_document";
 
+constexpr std::size_t kDefaultSearchLimit = 10;
+constexpr std::size_t kMaxSearchLimit = 100;
+// Requests slower than this leave a flight-recorder event.
+constexpr std::int64_t kSlowRequestMicros = 50'000;
+// SLO objectives: /search and /doc p99 within kLatencySloMicros, and 99.9%
+// of all requests answered without a 5xx.
+constexpr std::int64_t kLatencySloMicros = 5'000;
+constexpr double kLatencySloTarget = 0.99;
+constexpr double kAvailabilityTarget = 0.999;
+
 int status_of(const Status& s) {
   if (s.is_ok()) return 200;
   switch (s.error().code) {
@@ -109,8 +119,7 @@ Result<std::string> StorageDocumentSource::fetch(const std::string& course_numbe
 
 Gateway::Gateway(GatewayConfig cfg, std::vector<library::VirtualLibrary*> shards,
                  DocumentSource* docs)
-    : cfg_(cfg),
-      shards_(std::move(shards)),
+    : shards_(std::move(shards)),
       docs_(docs),
       slo_(cfg.slo) {
   for (const auto* shard : shards_) {
@@ -134,27 +143,21 @@ Gateway::Gateway(GatewayConfig cfg, std::vector<library::VirtualLibrary*> shards
   // The gateway is the tracing edge: it owns the process RequestTracer
   // configuration (trace ids restart from zero here, so same-seed runs mint
   // the same ids and promote the same head-sampled set).
-  obs::RequestTracer::global().configure(cfg_.trace);
+  obs::RequestTracer::global().configure(cfg.trace);
 
-  obs::SloObjective search_slo;
-  search_slo.name = "http.search.latency";
-  search_slo.target = cfg_.latency_slo_target;
-  search_slo.kind = obs::SloObjective::Kind::latency;
-  search_slo.histogram = endpoint_stats_["search"].micros;
-  search_slo.threshold_micros = cfg_.latency_slo_micros;
-  slo_.add(std::move(search_slo));
-
-  obs::SloObjective doc_slo;
-  doc_slo.name = "http.doc.latency";
-  doc_slo.target = cfg_.latency_slo_target;
-  doc_slo.kind = obs::SloObjective::Kind::latency;
-  doc_slo.histogram = endpoint_stats_["doc"].micros;
-  doc_slo.threshold_micros = cfg_.latency_slo_micros;
-  slo_.add(std::move(doc_slo));
+  for (const char* endpoint : {"search", "doc"}) {
+    obs::SloObjective latency;
+    latency.name = std::string("http.") + endpoint + ".latency";
+    latency.target = kLatencySloTarget;
+    latency.kind = obs::SloObjective::Kind::latency;
+    latency.histogram = endpoint_stats_[endpoint].micros;
+    latency.threshold_micros = kLatencySloMicros;
+    slo_.add(std::move(latency));
+  }
 
   obs::SloObjective avail;
   avail.name = "http.availability";
-  avail.target = cfg_.availability_target;
+  avail.target = kAvailabilityTarget;
   avail.kind = obs::SloObjective::Kind::availability;
   avail.total = requests_total_;
   avail.bad = responses_5xx_;
@@ -172,13 +175,13 @@ obs::Counter& Gateway::status_counter(int status) {
 Response Gateway::do_search(const Request& req) {
   auto q = req.param("q");
   if (!q.has_value() || q->empty()) return error_json(400, "missing query parameter q");
-  std::size_t limit = cfg_.default_search_limit;
+  std::size_t limit = kDefaultSearchLimit;
   if (auto l = req.param("limit")) {
     std::uint64_t parsed = 0;
     if (!parse_u64(*l, parsed) || parsed == 0) {
       return error_json(400, "limit must be a positive integer");
     }
-    limit = std::min<std::size_t>(parsed, cfg_.max_search_limit);
+    limit = std::min<std::size_t>(parsed, kMaxSearchLimit);
   }
 
   obs::SpanScope span("gateway.search");
@@ -325,7 +328,7 @@ Response Gateway::route(const Request& req, const EndpointStats*& stats) {
     // explicit histogram bucket boundaries and exemplar trace ids.
     return Response::json(200, obs::to_json(obs::MetricsRegistry::global().snapshot()));
   }
-  if (cfg_.enable_debug && req.path == "/debug/slo") {
+  if (req.path == "/debug/slo") {
     stats = &endpoint_stats_.at("debug");
     if (!is_get) return error_json(405, "use GET /debug/slo");
     return do_debug_slo();
@@ -335,7 +338,7 @@ Response Gateway::route(const Request& req, const EndpointStats*& stats) {
     if (!is_get) return error_json(405, "use GET /healthz");
     return Response::text(200, "ok\n");
   }
-  if (cfg_.enable_admin && req.path == "/admin/quit") {
+  if (req.path == "/admin/quit") {
     stats = &endpoint_stats_.at("admin");
     if (!is_post) return error_json(405, "use POST /admin/quit");
     quit_.store(true, std::memory_order_release);
@@ -369,7 +372,7 @@ Response Gateway::handle(const Request& req) {
   // Promoted requests stamp their bucket's exemplar: the p99 bucket in an
   // exported snapshot names a concrete trace id that was actually captured.
   stats->micros->observe(static_cast<double>(micros), promoted ? ctx.trace_id : 0);
-  if (error || micros > cfg_.slow_request_micros) {
+  if (error || micros > kSlowRequestMicros) {
     obs::FlightRecorder::global().record(
         obs::FlightKind::custom,
         "http " + std::string(method_name(req.method)) + " " + req.target + " -> " +

@@ -8,9 +8,9 @@
 //   GET  /doc?course=<c>               document fetch via wdoc::storage
 //   GET  /metrics                      obs registry snapshot (JSON, with
 //                                      histogram bucket boundaries)
-//   GET  /debug/slo                    SLO burn-rate status (JSON, optional)
+//   GET  /debug/slo                    SLO burn-rate status (JSON)
 //   GET  /healthz                      liveness probe
-//   POST /admin/quit                   graceful shutdown handshake (optional)
+//   POST /admin/quit                   graceful shutdown handshake
 //
 // The gateway composes *on top of* the library/storage layers (the HCA
 // layering argument in PAPERS.md): it owns no protocol state of theirs. The
@@ -73,23 +73,13 @@ class StorageDocumentSource final : public DocumentSource {
 };
 
 struct GatewayConfig {
-  std::size_t default_search_limit = 10;
-  std::size_t max_search_limit = 100;
-  // Requests slower than this leave a flight-recorder event.
-  std::int64_t slow_request_micros = 50'000;
-  bool enable_admin = true;  // expose POST /admin/quit
-  bool enable_debug = true;  // expose GET /debug/slo
   // End-to-end tracing: the gateway is the edge that mints TraceContexts
   // (see obs/request_trace.hpp). The constructor installs this into the
   // process-wide RequestTracer.
   obs::RequestTraceConfig trace;
-  // SLO evaluation windows (see obs/slo.hpp). Objectives are fixed:
-  // http.search.latency and http.doc.latency p99 within latency_slo_micros,
-  // http.availability 99.9% non-5xx.
+  // SLO evaluation windows (see obs/slo.hpp). The objectives are constants
+  // in gateway.cpp.
   obs::SloWindows slo;
-  std::int64_t latency_slo_micros = 5'000;
-  double latency_slo_target = 0.99;
-  double availability_target = 0.999;
 };
 
 class Gateway {
@@ -136,7 +126,6 @@ class Gateway {
   // hit the gate, a single CAS winner pays the evaluation.
   void maybe_evaluate_slo(std::int64_t now);
 
-  GatewayConfig cfg_;
   std::vector<library::VirtualLibrary*> shards_;
   library::SearchIndex index_;  // every shard's entries
   DocumentSource* docs_;

@@ -23,6 +23,9 @@ namespace {
 constexpr std::size_t kFlushBytes = 64 << 10;
 constexpr std::size_t kFlushResponses = IOV_MAX / 2;
 
+constexpr int kListenBacklog = 128;
+constexpr std::size_t kPendingConnections = 64;  // user-space queue; beyond -> 503
+
 // A connection's answers awaiting their write, in order: the heads rendered
 // back to back into one buffer, each body written from its own Payload.
 class ResponseBatch {
@@ -123,7 +126,7 @@ Status HttpServer::start() {
     listen_fd_ = -1;
     return s;
   }
-  if (::listen(listen_fd_, cfg_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     Status s{Errc::io_error, std::string("listen: ") + std::strerror(errno)};
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -198,7 +201,7 @@ void HttpServer::accept_loop() {
     }
     obs_.connections_opened.inc();
     std::unique_lock lock(queue_mu_);
-    if (pending_.size() >= cfg_.pending_connections) {
+    if (pending_.size() >= kPendingConnections) {
       lock.unlock();
       // Overload: refuse crisply instead of queueing without bound.
       obs_.overload_rejects.inc();

@@ -36,8 +36,6 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;       // 0 = ephemeral; see HttpServer::port()
   std::size_t workers = 8;
-  int listen_backlog = 128;
-  std::size_t pending_connections = 64;  // user-space queue; beyond -> 503
   ParserLimits limits;
   // recv() timeout on idle keep-alive connections; expiry closes them.
   int idle_timeout_ms = 5000;

@@ -9,6 +9,9 @@ namespace wdoc::net {
 
 namespace {
 
+// Seed for the tracker's deterministic backoff jitter.
+constexpr std::uint64_t kRpcSeed = 0x77d0c;
+
 // Process-wide rpc counters; every tracker shares them (per-tracker totals
 // live in RpcStats and surface per-station via StationNode::local_snapshot).
 struct RpcMetrics {
@@ -36,16 +39,21 @@ struct RpcMetrics {
 
 }  // namespace
 
-SimTime BackoffPolicy::delay(std::uint32_t retry, Rng& rng) const {
-  WDOC_CHECK(retry >= 1, "BackoffPolicy::delay: retry is 1-based");
+SimTime BackoffPolicy::capped(std::uint32_t retry) const {
+  WDOC_CHECK(retry >= 1, "BackoffPolicy::capped: retry is 1-based");
   // Iterated multiply instead of std::pow: every step is a single IEEE
   // operation, so delays (and therefore event order and rng consumption)
-  // are bit-identical across platforms and libms.
+  // are bit-identical across platforms and libms. The product stays a
+  // whole number of microseconds, so the SimTime holds it exactly.
   double us = static_cast<double>(initial.as_micros());
   const double cap_us = static_cast<double>(cap.as_micros());
-  for (std::uint32_t i = 1; i < retry && us < cap_us; ++i) us *= multiplier;
-  us = std::min(us, cap_us);
-  us += (rng.uniform01() * 2.0 - 1.0) * (us * jitter);
+  for (std::uint32_t i = 1; i < retry && us < cap_us; ++i) us *= kBackoffMultiplier;
+  return SimTime::micros(static_cast<std::int64_t>(std::min(us, cap_us)));
+}
+
+SimTime BackoffPolicy::delay(std::uint32_t retry, Rng& rng) const {
+  double us = static_cast<double>(capped(retry).as_micros());
+  us += (rng.uniform01() * 2.0 - 1.0) * (us * kBackoffJitter);
   return SimTime::micros(std::max<std::int64_t>(static_cast<std::int64_t>(us), 1));
 }
 
@@ -53,11 +61,7 @@ Status BackoffPolicy::validate() const {
   if (initial <= SimTime::zero()) {
     return {Errc::invalid_argument, "backoff: initial delay must be > 0"};
   }
-  if (multiplier < 1.0) return {Errc::invalid_argument, "backoff: multiplier must be >= 1"};
   if (cap < initial) return {Errc::invalid_argument, "backoff: cap < initial"};
-  if (jitter < 0.0 || jitter > 1.0) {
-    return {Errc::invalid_argument, "backoff: jitter must be in [0, 1]"};
-  }
   return Status::ok();
 }
 
@@ -68,12 +72,12 @@ Status RpcOptions::validate() const {
   return backoff.validate();
 }
 
-RpcTracker::RpcTracker(Fabric& fabric, StationId self, std::uint64_t seed)
+RpcTracker::RpcTracker(Fabric& fabric, StationId self)
     : fabric_(&fabric),
       self_(self),
-      // Mix the station id into the seed so co-located trackers with the
-      // same base seed still jitter independently.
-      rng_(seed ^ (0x9e3779b97f4a7c15ULL * (self.value() + 1))) {}
+      // Mix the station id into the seed so co-located trackers still
+      // jitter independently.
+      rng_(kRpcSeed ^ (0x9e3779b97f4a7c15ULL * (self.value() + 1))) {}
 
 RpcTracker::~RpcTracker() {
   std::lock_guard<std::mutex> g(mu_);
@@ -88,31 +92,42 @@ void RpcTracker::set_timeout_observer(TimeoutObserver observer) {
   on_timeout_ = std::move(observer);
 }
 
-void RpcTracker::track_erased(std::uint64_t req_id, const RpcOptions& opts, ResendFn resend,
-                              std::shared_ptr<void> done, const std::type_info* tag,
-                              FailFn on_fail) {
+Status RpcTracker::track_erased(std::uint64_t req_id, const RpcOptions& opts,
+                                ResendFn resend, std::shared_ptr<void> done,
+                                const std::type_info* tag, FailFn on_fail) {
   Status valid = opts.validate();
   WDOC_CHECK(valid.is_ok(), "RpcTracker::track: " + valid.message());
-  std::lock_guard<std::mutex> g(mu_);
-  WDOC_CHECK(!entries_.contains(req_id), "RpcTracker::track: req_id already in flight");
-  Entry e;
-  e.opts = opts;
-  e.resend = std::move(resend);
-  e.done = std::move(done);
-  e.tag = tag;
-  e.on_fail = std::move(on_fail);
-  e.started = fabric_->now();
-  if (opts.trace.active()) {
-    e.span = obs::Tracer::global().begin(
-        opts.trace_name.empty() ? "rpc" : opts.trace_name, opts.trace.span_id,
-        e.started, self_.value(), opts.trace.trace_id);
+  ResendFn first = resend;  // copy: invoked outside the lock
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    WDOC_CHECK(!entries_.contains(req_id), "RpcTracker::track: req_id already in flight");
+    Entry e;
+    e.opts = opts;
+    e.resend = std::move(resend);
+    e.done = std::move(done);
+    e.tag = tag;
+    e.on_fail = std::move(on_fail);
+    e.started = fabric_->now();
+    std::uint64_t epoch = ++e.epoch;
+    // Armed before the first send, so the deadline precedes the message in
+    // the fabric's event order (on_retry does the same for every retry).
+    e.timer = fabric_->schedule_on(self_, opts.deadline,
+                                   [this, req_id, epoch] { on_deadline(req_id, epoch); });
+    entries_.emplace(req_id, std::move(e));
   }
-  std::uint64_t epoch = ++e.epoch;
-  e.timer = fabric_->schedule_on(self_, opts.deadline,
-                                 [this, req_id, epoch] { on_deadline(req_id, epoch); });
-  entries_.emplace(req_id, std::move(e));
+  Status sent = first(0);
+  std::lock_guard<std::mutex> g(mu_);
+  if (!sent.is_ok()) {
+    // The request never left the station: it is not an rpc at all.
+    if (auto it = entries_.find(req_id); it != entries_.end()) {
+      if (it->second.timer) it->second.timer->store(true);
+      entries_.erase(it);
+    }
+    return sent;
+  }
   ++stats_.started;
   RpcMetrics::get().started.inc();
+  return sent;
 }
 
 std::shared_ptr<void> RpcTracker::finish(std::uint64_t req_id, const std::type_info* tag) {
@@ -130,9 +145,7 @@ std::shared_ptr<void> RpcTracker::finish(std::uint64_t req_id, const std::type_i
   RpcMetrics::get().latency_us.observe(
       static_cast<double>((fabric_->now() - it->second.started).as_micros()));
   std::shared_ptr<void> done = std::move(it->second.done);
-  const std::uint64_t span = it->second.span;
   entries_.erase(it);
-  if (span != 0) obs::Tracer::global().end(span, fabric_->now());
   return done;
 }
 
@@ -151,17 +164,6 @@ void RpcTracker::fail(std::uint64_t req_id, Error e) {
     entries_.erase(it);
   }
   deliver_terminal(req_id, std::move(taken), std::move(e));
-}
-
-void RpcTracker::cancel(std::uint64_t req_id) {
-  std::lock_guard<std::mutex> g(mu_);
-  auto it = entries_.find(req_id);
-  if (it == entries_.end()) return;
-  if (it->second.timer) it->second.timer->store(true);
-  if (it->second.span != 0) obs::Tracer::global().end(it->second.span, fabric_->now());
-  // The request never left the station; it does not count as started.
-  --stats_.started;
-  entries_.erase(it);
 }
 
 void RpcTracker::note_duplicate() {
@@ -199,7 +201,7 @@ void RpcTracker::on_deadline(std::uint64_t req_id, std::uint64_t epoch) {
     RpcMetrics::get().attempt_timeouts.inc();
     observer = on_timeout_;
     timed_out_attempt = e.attempt;
-    if (e.attempt < e.opts.max_retries) {
+    if (e.attempt < kMaxRetries) {
       ++e.attempt;
       ++stats_.retries;
       RpcMetrics::get().retries.inc();
@@ -252,7 +254,6 @@ void RpcTracker::deliver_terminal(std::uint64_t req_id, Entry taken, Error e) {
     ++stats_.exhausted;
   }
   RpcMetrics::get().exhausted.inc();
-  if (taken.span != 0) obs::Tracer::global().end(taken.span, fabric_->now());
   obs::FlightRecorder::global().record(
       obs::FlightKind::rpc_exhausted, e.to_string(), self_.value(), req_id,
       fabric_->now());

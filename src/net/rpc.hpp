@@ -15,6 +15,9 @@
 //        terminal Errc::timeout            terminal Errc::unreachable
 //
 // Guarantees:
+//   * a request counts as started only once its first send left the
+//     station; a refused first send is handed back to the caller and
+//     leaves no trace in the tracker;
 //   * the completion callback fires exactly once with a Result<T>: never
 //     silently dropped, never twice — late or duplicate responses are
 //     counted and ignored;
@@ -37,7 +40,6 @@
 
 #include "common/rng.hpp"
 #include "net/fabric.hpp"
-#include "obs/trace.hpp"
 
 namespace wdoc::net {
 
@@ -46,34 +48,34 @@ namespace wdoc::net {
 template <typename T>
 using Rpc = std::function<void(Result<T>, SimTime)>;
 
+// Retry budget: an rpc makes at most 1 + kMaxRetries attempts.
+inline constexpr std::uint32_t kMaxRetries = 3;
+// Growth of the backoff delay from one retry to the next.
+inline constexpr double kBackoffMultiplier = 2.0;
+// Spread of each backoff delay: +/- this fraction of it, in [0, 1].
+inline constexpr double kBackoffJitter = 0.25;
+
 // Capped exponential backoff between retry attempts. The k-th retry waits
-// initial * multiplier^(k-1), capped, then spread by +/- jitter fraction
-// drawn from the tracker's seeded Rng.
+// initial * kBackoffMultiplier^(k-1), capped, then spread by
+// +/- kBackoffJitter drawn from the tracker's seeded Rng.
 struct BackoffPolicy {
   SimTime initial = SimTime::millis(250);
-  double multiplier = 2.0;
   SimTime cap = SimTime::seconds(4);
-  double jitter = 0.25;  // fraction of the delay, in [0, 1]
 
+  // The k-th retry's delay before jitter (`retry` is 1-based).
+  [[nodiscard]] SimTime capped(std::uint32_t retry) const;
+  // capped(retry), jittered.
   [[nodiscard]] SimTime delay(std::uint32_t retry, Rng& rng) const;
   [[nodiscard]] Status validate() const;
 };
 
-// Per-request lifecycle knobs. The default deadline is deliberately
+// Per-request lifecycle settings. The default deadline is deliberately
 // generous: large documents legitimately serialize for tens of seconds on
 // campus links, and a premature timeout means a wasted full retransmission.
-// Callers moving small payloads (scrapes, manifests on fast links) pass a
-// tighter deadline instead.
+// A cluster that moves small payloads on fast links sets a tighter one.
 struct RpcOptions {
   SimTime deadline = SimTime::seconds(60);  // per attempt, not end-to-end
-  std::uint32_t max_retries = 3;            // attempts = 1 + max_retries
   BackoffPolicy backoff;
-  // End-to-end trace this rpc belongs to (inactive = untraced). When
-  // active, the tracker opens one durable span named `trace_name` covering
-  // the whole lifecycle — every retry included — parented on trace.span_id,
-  // so cross-station rpcs render inside the initiating request's trace.
-  obs::TraceContext trace;
-  std::string trace_name;
 
   [[nodiscard]] Status validate() const;
 };
@@ -89,31 +91,34 @@ struct RpcStats {
 
 class RpcTracker {
  public:
-  // Re-issues the request for attempt `attempt` (1-based retry count). The
-  // target is recomputed per call, so retries re-route around stations
-  // declared dead since the previous attempt. A returned error means "no
-  // route at all" and terminates the rpc with Errc::unreachable.
+  // Sends attempt `attempt` of the request: 0 is the first send, then the
+  // 1-based retry count. The target is recomputed per call, so retries
+  // re-route around stations declared dead since the previous attempt. A
+  // returned error means "no route at all": on the first send, track()
+  // hands it back; on a retry it terminates the rpc with Errc::unreachable.
   using ResendFn = std::function<Status(std::uint32_t attempt)>;
   // Notified on every attempt timeout, before the retry (if any) is
   // scheduled. Input to protocol-level failure detection.
   using TimeoutObserver = std::function<void(std::uint64_t req_id, std::uint32_t attempt)>;
 
-  RpcTracker(Fabric& fabric, StationId self, std::uint64_t seed = 0x77d0c);
+  RpcTracker(Fabric& fabric, StationId self);
   ~RpcTracker();
   RpcTracker(const RpcTracker&) = delete;
   RpcTracker& operator=(const RpcTracker&) = delete;
 
   void set_timeout_observer(TimeoutObserver observer);
 
-  // Registers an in-flight request. `done` fires exactly once: either via
-  // complete()/fail(), or with a terminal error when the retry budget runs
-  // out. The caller sends the first attempt itself (so a synchronous send
-  // failure can cancel() before any timer fires).
+  // Registers request `req_id`, arms its first deadline, and sends the
+  // first attempt through resend(0). A refused first send is returned: the
+  // request is unregistered, counted nowhere, and `done` never fires.
+  // Otherwise `done` fires exactly once: via complete()/fail(), or with a
+  // terminal error when the retry budget runs out.
   template <typename T>
-  void track(std::uint64_t req_id, const RpcOptions& opts, Rpc<T> done, ResendFn resend) {
+  [[nodiscard]] Status track(std::uint64_t req_id, const RpcOptions& opts, Rpc<T> done,
+                             ResendFn resend) {
     auto cb = std::make_shared<Rpc<T>>(std::move(done));
-    track_erased(req_id, opts, std::move(resend), cb, &typeid(T),
-                 [cb](Error e, SimTime t) { (*cb)(Result<T>(std::move(e)), t); });
+    return track_erased(req_id, opts, std::move(resend), cb, &typeid(T),
+                        [cb](Error e, SimTime t) { (*cb)(Result<T>(std::move(e)), t); });
   }
 
   // Resolves `req_id` with a response. Returns false (and counts a
@@ -129,10 +134,6 @@ class RpcTracker {
   // Resolves `req_id` with a terminal error (e.g. a fetch_err from the
   // tree root). Counts a duplicate if already resolved.
   void fail(std::uint64_t req_id, Error e);
-
-  // Drops the request without invoking its callback — only for unwinding a
-  // failed synchronous first send, where the caller reports the error.
-  void cancel(std::uint64_t req_id);
 
   // Counts a response that arrived for a request this tracker no longer
   // knows — for protocol handlers that detect the duplicate before
@@ -154,13 +155,13 @@ class RpcTracker {
     FailFn on_fail;                 // wraps `done` for terminal errors
     std::uint32_t attempt = 0;      // retries performed so far
     std::uint64_t epoch = 0;        // guards against stale timer firings
-    std::uint64_t span = 0;         // durable lifecycle span (0 = untraced)
     SimTime started;
     Fabric::TimerHandle timer;
   };
 
-  void track_erased(std::uint64_t req_id, const RpcOptions& opts, ResendFn resend,
-                    std::shared_ptr<void> done, const std::type_info* tag, FailFn on_fail);
+  [[nodiscard]] Status track_erased(std::uint64_t req_id, const RpcOptions& opts,
+                                    ResendFn resend, std::shared_ptr<void> done,
+                                    const std::type_info* tag, FailFn on_fail);
   [[nodiscard]] std::shared_ptr<void> finish(std::uint64_t req_id, const std::type_info* tag);
   void on_deadline(std::uint64_t req_id, std::uint64_t epoch);
   void on_retry(std::uint64_t req_id, std::uint64_t epoch);

@@ -31,7 +31,7 @@ namespace wdoc::obs {
 
 // Identity of one end-to-end request, minted at the edge and propagated
 // through every layer it touches (gateway handlers, federated search, the
-// storage/txn path) and across the wire (net::Message, RpcOptions).
+// storage/txn path) and across the wire (net::Message).
 struct TraceContext {
   std::uint64_t trace_id = 0;  // 0 = not part of any trace
   std::uint64_t span_id = 0;   // current parent span within the trace

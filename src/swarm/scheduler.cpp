@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/hash.hpp"
+#include "swarm/config.hpp"
 #include "swarm/stripe_tree.hpp"
 
 namespace wdoc::swarm {
@@ -20,19 +21,19 @@ constexpr std::uint32_t kEndgameChunks = 2;
 
 }  // namespace
 
-SwarmScheduler::SwarmScheduler(std::uint32_t total_chunks, SwarmConfig cfg,
+SwarmScheduler::SwarmScheduler(std::uint32_t total_chunks, std::uint32_t trees,
                                std::uint64_t seed, SimTime now)
     : total_(total_chunks),
-      cfg_(cfg),
+      trees_(trees),
       seed_(seed),
       self_(total_chunks),
-      stripe_parent_(cfg.trees, 0),
-      last_progress_(cfg.trees, now),
-      progressed_(cfg.trees, 0),
-      orphaned_(cfg.trees, 0),
-      tree_total_(cfg.trees, 0),
-      tree_have_(cfg.trees, 0) {
-  for (std::uint32_t g = 0; g < total_chunks; ++g) ++tree_total_[stripe_of(g, cfg.trees)];
+      stripe_parent_(trees, 0),
+      last_progress_(trees, now),
+      progressed_(trees, 0),
+      orphaned_(trees, 0),
+      tree_total_(trees, 0),
+      tree_have_(trees, 0) {
+  for (std::uint32_t g = 0; g < total_chunks; ++g) ++tree_total_[stripe_of(g, trees)];
 }
 
 void SwarmScheduler::set_stripe_parent(std::uint32_t tree, std::uint64_t parent_position) {
@@ -56,14 +57,14 @@ void SwarmScheduler::seed_self(const Bitmap& have, SimTime now) {
   for (auto& t : last_progress_) t = now;
   std::fill(tree_have_.begin(), tree_have_.end(), 0);
   for (std::uint32_t g = 0; g < total_; ++g) {
-    if (self_.test(g)) ++tree_have_[stripe_of(g, cfg_.trees)];
+    if (self_.test(g)) ++tree_have_[stripe_of(g, trees_)];
   }
 }
 
 bool SwarmScheduler::mark_have(std::uint32_t g, SimTime now) {
   if (auto it = inflight_.find(g); it != inflight_.end()) clear_flight(it);
   if (!self_.set(g)) return false;
-  const std::uint32_t tree = stripe_of(g, cfg_.trees);
+  const std::uint32_t tree = stripe_of(g, trees_);
   if (tree < last_progress_.size()) {
     last_progress_[tree] = now;
     progressed_[tree] = 1;
@@ -94,7 +95,7 @@ void SwarmScheduler::peer_update(std::uint64_t position, const PeerReport& repor
   // (and advertise the same mask to our own children). Latched exactly
   // like a locally-detected stall.
   if (report.recovering != 0) {
-    for (std::uint32_t t = 0; t < cfg_.trees; ++t) {
+    for (std::uint32_t t = 0; t < trees_; ++t) {
       if (stripe_parent_[t] == position && ((report.recovering >> t) & 1) &&
           orphaned_[t] == kNotOrphaned) {
         orphaned_[t] = kOrphanCascade;
@@ -132,7 +133,7 @@ std::vector<std::uint64_t> SwarmScheduler::pending_words() const {
 
 std::uint64_t SwarmScheduler::recovering_mask() const {
   std::uint64_t mask = 0;
-  for (std::uint32_t t = 0; t < cfg_.trees && t < 64; ++t) {
+  for (std::uint32_t t = 0; t < trees_ && t < 64; ++t) {
     if (orphaned_[t] != kNotOrphaned && tree_have_[t] < tree_total_[t]) {
       mask |= std::uint64_t{1} << t;
     }
@@ -178,7 +179,7 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
   }
 
   // A tree with no push feed at all is always pull-eligible. One that is
-  // flowing goes by stall_timeout. One that has never delivered anything is
+  // flowing goes by kStallTimeout. One that has never delivered anything is
   // held to the longer startup grace: at depth the first stripe chunk
   // legitimately takes several pipeline hops to arrive, and pulling during
   // that ramp-up duplicates chunks the feed was about to push.
@@ -193,24 +194,24 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
   // orphaned subtree pulls everything; descendants pull just the shrinking
   // missing-at-parent tail, which spreads the recovery burst across many
   // server uplinks instead of serializing it through the head's one.
-  std::vector<std::uint8_t> mode(cfg_.trees, kFed);
-  for (std::uint32_t t = 0; t < cfg_.trees; ++t) {
+  std::vector<std::uint8_t> mode(trees_, kFed);
+  for (std::uint32_t t = 0; t < trees_; ++t) {
     if (stripe_parent_[t] == 0 || orphaned_[t] == kOrphanLocal) {
       mode[t] = kOrphan;
       continue;
     }
     const SimTime quiet = now - last_progress_[t];
-    const SimTime limit = progressed_[t] ? cfg_.stall_timeout : cfg_.startup_grace;
+    const SimTime limit = progressed_[t] ? kStallTimeout : kStartupGrace;
     if (quiet > limit) {
       bool feed_active = false;
       if (auto it = peers_.find(stripe_parent_[t]); it != peers_.end()) {
         feed_active = !it->second.have.complete() &&
-                      now - it->second.grew_at <= cfg_.stall_timeout;
+                      now - it->second.grew_at <= kStallTimeout;
       }
       if (!feed_active) {
         // Latch: pulled chunks land on the same progress clock as relayed
         // ones, so without the latch every pull batch "feeds" the tree for
-        // another stall_timeout and the gate oscillates — pull, go quiet,
+        // another kStallTimeout and the gate oscillates — pull, go quiet,
         // re-trip — leaving the downlink idle for seconds at a stretch. A
         // feed that died stays dead; keep pulling until the tree completes.
         mode[t] = kOrphan;
@@ -234,7 +235,7 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
   std::vector<Cand> cands;
   for (std::uint32_t g = 0; g < total_; ++g) {
     if (self_.test(g)) continue;
-    const std::uint32_t t = stripe_of(g, cfg_.trees);
+    const std::uint32_t t = stripe_of(g, trees_);
     if (mode[t] == kFed) continue;
     if (mode[t] == kRecovering && tree_total_[t] - tree_have_[t] > kEndgameChunks) {
       // Claim partitioning: the recovering feed pulls what it can under
@@ -269,7 +270,7 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
 
   std::map<std::uint64_t, SwarmPlan> plans;
   for (const Cand& c : cands) {
-    if (inflight_.size() >= cfg_.pull_window) break;
+    if (inflight_.size() >= kPullWindow) break;
     // Least-loaded eligible peer, seeded tie-break. Load is the peer's
     // gossiped send-queue backlog plus our outstanding requests to it —
     // a request parked on a relay-saturated uplink is a reservation that
@@ -277,7 +278,7 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
     // The chunk's own stripe parent is never a candidate: if it holds the
     // chunk and is alive it will push it down the tree anyway, so pulling
     // from it only ever duplicates.
-    const std::uint64_t feed = stripe_parent_[stripe_of(c.g, cfg_.trees)];
+    const std::uint64_t feed = stripe_parent_[stripe_of(c.g, trees_)];
     const Peer* best = nullptr;
     std::uint64_t best_pos = 0;
     std::uint64_t best_tie = 0;
@@ -285,9 +286,9 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
     for (auto& [pos, peer] : peers_) {
       if (pos == feed) continue;
       if (!peer.have.test(c.g)) continue;
-      if (peer.window_used >= cfg_.link_window) continue;
+      if (peer.window_used >= kLinkWindow) continue;
       if (plans.contains(pos) &&
-          plans[pos].chunks.size() >= cfg_.request_batch)
+          plans[pos].chunks.size() >= kRequestBatch)
         continue;
       const std::uint64_t load = peer.window_used + peer.backlog;
       const std::uint64_t tie = hash_combine(hash_combine(seed_, c.g), pos);
@@ -307,12 +308,12 @@ std::vector<SwarmPlan> SwarmScheduler::plan(SimTime now) {
     // acquires it and serves it immediately; an early reservation on a
     // stride-throttled server would instead sit for seconds while the
     // request window slot it burns starves chunks that could flow now.
-    if (best_load >= cfg_.link_window) continue;
+    if (best_load >= kLinkWindow) continue;
     auto& plan = plans[best_pos];
     plan.peer = best_pos;
     plan.chunks.push_back(c.g);
     ++peers_[best_pos].window_used;
-    inflight_[c.g] = {best_pos, now + cfg_.request_timeout};
+    inflight_[c.g] = {best_pos, now + kRequestTimeout};
   }
 
   std::vector<SwarmPlan> out;

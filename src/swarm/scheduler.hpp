@@ -7,11 +7,11 @@
 // under these rules:
 //
 //   * stall gating — a chunk is only pulled when its stripe tree has made
-//     no progress for stall_timeout (or has no live push feed at all), so
+//     no progress for kStallTimeout (or has no live push feed at all), so
 //     a cleanly-flowing pipeline generates zero duplicate traffic. Pull
 //     mode LATCHES once tripped: pulled chunks land on the same progress
 //     clock that feeds the gate, so an unlatched gate would close behind
-//     every pulled batch and reopen a stall_timeout later. A tree whose
+//     every pulled batch and reopen a kStallTimeout later. A tree whose
 //     stripe parent gossips a recovering mask latches too (the orphan
 //     signal cascades down exactly the dead station's subtree), but in
 //     *claim partitioning* mode: the parent will relay everything it
@@ -25,18 +25,20 @@
 //   * rarest-first — candidates are ordered by how few peers hold them,
 //     ties broken by a seeded hash of the chunk index (never by arrival
 //     order, which would differ across runs of different topologies);
-//   * per-link windows — at most link_window outstanding requests per
-//     peer (and pull_window across all peers, protecting the downlink),
+//   * per-link windows — at most kLinkWindow outstanding requests per
+//     peer (and kPullWindow across all peers, protecting the downlink),
 //     the least-loaded eligible peer taking each chunk — never the chunk's
 //     own stripe parent, which would push it anyway. Load is the peer's
 //     last-gossiped send-queue backlog plus our own outstanding requests
 //     to it, so requests route to uplinks with spare capacity instead of
 //     piling reservations onto a relay-saturated server;
 //   * duplicate suppression — an in-flight chunk is never re-requested
-//     until its request_timeout deadline passes.
+//     until its kRequestTimeout deadline passes.
 //
-// Everything is deterministic: iteration is over ordered maps, time comes
-// from the caller (the fabric clock), randomness is seeded hashing.
+// The k* tunings are the constants in swarm/config.hpp; the only setting a
+// scheduler takes is its stripe tree count. Everything is deterministic:
+// iteration is over ordered maps, time comes from the caller (the fabric
+// clock), randomness is seeded hashing.
 #pragma once
 
 #include <cstdint>
@@ -45,7 +47,6 @@
 
 #include "common/sim_time.hpp"
 #include "swarm/bitmap.hpp"
-#include "swarm/config.hpp"
 
 namespace wdoc::swarm {
 
@@ -68,7 +69,7 @@ struct PeerReport {
 
 class SwarmScheduler {
  public:
-  SwarmScheduler(std::uint32_t total_chunks, SwarmConfig cfg, std::uint64_t seed,
+  SwarmScheduler(std::uint32_t total_chunks, std::uint32_t trees, std::uint64_t seed,
                  SimTime now);
 
   // Topology: which position feeds each stripe tree (0 = no feed, e.g. at
@@ -139,7 +140,7 @@ class SwarmScheduler {
   void clear_flight(std::map<std::uint32_t, Flight>::iterator it);
 
   std::uint32_t total_;
-  SwarmConfig cfg_;
+  std::uint32_t trees_;
   std::uint64_t seed_;
   Bitmap self_;
   std::map<std::uint64_t, Peer> peers_;

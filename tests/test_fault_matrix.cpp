@@ -15,12 +15,11 @@
 namespace wdoc::dist {
 namespace {
 
-// Tight lifecycle knobs so a whole exhaustion (4 attempts + backoff) fits
-// in a few simulated seconds.
+// Tight lifecycle settings so a whole exhaustion (1 + net::kMaxRetries
+// attempts + backoff) fits in a few simulated seconds.
 StationConfig tight_config() {
   StationConfig cfg;
   cfg.rpc.deadline = SimTime::millis(500);
-  cfg.rpc.max_retries = 3;
   cfg.rpc.backoff.initial = SimTime::millis(100);
   cfg.rpc.backoff.cap = SimTime::seconds(1);
   return cfg;

@@ -555,11 +555,6 @@ TEST(Gateway, DebugSloSnapshotAndGating) {
     EXPECT_NE(slo.body.text().find(needle), std::string::npos) << needle;
   }
   EXPECT_EQ(h.gateway->handle(make_request(Method::post, "/debug/slo")).status, 405);
-
-  GatewayConfig off;
-  off.enable_debug = false;
-  GatewayHarness h2(off);
-  EXPECT_EQ(h2.gateway->handle(make_request(Method::get, "/debug/slo")).status, 404);
 }
 
 TEST(Gateway, SlowDocRequestIsTailPromotedWithExemplar) {

@@ -5,6 +5,7 @@
 
 #include "net/rpc.hpp"
 #include "net/sim_network.hpp"
+#include "obs/metrics.hpp"
 
 namespace wdoc::net {
 namespace {
@@ -12,21 +13,18 @@ namespace {
 TEST(BackoffPolicy, GrowsExponentiallyAndCaps) {
   BackoffPolicy p;
   p.initial = SimTime::millis(250);
-  p.multiplier = 2.0;
   p.cap = SimTime::seconds(4);
-  p.jitter = 0.0;
-  Rng rng(1);
-  EXPECT_EQ(p.delay(1, rng), SimTime::millis(250));
-  EXPECT_EQ(p.delay(2, rng), SimTime::millis(500));
-  EXPECT_EQ(p.delay(3, rng), SimTime::millis(1000));
-  EXPECT_EQ(p.delay(4, rng), SimTime::millis(2000));
-  EXPECT_EQ(p.delay(5, rng), SimTime::seconds(4));
-  EXPECT_EQ(p.delay(50, rng), SimTime::seconds(4));  // capped forever
+  // The delay before jitter doubles per retry until the cap.
+  EXPECT_EQ(p.capped(1), SimTime::millis(250));
+  EXPECT_EQ(p.capped(2), SimTime::millis(500));
+  EXPECT_EQ(p.capped(3), SimTime::millis(1000));
+  EXPECT_EQ(p.capped(4), SimTime::millis(2000));
+  EXPECT_EQ(p.capped(5), SimTime::seconds(4));
+  EXPECT_EQ(p.capped(50), SimTime::seconds(4));  // capped forever
 }
 
 TEST(BackoffPolicy, JitterStaysWithinBoundsAndIsSeedDeterministic) {
   BackoffPolicy p;
-  p.jitter = 0.25;
   std::vector<std::int64_t> a, b;
   {
     Rng rng(99);
@@ -39,13 +37,10 @@ TEST(BackoffPolicy, JitterStaysWithinBoundsAndIsSeedDeterministic) {
   EXPECT_EQ(a, b);  // same seed, same delays, bit-for-bit
   Rng rng(7);
   for (std::uint32_t r = 1; r <= 8; ++r) {
-    BackoffPolicy flat = p;
-    flat.jitter = 0.0;
-    Rng dummy(0);
-    const double base = static_cast<double>(flat.delay(r, dummy).as_micros());
+    const double base = static_cast<double>(p.capped(r).as_micros());
     const double got = static_cast<double>(p.delay(r, rng).as_micros());
-    EXPECT_GE(got, base * 0.75 - 1.0) << "retry " << r;
-    EXPECT_LE(got, base * 1.25 + 1.0) << "retry " << r;
+    EXPECT_GE(got, base * (1.0 - kBackoffJitter) - 1.0) << "retry " << r;
+    EXPECT_LE(got, base * (1.0 + kBackoffJitter) + 1.0) << "retry " << r;
   }
 }
 
@@ -57,17 +52,9 @@ TEST(RpcOptions, ValidateRejectsNonsense) {
   zero_deadline.deadline = SimTime::zero();
   EXPECT_EQ(zero_deadline.validate().code(), Errc::invalid_argument);
 
-  RpcOptions shrinking;
-  shrinking.backoff.multiplier = 0.5;
-  EXPECT_EQ(shrinking.validate().code(), Errc::invalid_argument);
-
   RpcOptions inverted_cap;
   inverted_cap.backoff.cap = SimTime::millis(1);
   EXPECT_EQ(inverted_cap.validate().code(), Errc::invalid_argument);
-
-  RpcOptions wild_jitter;
-  wild_jitter.backoff.jitter = 1.5;
-  EXPECT_EQ(wild_jitter.validate().code(), Errc::invalid_argument);
 
   RpcOptions zero_initial;
   zero_initial.backoff.initial = SimTime::zero();
@@ -87,13 +74,14 @@ TEST_F(TrackerFixture, CompletesOnceAndCancelledDeadlineDoesNotAdvanceTime) {
   opts.deadline = SimTime::seconds(60);
   int fired = 0;
   Result<int> got = 0;
-  rpc.track<int>(
-      1, opts,
-      [&](Result<int> r, SimTime) {
-        ++fired;
-        got = std::move(r);
-      },
-      [](std::uint32_t) { return Status::ok(); });
+  ASSERT_TRUE(rpc.track<int>(
+                    1, opts,
+                    [&](Result<int> r, SimTime) {
+                      ++fired;
+                      got = std::move(r);
+                    },
+                    [](std::uint32_t) { return Status::ok(); })
+                  .is_ok());
   EXPECT_TRUE(rpc.in_flight(1));
   net.schedule_after(SimTime::millis(100), [&] { EXPECT_TRUE(rpc.complete<int>(1, 7)); });
   net.run();
@@ -111,26 +99,32 @@ TEST_F(TrackerFixture, CompletesOnceAndCancelledDeadlineDoesNotAdvanceTime) {
 }
 
 TEST_F(TrackerFixture, RetriesAfterAttemptTimeoutThenCompletes) {
+  static_assert(kMaxRetries >= 2, "the second retry must still be in budget");
   RpcOptions opts;
   opts.deadline = SimTime::seconds(1);
-  opts.max_retries = 3;
-  int resends = 0;
+  int sends = 0;
   int fired = 0;
-  rpc.track<int>(
-      9, opts, [&](Result<int> r, SimTime) { ++fired; EXPECT_TRUE(r.is_ok()); },
-      [&](std::uint32_t attempt) {
-        ++resends;
-        EXPECT_EQ(attempt, static_cast<std::uint32_t>(resends));
-        if (resends == 2) {
-          // The second resend finally "reaches" the server.
-          net.schedule_after(SimTime::millis(10),
-                             [&] { EXPECT_TRUE(rpc.complete<int>(9, 1)); });
-        }
-        return Status::ok();
-      });
+  ASSERT_TRUE(rpc.track<int>(
+                    9, opts,
+                    [&](Result<int> r, SimTime) {
+                      ++fired;
+                      EXPECT_TRUE(r.is_ok());
+                    },
+                    [&](std::uint32_t attempt) {
+                      // Attempt 0 is the first send, then the 1-based retries.
+                      EXPECT_EQ(attempt, static_cast<std::uint32_t>(sends));
+                      ++sends;
+                      if (attempt == 2) {
+                        // The second retry finally "reaches" the server.
+                        net.schedule_after(SimTime::millis(10),
+                                           [&] { EXPECT_TRUE(rpc.complete<int>(9, 1)); });
+                      }
+                      return Status::ok();
+                    })
+                  .is_ok());
   net.run();
   EXPECT_EQ(fired, 1);
-  EXPECT_EQ(resends, 2);
+  EXPECT_EQ(sends, 3);
   const RpcStats st = rpc.stats();
   EXPECT_EQ(st.completed, 1u);
   EXPECT_EQ(st.retries, 2u);
@@ -141,51 +135,55 @@ TEST_F(TrackerFixture, RetriesAfterAttemptTimeoutThenCompletes) {
 TEST_F(TrackerFixture, ExhaustionDeliversTimeoutExactlyOnce) {
   RpcOptions opts;
   opts.deadline = SimTime::seconds(1);
-  opts.max_retries = 2;  // 3 attempts total
   std::vector<std::pair<std::uint64_t, std::uint32_t>> observed;
   rpc.set_timeout_observer([&](std::uint64_t req, std::uint32_t attempt) {
     observed.emplace_back(req, attempt);
   });
   int fired = 0;
   Errc code = Errc::ok;
-  rpc.track<int>(
-      5, opts,
-      [&](Result<int> r, SimTime) {
-        ++fired;
-        ASSERT_FALSE(r.is_ok());
-        code = r.status().code();
-      },
-      [](std::uint32_t) { return Status::ok(); });
+  ASSERT_TRUE(rpc.track<int>(
+                    5, opts,
+                    [&](Result<int> r, SimTime) {
+                      ++fired;
+                      ASSERT_FALSE(r.is_ok());
+                      code = r.status().code();
+                    },
+                    [](std::uint32_t) { return Status::ok(); })
+                  .is_ok());
   net.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(code, Errc::timeout);
   const RpcStats st = rpc.stats();
-  EXPECT_EQ(st.attempt_timeouts, 3u);
-  EXPECT_EQ(st.retries, 2u);
+  EXPECT_EQ(st.attempt_timeouts, kMaxRetries + 1);  // every attempt timed out
+  EXPECT_EQ(st.retries, kMaxRetries);
   EXPECT_EQ(st.exhausted, 1u);
   EXPECT_EQ(st.completed, 0u);
   EXPECT_EQ(rpc.pending(), 0u);
   // The observer saw every attempt timeout, in order.
-  ASSERT_EQ(observed.size(), 3u);
-  EXPECT_EQ(observed[0], (std::pair<std::uint64_t, std::uint32_t>{5, 0}));
-  EXPECT_EQ(observed[1], (std::pair<std::uint64_t, std::uint32_t>{5, 1}));
-  EXPECT_EQ(observed[2], (std::pair<std::uint64_t, std::uint32_t>{5, 2}));
+  ASSERT_EQ(observed.size(), kMaxRetries + 1);
+  for (std::uint32_t attempt = 0; attempt <= kMaxRetries; ++attempt) {
+    EXPECT_EQ(observed[attempt], (std::pair<std::uint64_t, std::uint32_t>{5, attempt}));
+  }
 }
 
 TEST_F(TrackerFixture, ResendRefusalDeliversUnreachable) {
   RpcOptions opts;
   opts.deadline = SimTime::seconds(1);
-  opts.max_retries = 3;
   int fired = 0;
   Errc code = Errc::ok;
-  rpc.track<int>(
-      6, opts,
-      [&](Result<int> r, SimTime) {
-        ++fired;
-        ASSERT_FALSE(r.is_ok());
-        code = r.status().code();
-      },
-      [](std::uint32_t) -> Status { return {Errc::not_found, "no route"}; });
+  ASSERT_TRUE(rpc.track<int>(
+                    6, opts,
+                    [&](Result<int> r, SimTime) {
+                      ++fired;
+                      ASSERT_FALSE(r.is_ok());
+                      code = r.status().code();
+                    },
+                    // The first send leaves; the route is gone by the retry.
+                    [](std::uint32_t attempt) -> Status {
+                      if (attempt == 0) return Status::ok();
+                      return {Errc::not_found, "no route"};
+                    })
+                  .is_ok());
   net.run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(code, Errc::unreachable);
@@ -195,9 +193,10 @@ TEST_F(TrackerFixture, ResendRefusalDeliversUnreachable) {
 TEST_F(TrackerFixture, DuplicateCompletionIsCountedAndIgnored) {
   RpcOptions opts;
   int fired = 0;
-  rpc.track<int>(
-      3, opts, [&](Result<int>, SimTime) { ++fired; },
-      [](std::uint32_t) { return Status::ok(); });
+  ASSERT_TRUE(rpc.track<int>(
+                    3, opts, [&](Result<int>, SimTime) { ++fired; },
+                    [](std::uint32_t) { return Status::ok(); })
+                  .is_ok());
   EXPECT_TRUE(rpc.complete<int>(3, 1));
   EXPECT_FALSE(rpc.complete<int>(3, 2));  // late duplicate: counted, dropped
   EXPECT_FALSE(rpc.complete<int>(777, 2));  // never tracked: same treatment
@@ -206,31 +205,42 @@ TEST_F(TrackerFixture, DuplicateCompletionIsCountedAndIgnored) {
   EXPECT_EQ(rpc.stats().duplicates, 2u);
 }
 
-TEST_F(TrackerFixture, CancelUnwindsWithoutCallback) {
+TEST_F(TrackerFixture, RefusedFirstSendIsReturnedAndCountedNowhere) {
+  obs::Counter& started = obs::MetricsRegistry::global().counter("rpc.started");
+  const std::uint64_t started_before = started.value();
   RpcOptions opts;
   int fired = 0;
-  rpc.track<int>(
+  int sends = 0;
+  const Status s = rpc.track<int>(
       4, opts, [&](Result<int>, SimTime) { ++fired; },
-      [](std::uint32_t) { return Status::ok(); });
-  rpc.cancel(4);
+      [&](std::uint32_t) -> Status {
+        ++sends;
+        return {Errc::unavailable, "no route"};
+      });
+  EXPECT_EQ(s.code(), Errc::unavailable);
   net.run();
+  EXPECT_EQ(sends, 1);  // no retry either
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(rpc.pending(), 0u);
-  // A cancelled request never left the station: not counted as started.
+  // The request never left the station: not started, here or process-wide.
   EXPECT_EQ(rpc.stats().started, 0u);
+  EXPECT_EQ(started.value() - started_before, 0u);
+  // The deadline armed before the send was cancelled with it.
+  EXPECT_EQ(net.now(), SimTime::zero());
 }
 
 TEST_F(TrackerFixture, FailDeliversTerminalErrorOnce) {
   RpcOptions opts;
   int fired = 0;
   Errc code = Errc::ok;
-  rpc.track<int>(
-      8, opts,
-      [&](Result<int> r, SimTime) {
-        ++fired;
-        code = r.status().code();
-      },
-      [](std::uint32_t) { return Status::ok(); });
+  ASSERT_TRUE(rpc.track<int>(
+                    8, opts,
+                    [&](Result<int> r, SimTime) {
+                      ++fired;
+                      code = r.status().code();
+                    },
+                    [](std::uint32_t) { return Status::ok(); })
+                  .is_ok());
   rpc.fail(8, Error{Errc::not_found, "the root does not have it"});
   rpc.fail(8, Error{Errc::not_found, "again"});  // duplicate: counted
   net.run();
@@ -241,46 +251,18 @@ TEST_F(TrackerFixture, FailDeliversTerminalErrorOnce) {
 
 // Same seed, same scenario: the retry/backoff schedule is bit-identical, so
 // the terminal failure lands at exactly the same simulated instant.
-TEST_F(TrackerFixture, LifecycleSpanJoinsCallerTrace) {
-  auto& tracer = obs::Tracer::global();
-  tracer.clear();
-  tracer.set_enabled(true);
-  RpcOptions opts;
-  opts.deadline = SimTime::seconds(1);
-  opts.trace = obs::TraceContext{/*trace_id=*/0xabcd, /*span_id=*/77, true};
-  opts.trace_name = "rpc.unit";
-  rpc.track<int>(
-      5, opts, [](Result<int>, SimTime) {},
-      [](std::uint32_t) { return Status::ok(); });
-  net.schedule_after(SimTime::millis(10), [&] { EXPECT_TRUE(rpc.complete<int>(5, 1)); });
-  net.run();
-
-  // One durable span covering the whole rpc, parented on the caller's span
-  // and stamped with the caller's trace id and this station.
-  auto spans = tracer.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].name, "rpc.unit");
-  EXPECT_EQ(spans[0].trace_id, 0xabcdu);
-  EXPECT_EQ(spans[0].parent, 77u);
-  EXPECT_EQ(spans[0].station, self.value());
-  EXPECT_TRUE(spans[0].finished);
-  EXPECT_EQ(spans[0].end, SimTime::millis(10));
-  tracer.set_enabled(false);
-  tracer.clear();
-}
-
 TEST(RpcDeterminism, SameSeedExhaustsAtTheSameInstant) {
   auto run_once = [] {
     net::SimNetwork net(1234);
     StationId self = net.add_station();
-    RpcTracker rpc(net, self, /*seed=*/0xfeed);
+    RpcTracker rpc(net, self);
     RpcOptions opts;
     opts.deadline = SimTime::seconds(1);
-    opts.max_retries = 4;
     SimTime terminal = SimTime::zero();
-    rpc.track<int>(
-        1, opts, [&](Result<int>, SimTime t) { terminal = t; },
-        [](std::uint32_t) { return Status::ok(); });
+    EXPECT_TRUE(rpc.track<int>(
+                       1, opts, [&](Result<int>, SimTime t) { terminal = t; },
+                       [](std::uint32_t) { return Status::ok(); })
+                    .is_ok());
     net.run();
     return terminal.as_micros();
   };

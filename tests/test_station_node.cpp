@@ -456,10 +456,6 @@ TEST(StationNode, ConfigValidationRejectsNonsense) {
   zero_deadline.rpc.deadline = SimTime::zero();
   EXPECT_EQ(zero_deadline.validate().code(), Errc::invalid_argument);
 
-  StationConfig zero_threshold;
-  zero_threshold.failover_threshold = 0;
-  EXPECT_EQ(zero_threshold.validate().code(), Errc::invalid_argument);
-
   StationConfig no_bandwidth;
   no_bandwidth.min_bandwidth_bps = 0.0;
   EXPECT_EQ(no_bandwidth.validate().code(), Errc::invalid_argument);

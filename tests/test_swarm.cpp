@@ -9,6 +9,7 @@
 
 #include "dist/station_node.hpp"
 #include "net/sim_network.hpp"
+#include "swarm/config.hpp"
 #include "swarm/gossip.hpp"
 #include "swarm/scheduler.hpp"
 #include "swarm/stripe_tree.hpp"
@@ -124,27 +125,22 @@ TEST(Gossip, TreeLinksAreSymmetric) {
 
 // --- scheduler ---------------------------------------------------------------
 
-SwarmConfig sched_config() {
-  SwarmConfig cfg;
-  cfg.enabled = true;
-  cfg.trees = 2;
-  cfg.link_window = 2;
-  cfg.request_batch = 8;
-  // Pinned so the timing assertions below don't drift with the defaults.
-  cfg.stall_timeout = SimTime::millis(750);
-  cfg.startup_grace = SimTime::seconds(3.0);
-  return cfg;
-}
+// The scheduler runs on the constants in swarm/config.hpp; each test below
+// states its expectation in terms of them. Two more chunks than one link's
+// window, so the window decides what is planned.
+constexpr std::uint32_t kTrees = 2;
+constexpr std::uint32_t kOverWindow = kLinkWindow + 2;
+static_assert(kLinkWindow + 1 <= kPullWindow && kLinkWindow <= kRequestBatch,
+              "the tests below are bounded by one link's window alone");
 
 TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
-  auto cfg = sched_config();
-  SwarmScheduler s(8, cfg, 42, SimTime::zero());
+  SwarmScheduler s(kOverWindow, kTrees, 42, SimTime::zero());
   // No stripe parents set: every tree counts as stalled, pulls are free.
   s.add_peer(2);
   s.add_peer(3);
-  Bitmap common(8);
-  for (std::uint32_t g = 0; g < 8; ++g) common.set(g);
-  Bitmap rare(8);
+  Bitmap common(kOverWindow);
+  for (std::uint32_t g = 0; g < kOverWindow; ++g) common.set(g);
+  Bitmap rare(kOverWindow);
   rare.set(5);
   s.peer_update(2, common.words());
   s.peer_update(3, rare.words());
@@ -153,7 +149,7 @@ TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
   // Chunk 5 is held by both peers (availability 2), everything else only
   // by peer 2 (availability 1). The availability-1 chunks are planned
   // first and fill peer 2's window; chunk 5 then lands on peer 3, the only
-  // chunk it can serve — 3 chunks in flight total.
+  // chunk it can serve — kLinkWindow + 1 chunks in flight total.
   std::set<std::uint32_t> planned;
   bool five_on_peer3 = false;
   for (const auto& p : plans) {
@@ -162,34 +158,65 @@ TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
       if (p.peer == 3 && g == 5) five_on_peer3 = true;
     }
   }
-  EXPECT_EQ(planned.size(), 3u);
-  EXPECT_EQ(s.in_flight(), 3u);
+  EXPECT_EQ(planned.size(), kLinkWindow + 1);
+  EXPECT_EQ(s.in_flight(), kLinkWindow + 1);
   EXPECT_TRUE(planned.contains(5));
   EXPECT_TRUE(five_on_peer3);
+
+  // With far more candidates than the pull window holds, the order decides
+  // what is planned: kLinkWindow chunks that only peer 2 holds, spread among
+  // many that peers 2, 3 and 4 all hold, must all make the cut.
+  constexpr std::uint32_t kMany = 8 * kPullWindow;
+  constexpr std::uint32_t kStep = kMany / kLinkWindow;
+  SwarmScheduler wide(kMany, kTrees, 42, SimTime::zero());
+  Bitmap every(kMany);
+  Bitmap all_but_rare(kMany);
+  for (std::uint32_t g = 0; g < kMany; ++g) {
+    every.set(g);
+    if (g % kStep != 0) all_but_rare.set(g);
+  }
+  wide.peer_update(2, every.words());
+  wide.peer_update(3, all_but_rare.words());
+  wide.peer_update(4, all_but_rare.words());
+  std::set<std::uint32_t> on_peer2;
+  for (const auto& p : wide.plan(SimTime::seconds(10))) {
+    if (p.peer == 2) on_peer2.insert(p.chunks.begin(), p.chunks.end());
+  }
+  EXPECT_EQ(wide.in_flight(), kPullWindow);
+  for (std::uint32_t g = 0; g < kMany; g += kStep) {
+    EXPECT_TRUE(on_peer2.contains(g)) << "scarce chunk " << g << " not planned";
+  }
 }
 
 TEST(Scheduler, InFlightChunksAreNeverReplanned) {
-  auto cfg = sched_config();
-  SwarmScheduler s(4, cfg, 42, SimTime::zero());
+  SwarmScheduler s(kOverWindow, kTrees, 42, SimTime::zero());
   s.add_peer(2);
-  Bitmap all(4);
-  for (std::uint32_t g = 0; g < 4; ++g) all.set(g);
+  Bitmap all(kOverWindow);
+  for (std::uint32_t g = 0; g < kOverWindow; ++g) all.set(g);
   s.peer_update(2, all.words());
   auto first = s.plan(SimTime::seconds(10));
   ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0].chunks.size(), 2u);  // link_window
+  EXPECT_EQ(first[0].chunks.size(), kLinkWindow);
   // Same instant: everything plannable is in flight, nothing new.
   auto second = s.plan(SimTime::seconds(10));
   EXPECT_TRUE(second.empty());
   // Past the request timeout the requests expire and re-plan.
-  auto third = s.plan(SimTime::seconds(10) + cfg.request_timeout + SimTime::millis(1));
+  const SimTime later = SimTime::seconds(10) + kRequestTimeout + SimTime::millis(1);
+  auto third = s.plan(later);
   ASSERT_EQ(third.size(), 1u);
-  EXPECT_EQ(third[0].chunks.size(), 2u);
+  EXPECT_EQ(third[0].chunks.size(), kLinkWindow);
+  // A second holder gets only the chunks that are not in flight.
+  s.peer_update(3, all.words());
+  auto fourth = s.plan(later);
+  ASSERT_EQ(fourth.size(), 1u);
+  EXPECT_EQ(fourth[0].peer, 3u);
+  EXPECT_EQ(fourth[0].chunks.size(), kOverWindow - kLinkWindow);
+  const std::set<std::uint32_t> in_flight(third[0].chunks.begin(), third[0].chunks.end());
+  for (std::uint32_t g : fourth[0].chunks) EXPECT_FALSE(in_flight.contains(g)) << g;
 }
 
 TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
-  auto cfg = sched_config();
-  SwarmScheduler s(8, cfg, 42, SimTime::zero());
+  SwarmScheduler s(8, kTrees, 42, SimTime::zero());
   s.set_stripe_parent(0, 5);
   s.set_stripe_parent(1, 9);
   s.add_peer(2);
@@ -197,13 +224,15 @@ TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
   for (std::uint32_t g = 0; g < 8; ++g) all.set(g);
   s.peer_update(2, all.words());
   // Fresh progress on both trees: nothing is stalled, nothing is pulled.
-  s.mark_have(0, SimTime::millis(100));  // tree 0
-  s.mark_have(1, SimTime::millis(100));  // tree 1
-  EXPECT_TRUE(s.plan(SimTime::millis(200)).empty());
+  const SimTime start = SimTime::millis(100);
+  s.mark_have(0, start);  // tree 0
+  s.mark_have(1, start);  // tree 1
+  EXPECT_TRUE(s.plan(start + SimTime::millis(100)).empty());
   // Tree 1 goes quiet past the stall timeout; only its chunks (odd g) are
   // pulled, tree 0 keeps riding the pipeline.
-  s.mark_have(2, SimTime::seconds(1.2));  // tree 0 still progressing
-  auto plans = s.plan(SimTime::seconds(1.9));  // tree 1 quiet for 1.8s
+  const SimTime stalled = start + kStallTimeout + SimTime::millis(100);
+  s.mark_have(2, stalled - SimTime::millis(700));  // tree 0 still progressing
+  auto plans = s.plan(stalled);  // tree 1 quiet for kStallTimeout + 100 ms
   ASSERT_EQ(plans.size(), 1u);
   for (std::uint32_t g : plans[0].chunks) {
     EXPECT_EQ(stripe_of(g, 2), 1u) << "pulled a chunk of a healthy tree";
@@ -212,17 +241,16 @@ TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
 }
 
 TEST(Scheduler, MarkHaveClearsFlightAndTracksCompletion) {
-  auto cfg = sched_config();
-  SwarmScheduler s(4, cfg, 42, SimTime::zero());
+  SwarmScheduler s(kOverWindow, kTrees, 42, SimTime::zero());
   s.add_peer(2);
-  Bitmap all(4);
-  for (std::uint32_t g = 0; g < 4; ++g) all.set(g);
+  Bitmap all(kOverWindow);
+  for (std::uint32_t g = 0; g < kOverWindow; ++g) all.set(g);
   s.peer_update(2, all.words());
   (void)s.plan(SimTime::seconds(10));
-  EXPECT_EQ(s.in_flight(), 2u);
+  EXPECT_EQ(s.in_flight(), kLinkWindow);
   EXPECT_TRUE(s.mark_have(0, SimTime::seconds(11)));
   EXPECT_FALSE(s.mark_have(0, SimTime::seconds(11)));  // duplicate
-  for (std::uint32_t g = 1; g < 4; ++g) s.mark_have(g, SimTime::seconds(11));
+  for (std::uint32_t g = 1; g < kOverWindow; ++g) s.mark_have(g, SimTime::seconds(11));
   EXPECT_EQ(s.in_flight(), 0u);  // arrivals settle every outstanding request
   EXPECT_TRUE(s.complete());
   EXPECT_TRUE(s.peers_complete());
