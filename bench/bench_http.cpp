@@ -249,7 +249,7 @@ int main(int argc, char** argv) {
   // Evaluate the SLO engine every 250 ms: short enough that a stall drill
   // fires its fast-burn alert within the bench run, long enough to be
   // negligible per request.
-  gw_cfg.slo.eval_period_micros = 250'000;
+  gw_cfg.slo_eval_period_micros = 250'000;
   http::Gateway gateway(gw_cfg, shard_ptrs, &stalling);
 
   http::ServerConfig server_cfg;

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <limits>
 
+#include "common/json.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "storage/database.hpp"
@@ -121,7 +122,7 @@ Gateway::Gateway(GatewayConfig cfg, std::vector<library::VirtualLibrary*> shards
                  DocumentSource* docs)
     : shards_(std::move(shards)),
       docs_(docs),
-      slo_(cfg.slo) {
+      slo_(cfg.slo_eval_period_micros) {
   for (const auto* shard : shards_) {
     for (const auto& [_, entry] : shard->entries()) index_.add_entry(entry);
   }
@@ -140,10 +141,9 @@ Gateway::Gateway(GatewayConfig cfg, std::vector<library::VirtualLibrary*> shards
   requests_total_ = &reg.counter("http.requests_total");
   responses_5xx_ = &reg.counter("http.responses_5xx");
 
-  // The gateway is the tracing edge: it owns the process RequestTracer
-  // configuration (trace ids restart from zero here, so same-seed runs mint
-  // the same ids and promote the same head-sampled set).
-  obs::RequestTracer::global().configure(cfg.trace);
+  // The gateway is the tracing edge: trace ids restart from zero here, so
+  // same-seed runs mint the same ids and promote the same head-sampled set.
+  obs::RequestTracer::global().restart_trace_ids();
 
   for (const char* endpoint : {"search", "doc"}) {
     obs::SloObjective latency;
@@ -291,7 +291,7 @@ void Gateway::maybe_evaluate_slo(std::int64_t now) {
   if (now < due) return;
   // One winner per period; losers skip rather than queueing behind the
   // engine mutex.
-  if (!next_slo_eval_.compare_exchange_strong(due, now + slo_.windows().eval_period_micros,
+  if (!next_slo_eval_.compare_exchange_strong(due, now + slo_.eval_period_micros(),
                                               std::memory_order_relaxed)) {
     return;
   }

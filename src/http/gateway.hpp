@@ -23,9 +23,10 @@
 // http.responses{status=...}, feeds the http.request_micros{endpoint=...}
 // log2 histogram, and slow or 5xx requests leave a flight-recorder event.
 // The gateway is also the tracing edge: each request gets a TraceContext
-// (deterministic head sampling + tail-based capture of slow/erroring
-// requests, obs/request_trace.hpp), promoted requests stamp histogram
-// exemplars, and an SloEngine evaluates burn-rate alerts once per period.
+// (1% deterministic head sampling + capture of every request that errors or
+// takes 20 ms or more, obs/request_trace.hpp), promoted requests stamp
+// histogram exemplars, and an SloEngine evaluates burn-rate alerts once per
+// period, the one setting in GatewayConfig.
 #pragma once
 
 #include <atomic>
@@ -73,13 +74,10 @@ class StorageDocumentSource final : public DocumentSource {
 };
 
 struct GatewayConfig {
-  // End-to-end tracing: the gateway is the edge that mints TraceContexts
-  // (see obs/request_trace.hpp). The constructor installs this into the
-  // process-wide RequestTracer.
-  obs::RequestTraceConfig trace;
-  // SLO evaluation windows (see obs/slo.hpp). The objectives are constants
-  // in gateway.cpp.
-  obs::SloWindows slo;
+  // How often the request path evaluates the SLOs (obs/slo.hpp). The
+  // objectives are constants in gateway.cpp, the window shape in slo.cpp,
+  // and the tracing policy in request_trace.cpp.
+  std::int64_t slo_eval_period_micros = 1'000'000;
 };
 
 class Gateway {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 
 namespace wdoc::http {
 
@@ -164,26 +163,6 @@ void split_target(std::string_view target, std::string& path,
                             ? std::string{}
                             : percent_decode(pair.substr(eq + 1), true);
     query.emplace_back(std::move(key), std::move(value));
-  }
-}
-
-void json_escape(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
   }
 }
 

@@ -76,8 +76,4 @@ void serialize_headers(const Response& r, std::string& out);
 void split_target(std::string_view target, std::string& path,
                   std::vector<std::pair<std::string, std::string>>& query);
 
-// Appends `s` to `out` with minimal JSON string escaping, for gateway
-// response bodies.
-void json_escape(std::string& out, std::string_view s);
-
 }  // namespace wdoc::http

@@ -57,15 +57,6 @@ bool SimNetwork::is_online(StationId id) const {
   return s != nullptr && s->online;
 }
 
-Status SimNetwork::set_pair_latency(StationId a, StationId b, SimTime latency) {
-  if (!has_station(a) || !has_station(b)) {
-    return {Errc::not_found, "no such station"};
-  }
-  if (b < a) std::swap(a, b);
-  pair_latency_[{a, b}] = latency;
-  return Status::ok();
-}
-
 SimTime SimNetwork::transfer_time(std::uint64_t bytes, double bps) {
   if (bps <= 0) return SimTime::seconds(3600);  // effectively stalled
   return SimTime::seconds(static_cast<double>(bytes) * 8.0 / bps);
@@ -126,15 +117,9 @@ Status SimNetwork::send(Message msg) {
   // Uplink serialization (FIFO behind this sender's earlier messages).
   SimTime depart = std::max(now_, from->up_busy_until) + transfer_time(size, from->link.up_bps);
   from->up_busy_until = depart;
-  // Propagation: a per-pair override wins; otherwise the two stations'
-  // to-core latencies add. Jitter adds a uniform sample from each side.
+  // Propagation: the two stations' to-core latencies add. Jitter adds a
+  // uniform sample from each side.
   SimTime propagation = from->link.latency + to->link.latency;
-  if (!pair_latency_.empty()) {
-    StationId lo = msg.from, hi = msg.to;
-    if (hi < lo) std::swap(lo, hi);
-    auto pit = pair_latency_.find({lo, hi});
-    if (pit != pair_latency_.end()) propagation = pit->second;
-  }
   for (const StationLink* link : {&from->link, &to->link}) {
     if (link->jitter_max > SimTime::zero()) {
       propagation += SimTime::micros(static_cast<std::int64_t>(

@@ -84,10 +84,6 @@ class SimNetwork final : public Fabric {
     const Station* s = station(id);
     return s == nullptr ? 0.0 : s->link.up_bps;
   }
-  // Overrides the end-to-end propagation latency for one station pair
-  // (symmetric), replacing the sum of the two per-station latencies — e.g.
-  // two stations on the same LAN vs an overseas partner university.
-  [[nodiscard]] Status set_pair_latency(StationId a, StationId b, SimTime latency);
 
   // --- traffic ------------------------------------------------------------
   [[nodiscard]] Status send(Message msg) override;
@@ -178,7 +174,6 @@ class SimNetwork final : public Fabric {
   }
 
   std::vector<Station> stations_;
-  std::map<std::pair<StationId, StationId>, SimTime> pair_latency_;
   // Active fault state, keyed by station. Partition groups: stations in the
   // same group (or both ungrouped, group 0) can talk; across groups they
   // cannot.

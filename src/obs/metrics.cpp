@@ -6,6 +6,7 @@
 #include <functional>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/result.hpp"
 
@@ -241,21 +242,6 @@ std::string fmt_num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   return buf;
-}
-
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
 }
 
 void append_name_labels(std::string& out, const MetricSample& s) {

@@ -32,6 +32,19 @@ struct TraceMetrics {
   }
 };
 
+// The tracing policy (see request_trace.hpp). Head sampling keeps 1% of
+// trace ids: the coin is the low 32 bits of a hash of the id, so the rate
+// is kept as its threshold on 2^32.
+constexpr std::uint64_t kHeadSampleThreshold =
+    static_cast<std::uint64_t>(0.01 * 4294967296.0);
+static_assert(kHeadSampleThreshold == 42'949'672);
+// Requests at least this slow are promoted even when not head-sampled.
+constexpr std::int64_t kTailLatencyMicros = 20'000;
+// Seeds both the trace-id sequence and the head coin.
+constexpr std::uint64_t kSeed = 0x7ace;
+// Bound on a request's provisional buffer, root span included.
+constexpr std::size_t kMaxSpansPerRequest = 128;
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -63,6 +76,27 @@ SpanRecord* find_span(std::vector<SpanRecord>& spans, std::uint64_t id) {
   return nullptr;
 }
 
+// Opens a provisional span under this thread's ambient context. Returns 0
+// when no request is open or the request's buffer is full.
+std::uint64_t begin_span(std::string name, SimTime at) {
+  ThreadState& t = t_state;
+  if (!t.ctx.active()) return 0;
+  if (t.spans.size() >= kMaxSpansPerRequest) {
+    ++t.overflow;
+    return 0;
+  }
+  SpanRecord rec;
+  rec.id = Tracer::allocate_id();
+  rec.trace_id = t.ctx.trace_id;
+  rec.parent = t.ctx.span_id;
+  rec.station = t.spans.front().station;
+  rec.name = std::move(name);
+  rec.start = at;
+  rec.end = at;
+  t.spans.push_back(std::move(rec));
+  return t.spans.back().id;
+}
+
 }  // namespace
 
 RequestTracer& RequestTracer::global() {
@@ -70,36 +104,21 @@ RequestTracer& RequestTracer::global() {
   return *t;
 }
 
-void RequestTracer::configure(const RequestTraceConfig& cfg) {
-  std::lock_guard<std::mutex> g(mu_);
-  cfg_ = cfg;
+void RequestTracer::restart_trace_ids() {
   next_trace_.store(0, std::memory_order_relaxed);
 }
 
-RequestTraceConfig RequestTracer::config() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return cfg_;
-}
-
 TraceContext RequestTracer::mint() {
-  RequestTraceConfig cfg = config();
-  if (!cfg.enabled) return {};
   const std::uint64_t n = next_trace_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t id = splitmix64(cfg.seed * 0x2545f4914f6cdd1dULL + n);
+  std::uint64_t id = splitmix64(kSeed * 0x2545f4914f6cdd1dULL + n);
   if (id == 0) id = 1;
   return TraceContext{id, 0, head_sampled(id)};
 }
 
-bool RequestTracer::head_sampled(std::uint64_t trace_id) const {
-  RequestTraceConfig cfg = config();
-  double rate = cfg.head_sample_rate;
-  if (rate <= 0.0) return false;
-  if (rate >= 1.0) return true;
-  const auto threshold =
-      static_cast<std::uint64_t>(rate * 4294967296.0);  // rate * 2^32
+bool RequestTracer::head_sampled(std::uint64_t trace_id) {
   const std::uint64_t coin =
-      splitmix64(trace_id ^ cfg.seed ^ 0x5a17b3c9d02e8f4bULL) & 0xffffffffULL;
-  return coin < threshold;
+      splitmix64(trace_id ^ kSeed ^ 0x5a17b3c9d02e8f4bULL) & 0xffffffffULL;
+  return coin < kHeadSampleThreshold;
 }
 
 TraceContext RequestTracer::start_request(std::string name, SimTime at,
@@ -107,7 +126,6 @@ TraceContext RequestTracer::start_request(std::string name, SimTime at,
   ThreadState& t = t_state;
   t.reset();  // a leaked previous request is discarded wholesale
   TraceContext ctx = mint();
-  if (!ctx.active()) return ctx;
   SpanRecord root;
   root.id = Tracer::allocate_id();
   root.trace_id = ctx.trace_id;
@@ -134,7 +152,6 @@ bool RequestTracer::finish_request(const TraceContext& ctx, SimTime at, bool err
   root.finished = true;
   const std::int64_t latency = (at - root.start).as_micros();
 
-  RequestTraceConfig cfg = config();
   auto& m = TraceMetrics::get();
   m.requests.inc();
   if (t.overflow != 0) m.provisional_dropped.inc(t.overflow);
@@ -147,7 +164,7 @@ bool RequestTracer::finish_request(const TraceContext& ctx, SimTime at, bool err
     reason = &m.promoted_head;
   } else if (error) {
     reason = &m.promoted_error;
-  } else if (latency >= cfg.tail_latency_micros) {
+  } else if (latency >= kTailLatencyMicros) {
     reason = &m.promoted_tail;
   }
   bool promoted = reason != nullptr;
@@ -163,34 +180,6 @@ bool RequestTracer::finish_request(const TraceContext& ctx, SimTime at, bool err
 
 TraceContext RequestTracer::current() { return t_state.ctx; }
 
-std::uint64_t RequestTracer::begin_span(std::string name, SimTime at) {
-  ThreadState& t = t_state;
-  if (!t.ctx.active()) return 0;
-  if (t.spans.size() >= config().max_spans_per_request) {
-    ++t.overflow;
-    return 0;
-  }
-  SpanRecord rec;
-  rec.id = Tracer::allocate_id();
-  rec.trace_id = t.ctx.trace_id;
-  rec.parent = t.ctx.span_id;
-  rec.station = t.spans.front().station;
-  rec.name = std::move(name);
-  rec.start = at;
-  rec.end = at;
-  t.spans.push_back(std::move(rec));
-  return t.spans.back().id;
-}
-
-void RequestTracer::end_span(std::uint64_t span_id, SimTime at) {
-  if (span_id == 0) return;
-  ThreadState& t = t_state;
-  SpanRecord* rec = find_span(t.spans, span_id);
-  if (rec == nullptr) return;
-  rec->end = at;
-  rec->finished = true;
-}
-
 // --- SpanScope ---------------------------------------------------------------
 
 SimTime SpanScope::wall_now() {
@@ -203,7 +192,7 @@ SimTime SpanScope::wall_now() {
 SpanScope::SpanScope(std::string name) : SpanScope(std::move(name), wall_now()) {}
 
 SpanScope::SpanScope(std::string name, SimTime start) {
-  span_id_ = RequestTracer::global().begin_span(std::move(name), start);
+  span_id_ = begin_span(std::move(name), start);
   // Children opened while this scope lives nest under it.
   if (span_id_ != 0) t_state.ctx.span_id = span_id_;
 }
@@ -211,10 +200,13 @@ SpanScope::SpanScope(std::string name, SimTime start) {
 void SpanScope::end(SimTime at) {
   if (span_id_ == 0) return;
   ThreadState& t = t_state;
-  RequestTracer::global().end_span(span_id_, at);
+  SpanRecord* rec = find_span(t.spans, span_id_);
+  if (rec != nullptr) {
+    rec->end = at;
+    rec->finished = true;
+  }
   // Restore the parent chain if this scope is still the current parent.
   if (t.ctx.span_id == span_id_) {
-    SpanRecord* rec = find_span(t.spans, span_id_);
     t.ctx.span_id = rec != nullptr ? rec->parent : t.root_span;
   }
   span_id_ = 0;

@@ -4,13 +4,19 @@
 // request's spans are provisionally buffered in a bounded per-thread ring —
 // never in the durable Tracer — and the whole buffer is promoted at request
 // end only if the request
-//   * won the deterministic head-sampling coin (a seed-stable function of
-//     the trace id, so same-seed runs promote the same trace set),
+//   * won the deterministic head-sampling coin (1% of trace ids: a pure
+//     function of the trace id under a fixed seed, so same-seed runs
+//     promote the same trace set),
 //   * errored (5xx at the edge), or
-//   * exceeded the tail-latency threshold.
+//   * took at least 20,000 µs, the tail-latency threshold.
 // Everything else is discarded wholesale. Slow and failed requests are
 // therefore ALWAYS fully traced, at any request rate, while the steady
-// state pays only the head-sample rate in durable-buffer space.
+// state pays only the head-sample rate in durable-buffer space. A request
+// buffers at most 128 spans (root included); spans past that are counted in
+// obs.trace.provisional_dropped and not recorded.
+//
+// Tracing is always on, and the policy above is a set of constants in
+// request_trace.cpp: no span takes a lock or reads a configuration.
 //
 // Sampling state machine per request:
 //
@@ -26,12 +32,11 @@
 // worker-owns-connection model), so the ambient context is thread-local:
 // deep layers (federated search, the storage/txn path) attach spans with a
 // SpanScope and never thread a context through their signatures. Remote
-// stations join a trace via the wire fields on net::Message instead.
+// stations join a trace through the TraceContext a net::Message carries.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "common/sim_time.hpp"
@@ -39,41 +44,22 @@
 
 namespace wdoc::obs {
 
-struct RequestTraceConfig {
-  bool enabled = true;
-  // Probability a request is head-sampled. The coin is a pure function of
-  // (trace_id, seed), so the promoted set is deterministic per seed.
-  double head_sample_rate = 0.01;
-  // Requests at least this slow are promoted even when not head-sampled.
-  std::int64_t tail_latency_micros = 20'000;
-  std::uint64_t seed = 0x7ace;
-  // Bound on the provisional per-request buffer; spans past it are counted
-  // in obs.trace.provisional_dropped and not recorded.
-  std::size_t max_spans_per_request = 128;
-};
-
 class RequestTracer {
  public:
   [[nodiscard]] static RequestTracer& global();
 
-  // Replaces the configuration and restarts trace-id minting from zero so
-  // same-seed runs reproduce the same trace ids. Call at startup (the
+  // Restarts trace-id minting from zero, so same-seed runs mint the same
+  // trace ids and promote the same head-sampled set. Call at startup (the
   // gateway constructor does), not mid-traffic.
-  void configure(const RequestTraceConfig& cfg);
-  [[nodiscard]] RequestTraceConfig config() const;
+  void restart_trace_ids();
 
-  // Mints a context (deterministic trace id + head-sample verdict) without
-  // opening a request on this thread. For initiators whose spans go
-  // straight to the durable Tracer (the dist layer's pushes).
-  [[nodiscard]] TraceContext mint();
+  // Head-sample verdict for a trace id: the one definition of the coin,
+  // exposed so tests and remote joiners can reproduce it.
+  [[nodiscard]] static bool head_sampled(std::uint64_t trace_id);
 
-  // Head-sample verdict for a given trace id under the current config —
-  // exposed so tests and remote joiners can reproduce the coin.
-  [[nodiscard]] bool head_sampled(std::uint64_t trace_id) const;
-
-  // Opens a request on this thread: mints a context, begins the root span
-  // in the provisional buffer, and installs the context as this thread's
-  // ambient context. Returns an inactive context when disabled.
+  // Opens a request on this thread: mints a context (deterministic trace
+  // id + head-sample verdict), begins the root span in the provisional
+  // buffer, and installs the context as this thread's ambient context.
   [[nodiscard]] TraceContext start_request(std::string name, SimTime at,
                                            std::uint64_t station = 0);
 
@@ -86,16 +72,9 @@ class RequestTracer {
   // (trace_id 0) outside a start_request/finish_request window.
   [[nodiscard]] static TraceContext current();
 
-  // Explicit span control under the ambient context, for call sites whose
-  // lifetime does not nest lexically. Returns 0 when no request is active.
-  [[nodiscard]] std::uint64_t begin_span(std::string name, SimTime at);
-  void end_span(std::uint64_t span_id, SimTime at);
-
  private:
-  friend class SpanScope;
+  [[nodiscard]] TraceContext mint();
 
-  mutable std::mutex mu_;  // guards cfg_ swaps only; hot paths read a copy
-  RequestTraceConfig cfg_;
   std::atomic<std::uint64_t> next_trace_{0};
 };
 

@@ -4,11 +4,20 @@
 #include <cstdio>
 #include <set>
 
+#include "common/json.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace wdoc::obs {
 
 namespace {
+
+// Window shape, in evaluations, and burn-rate thresholds (see slo.hpp).
+constexpr std::size_t kShortEvals = 5;   // fast alert's short window
+constexpr std::size_t kLongEvals = 60;   // both alerts' long window
+constexpr std::size_t kSlowShortEvals = kLongEvals / 2;  // slow alert's short window
+constexpr double kFastBurn = 14.4;       // page-now threshold
+constexpr double kSlowBurn = 6.0;        // ticket threshold
+static_assert(kShortEvals <= kSlowShortEvals && kSlowShortEvals <= kLongEvals);
 
 // Live-engine registry backing dump_all(). Engines register for their
 // lifetime; dump_all snapshots whatever exists when a failure artifact is
@@ -37,7 +46,7 @@ struct SloEngine::Tracked {
     std::uint64_t good = 0;
     std::uint64_t total = 0;
   };
-  // Ring of cumulative points, capacity long_evals + 1 so a delta over the
+  // Ring of cumulative points, capacity kLongEvals + 1 so a delta over the
   // full long window needs exactly the oldest retained point.
   std::vector<Point> ring;
   std::size_t next = 0;   // write position
@@ -54,9 +63,8 @@ struct SloEngine::Tracked {
   }
 };
 
-SloEngine::SloEngine(SloWindows windows) : windows_(windows) {
-  windows_.short_evals = std::max<std::size_t>(1, windows_.short_evals);
-  windows_.long_evals = std::max(windows_.short_evals, windows_.long_evals);
+SloEngine::SloEngine(std::int64_t eval_period_micros)
+    : eval_period_micros_(eval_period_micros) {
   std::lock_guard<std::mutex> g(g_engines_mu);
   engines().insert(this);
 }
@@ -74,7 +82,7 @@ void SloEngine::add(SloObjective objective) {
   t->slow_alerts = &reg.counter(
       "obs.slo.alerts", {{"slo", objective.name}, {"severity", "slow"}});
   t->o = std::move(objective);
-  t->ring.resize(windows_.long_evals + 1);
+  t->ring.resize(kLongEvals + 1);
   std::lock_guard<std::mutex> g(mu_);
   tracked_.push_back(std::move(t));
 }
@@ -138,21 +146,15 @@ std::vector<SloStatus> SloEngine::evaluate(SimTime now) {
     SloStatus s;
     s.name = t.o.name;
     s.target = t.o.target;
-    s.short_ratio = window_ratio(windows_.short_evals, nullptr);
-    s.long_ratio = window_ratio(windows_.long_evals, &s.window_total);
+    s.short_ratio = window_ratio(kShortEvals, nullptr);
+    s.long_ratio = window_ratio(kLongEvals, &s.window_total);
     s.short_burn = burn_rate(1.0 - s.short_ratio, t.o.target);
     s.long_burn = burn_rate(1.0 - s.long_ratio, t.o.target);
-
-    // Slow severity confirms over half the long window; see slo.hpp.
-    const std::size_t slow_short =
-        std::max<std::size_t>(windows_.short_evals, windows_.long_evals / 2);
     const double slow_short_burn =
-        burn_rate(1.0 - window_ratio(slow_short, nullptr), t.o.target);
+        burn_rate(1.0 - window_ratio(kSlowShortEvals, nullptr), t.o.target);
 
-    s.fast_alert =
-        s.short_burn >= windows_.fast_burn && s.long_burn >= windows_.fast_burn;
-    s.slow_alert =
-        slow_short_burn >= windows_.slow_burn && s.long_burn >= windows_.slow_burn;
+    s.fast_alert = s.short_burn >= kFastBurn && s.long_burn >= kFastBurn;
+    s.slow_alert = slow_short_burn >= kSlowBurn && s.long_burn >= kSlowBurn;
 
     auto transition = [&](bool active, bool& latch, Counter* counter,
                           const char* severity, double burn) {
@@ -186,16 +188,15 @@ std::string SloEngine::to_json() const {
   std::snprintf(buf, sizeof buf,
                 "\"eval_period_micros\":%lld,\"short_evals\":%zu,"
                 "\"long_evals\":%zu,\"fast_burn\":%g,\"slow_burn\":%g},",
-                static_cast<long long>(windows_.eval_period_micros),
-                windows_.short_evals, windows_.long_evals, windows_.fast_burn,
-                windows_.slow_burn);
+                static_cast<long long>(eval_period_micros_), kShortEvals,
+                kLongEvals, kFastBurn, kSlowBurn);
   out += buf;
   out += "\"objectives\":[";
   for (std::size_t i = 0; i < last_.size(); ++i) {
     const SloStatus& s = last_[i];
     if (i != 0) out += ',';
     out += "{\"name\":\"";
-    out += s.name;
+    json_escape(out, s.name);
     std::snprintf(buf, sizeof buf,
                   "\",\"target\":%g,\"short_ratio\":%.6f,\"long_ratio\":%.6f,"
                   "\"short_burn\":%.3f,\"long_burn\":%.3f,\"window_total\":%llu,"

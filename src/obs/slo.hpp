@@ -10,9 +10,9 @@
 //   * availability:  good = total − bad, from two counters.
 //
 // The engine keeps a ring of cumulative (good, total) points, one per
-// evaluation period, and derives windowed ratios by subtracting ring
-// entries — no per-request work at all; the hot path touches only the
-// instruments it already touches. The burn rate of a window is
+// evaluation, and derives windowed ratios by subtracting ring entries — no
+// per-request work at all; the hot path touches only the instruments it
+// already touches. The burn rate of a window is
 //
 //     burn = bad_fraction(window) / (1 − target)
 //
@@ -20,11 +20,15 @@
 // being spent. An alert fires only when BOTH a short and a long window
 // exceed a burn threshold (the multi-window AND of Google's SRE workbook):
 // the long window proves the problem is sustained, the short window makes
-// the alert reset quickly once the problem stops.
+// the alert reset quickly once the problem stops. Windows count
+// evaluations, and their shape is fixed (constants in slo.cpp):
 //
-//   severity  short window          long window      burn threshold
-//   fast      short_evals periods   long_evals       fast_burn (14.4)
-//   slow      long_evals/2          long_evals       slow_burn (6.0)
+//   severity  short window     long window      burn threshold
+//   fast      5 evaluations    60 evaluations   14.4
+//   slow      30 evaluations   60 evaluations   6.0
+//
+// Only the evaluation period is settable; the engine reports it, and its
+// caller (the gateway) evaluates once per period.
 //
 // Alert transitions increment obs.slo.alerts{slo=,severity=} and record a
 // FlightKind::slo_burn event, so a failing CI run's artifacts show exactly
@@ -59,14 +63,6 @@ struct SloObjective {
   Counter* bad = nullptr;
 };
 
-struct SloWindows {
-  std::int64_t eval_period_micros = 1'000'000;  // ring granularity
-  std::size_t short_evals = 5;    // fast short window, in periods
-  std::size_t long_evals = 60;    // fast long window, in periods (= ring size)
-  double fast_burn = 14.4;        // page-now threshold
-  double slow_burn = 6.0;         // ticket threshold
-};
-
 // Point-in-time view of one objective, produced by evaluate().
 struct SloStatus {
   std::string name;
@@ -83,14 +79,14 @@ struct SloStatus {
 
 class SloEngine {
  public:
-  explicit SloEngine(SloWindows windows = {});
+  explicit SloEngine(std::int64_t eval_period_micros);
   ~SloEngine();
   SloEngine(const SloEngine&) = delete;
   SloEngine& operator=(const SloEngine&) = delete;
 
   void add(SloObjective objective);
 
-  [[nodiscard]] const SloWindows& windows() const { return windows_; }
+  [[nodiscard]] std::int64_t eval_period_micros() const { return eval_period_micros_; }
 
   // Samples every objective's instruments into the ring and recomputes
   // alert state. `now` stamps flight-recorder events; pass the caller's
@@ -114,7 +110,7 @@ class SloEngine {
   [[nodiscard]] static std::uint64_t good_count(const SloObjective& o);
   [[nodiscard]] static std::uint64_t total_count(const SloObjective& o);
 
-  SloWindows windows_;
+  const std::int64_t eval_period_micros_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Tracked>> tracked_;
   std::vector<SloStatus> last_;

@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
-
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
 
@@ -121,33 +119,6 @@ void Tracer::clear() {
   spans_.clear();
   index_.clear();
   dropped_ = 0;
-}
-
-std::string Tracer::to_json() const {
-  std::vector<SpanRecord> snap = spans();
-  std::string out = "[";
-  char buf[192];
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    const SpanRecord& s = snap[i];
-    std::string name;
-    for (char c : s.name) {
-      if (c == '"' || c == '\\') name += '\\';
-      name += c;
-    }
-    std::snprintf(buf, sizeof buf,
-                  "%s\n{\"id\":%llu,\"trace\":%llu,\"parent\":%llu,\"station\":%llu,"
-                  "\"name\":\"%s\",\"start_us\":%lld,\"end_us\":%lld,\"finished\":%s}",
-                  i == 0 ? "" : ",", static_cast<unsigned long long>(s.id),
-                  static_cast<unsigned long long>(s.trace_id),
-                  static_cast<unsigned long long>(s.parent),
-                  static_cast<unsigned long long>(s.station), name.c_str(),
-                  static_cast<long long>(s.start.as_micros()),
-                  static_cast<long long>(s.end.as_micros()),
-                  s.finished ? "true" : "false");
-    out += buf;
-  }
-  out += "\n]\n";
-  return out;
 }
 
 }  // namespace wdoc::obs

@@ -3,9 +3,9 @@
 // Spans are (id, trace, parent, name, start, end) records stamped with
 // SimTime, so a trace is deterministic when the clock is SimNetwork::now()
 // and wall-clock-since-start when it is ThreadTransport::now(). Parent ids
-// may come from another station's span (they travel in net::Message::
-// trace_parent, next to the trace id in net::Message::trace_id), which lets
-// a trace follow one lecture push — or one HTTP request — across every
+// may come from another station's span (a net::Message carries its sender's
+// TraceContext in `trace`: trace id, parent span and head verdict), which
+// lets a trace follow one lecture push — or one HTTP request — across every
 // station inside a single process, simulator or threads alike.
 //
 // A TraceContext names one end-to-end request: the trace id minted at the
@@ -95,9 +95,6 @@ class Tracer {
   [[nodiscard]] std::size_t span_count() const;
   [[nodiscard]] std::uint64_t dropped() const;
   void clear();
-
-  // Stable JSON array of spans in id order.
-  [[nodiscard]] std::string to_json() const;
 
  private:
   // Counts a capacity drop: bumps dropped_, the obs.trace.dropped counter,

@@ -6,18 +6,12 @@
 #include <map>
 #include <set>
 
+#include "common/json.hpp"
 #include "common/log.hpp"
 
 namespace wdoc::obs {
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-}
 
 void append_event_head(std::string& out, const char* ph, const std::string& name,
                        std::uint64_t pid, std::int64_t ts) {
@@ -25,7 +19,7 @@ void append_event_head(std::string& out, const char* ph, const std::string& name
   out += "{\"ph\":\"";
   out += ph;
   out += "\",\"name\":\"";
-  append_escaped(out, name);
+  json_escape(out, name);
   // tid == pid: one timeline row per station; the simulator is single
   // threaded, so stations are the only concurrency axis worth a track.
   std::snprintf(buf, sizeof buf, "\",\"pid\":%llu,\"tid\":%llu,\"ts\":%lld",

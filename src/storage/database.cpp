@@ -38,20 +38,9 @@ Database::~Database() {
 
 void Database::on_mutation(const Mutation& m) {
   if (!durable_) return;
-  LogRecord rec;
-  switch (m.kind) {
-    case MutationKind::insert: rec.kind = LogKind::insert; break;
-    case MutationKind::update: rec.kind = LogKind::update; break;
-    case MutationKind::erase: rec.kind = LogKind::erase; break;
-  }
-  rec.txn = 0;
-  rec.table = m.table;
-  rec.row = m.row;
-  rec.before = m.before;
-  rec.after = m.after;
   // WAL write failure inside an observer cannot abort the already-applied
   // mutation; surface it loudly instead.
-  Status s = wal_.append(rec);
+  Status s = wal_.append(LogRecord::of(m, /*txn=*/0));
   if (!s.is_ok()) WDOC_CHECK(false, "WAL append failed: " + s.message());
 }
 

@@ -17,12 +17,7 @@ std::size_t row_bytes(const std::vector<Value>& row) {
 Table::Table(Schema schema) : schema_(std::move(schema)) {
   for (std::size_t i = 0; i < schema_.column_count(); ++i) {
     const Column& col = schema_.column(i);
-    if (col.unique || col.indexed) {
-      ColumnIndex ci;
-      ci.column = i;
-      ci.btree = std::make_unique<BTreeIndex>();
-      indexes_.push_back(std::move(ci));
-    }
+    if (col.unique || col.indexed) indexes_.push_back(ColumnIndex{i, BTreeIndex{}});
   }
 }
 
@@ -93,10 +88,7 @@ std::vector<RowId> Table::find_equal(std::string_view column, const Value& v) co
   auto ci = schema_.column_index(column);
   WDOC_CHECK(ci.has_value(), name() + ": no column " + std::string(column));
   for (const ColumnIndex& idx : indexes_) {
-    if (idx.column == *ci) {
-      if (idx.btree) return idx.btree->find(v);
-      if (idx.hash) return idx.hash->find(v);
-    }
+    if (idx.column == *ci) return idx.btree.find(v);
   }
   std::vector<RowId> out;
   for (const auto& [id, row] : rows_) {
@@ -116,8 +108,8 @@ void Table::scan_range(std::string_view column, const Value* lo, const Value* hi
   auto ci = schema_.column_index(column);
   WDOC_CHECK(ci.has_value(), name() + ": no column " + std::string(column));
   for (const ColumnIndex& idx : indexes_) {
-    if (idx.column == *ci && idx.btree) {
-      idx.btree->scan_range(lo, hi, [&](const Value&, RowId rid) {
+    if (idx.column == *ci) {
+      idx.btree.scan_range(lo, hi, [&](const Value&, RowId rid) {
         const auto* row = get(rid);
         WDOC_CHECK(row != nullptr, "index points at dead row");
         return visit(rid, *row);
@@ -160,11 +152,9 @@ Status Table::create_index(std::string_view column) {
   auto ci = schema_.column_index(column);
   if (!ci) return {Errc::invalid_argument, name() + ": no column " + std::string(column)};
   if (has_index(column)) return {Errc::already_exists, name() + ": index exists"};
-  ColumnIndex idx;
-  idx.column = *ci;
-  idx.btree = std::make_unique<BTreeIndex>();
+  ColumnIndex idx{*ci, BTreeIndex{}};
   for (const auto& [id, row] : rows_) {
-    idx.btree->insert(row[*ci], id);
+    idx.btree.insert(row[*ci], id);
   }
   indexes_.push_back(std::move(idx));
   return Status::ok();
@@ -182,8 +172,7 @@ void Table::index_row(RowId id, const std::vector<Value>& row) {
   for (ColumnIndex& idx : indexes_) {
     const Value& v = row[idx.column];
     if (v.is_null()) continue;  // NULLs are not indexed (and never unique-conflict)
-    if (idx.btree) idx.btree->insert(v, id);
-    if (idx.hash) idx.hash->insert(v, id);
+    idx.btree.insert(v, id);
   }
 }
 
@@ -191,8 +180,7 @@ void Table::unindex_row(RowId id, const std::vector<Value>& row) {
   for (ColumnIndex& idx : indexes_) {
     const Value& v = row[idx.column];
     if (v.is_null()) continue;
-    if (idx.btree) idx.btree->erase(v, id);
-    if (idx.hash) idx.hash->erase(v, id);
+    idx.btree.erase(v, id);
   }
 }
 

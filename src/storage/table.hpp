@@ -7,14 +7,12 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "storage/btree_index.hpp"
-#include "storage/hash_index.hpp"
 #include "storage/schema.hpp"
 
 namespace wdoc::storage {
@@ -90,8 +88,7 @@ class Table {
 
   struct ColumnIndex {
     std::size_t column = 0;
-    std::unique_ptr<BTreeIndex> btree;  // ordered; used when present
-    std::unique_ptr<HashIndex> hash;    // fallback for unique-only columns
+    BTreeIndex btree;
   };
   std::vector<ColumnIndex> indexes_;
 };

@@ -101,18 +101,7 @@ class TransactionManager::UndoSink final : public MutationSink {
       WDOC_CHECK(it != mgr_->txns_.end(), "mutation in finished txn");
       it->second.undo.push_back(m);
     }
-    LogRecord rec;
-    switch (m.kind) {
-      case MutationKind::insert: rec.kind = LogKind::insert; break;
-      case MutationKind::update: rec.kind = LogKind::update; break;
-      case MutationKind::erase: rec.kind = LogKind::erase; break;
-    }
-    rec.txn = id_.value();
-    rec.table = m.table;
-    rec.row = m.row;
-    rec.before = m.before;
-    rec.after = m.after;
-    Status s = mgr_->db_.log(rec);
+    Status s = mgr_->db_.log(LogRecord::of(m, id_.value()));
     if (!s.is_ok()) WDOC_CHECK(false, "txn WAL append failed: " + s.message());
   }
 

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "common/hash.hpp"
-
 namespace wdoc::storage {
 
 const char* value_type_name(ValueType t) {
@@ -46,28 +44,6 @@ int Value::compare(const Value& other) const {
     }
     case ValueType::boolean:
       return static_cast<int>(as_bool()) - static_cast<int>(other.as_bool());
-  }
-  return 0;
-}
-
-std::uint64_t Value::hash() const {
-  switch (type()) {
-    case ValueType::null:
-      return 0xdeadULL;
-    case ValueType::integer:
-      return hash_combine(1, static_cast<std::uint64_t>(as_int()));
-    case ValueType::real: {
-      double d = as_real();
-      std::uint64_t bits;
-      std::memcpy(&bits, &d, sizeof bits);
-      return hash_combine(2, bits);
-    }
-    case ValueType::text:
-      return hash_combine(3, fnv1a64(as_text()));
-    case ValueType::blob:
-      return hash_combine(4, fnv1a64(std::span<const std::uint8_t>(as_blob())));
-    case ValueType::boolean:
-      return hash_combine(5, as_bool() ? 1u : 0u);
   }
   return 0;
 }

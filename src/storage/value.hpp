@@ -61,7 +61,6 @@ class Value {
   friend bool operator>(const Value& a, const Value& b) { return a.compare(b) > 0; }
   friend bool operator>=(const Value& a, const Value& b) { return a.compare(b) >= 0; }
 
-  [[nodiscard]] std::uint64_t hash() const;
   [[nodiscard]] std::string to_string() const;
   [[nodiscard]] std::size_t byte_size() const;
 
@@ -70,12 +69,6 @@ class Value {
 
  private:
   std::variant<std::monostate, std::int64_t, double, std::string, Bytes, bool> v_;
-};
-
-struct ValueHash {
-  std::size_t operator()(const Value& v) const noexcept {
-    return static_cast<std::size_t>(v.hash());
-  }
 };
 
 }  // namespace wdoc::storage

@@ -30,6 +30,21 @@ Result<std::vector<Value>> decode_row(Reader& r) {
 
 }  // namespace
 
+LogRecord LogRecord::of(const Mutation& m, std::uint64_t txn) {
+  LogRecord rec;
+  switch (m.kind) {
+    case MutationKind::insert: rec.kind = LogKind::insert; break;
+    case MutationKind::update: rec.kind = LogKind::update; break;
+    case MutationKind::erase: rec.kind = LogKind::erase; break;
+  }
+  rec.txn = txn;
+  rec.table = m.table;
+  rec.row = m.row;
+  rec.before = m.before;
+  rec.after = m.after;
+  return rec;
+}
+
 Bytes LogRecord::encode() const {
   Writer w;
   w.u8(static_cast<std::uint8_t>(kind));

@@ -38,6 +38,10 @@ struct LogRecord {
   std::vector<Value> after;   // insert/update
   std::optional<Schema> schema;  // create_table
 
+  // The insert/update/erase record of an applied row mutation, logged by
+  // transaction `txn` (0 = autocommit).
+  [[nodiscard]] static LogRecord of(const Mutation& m, std::uint64_t txn);
+
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Result<LogRecord> decode(const Bytes& frame);
 };

@@ -17,6 +17,7 @@
 #include "http/parser.hpp"
 #include "http/server.hpp"
 #include "obs/metrics.hpp"
+#include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
 #include "storage/database.hpp"
 #include "workload/library_corpus.hpp"
@@ -417,8 +418,7 @@ TEST(Federation, RanksLikeTheUnionCatalog) {
 // --- gateway ----------------------------------------------------------------
 
 struct GatewayHarness {
-  explicit GatewayHarness(const GatewayConfig& gw_cfg = GatewayConfig{})
-      : db(storage::Database::in_memory()), docs(*db) {
+  GatewayHarness() : db(storage::Database::in_memory()), docs(*db) {
     workload::LibraryCorpusConfig cfg;
     cfg.courses = 30;
     cfg.shards = 2;
@@ -428,7 +428,7 @@ struct GatewayHarness {
     for (const auto& e : entries) {
       docs.put(e.course_number, workload::course_document(e)).expect("put doc");
     }
-    gateway = std::make_unique<Gateway>(gw_cfg,
+    gateway = std::make_unique<Gateway>(GatewayConfig{},
                                         std::vector<library::VirtualLibrary*>{
                                             &libs[0], &libs[1]},
                                         &docs);
@@ -557,18 +557,33 @@ TEST(Gateway, DebugSloSnapshotAndGating) {
   EXPECT_EQ(h.gateway->handle(make_request(Method::post, "/debug/slo")).status, 405);
 }
 
+// Serves every document 25 ms late: past the tracer's 20 ms tail threshold.
+class SlowDocuments final : public DocumentSource {
+ public:
+  explicit SlowDocuments(DocumentSource& inner) : inner_(&inner) {}
+  Result<std::string> fetch(const std::string& course_number) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    return inner_->fetch(course_number);
+  }
+
+ private:
+  DocumentSource* inner_;
+};
+
 TEST(Gateway, SlowDocRequestIsTailPromotedWithExemplar) {
-  GatewayConfig cfg;
-  cfg.trace.head_sample_rate = 0.0;  // only the tail path may promote
-  cfg.trace.tail_latency_micros = 0;  // every request counts as slow
-  GatewayHarness h(cfg);
+  GatewayHarness h;
+  SlowDocuments slow(h.docs);
+  Gateway gateway(GatewayConfig{}, {&h.libs[0], &h.libs[1]}, &slow);
   obs::Tracer::global().clear();
   auto& doc_hist = obs::MetricsRegistry::global().histogram(
       "http.request_micros", {{"endpoint", "doc"}});
   doc_hist.reset();  // drop exemplars left by earlier tests
+  auto& tail = obs::MetricsRegistry::global().counter("obs.trace.promoted",
+                                                      {{"reason", "tail_latency"}});
+  const auto tail0 = tail.value();
 
   Response rsp =
-      h.gateway->handle(make_request(Method::get, "/doc?course=" + h.first_course));
+      gateway.handle(make_request(Method::get, "/doc?course=" + h.first_course));
   EXPECT_EQ(rsp.status, 200);
 
   // The whole request tree was promoted: edge root, handler, storage fetch.
@@ -578,6 +593,10 @@ TEST(Gateway, SlowDocRequestIsTailPromotedWithExemplar) {
     if (s.name == "GET /doc") trace = s.trace_id;
   }
   ASSERT_NE(trace, 0u) << "tail sampling must promote the slow request";
+  // The constructor restarted the ids, so this is the first id of the
+  // sequence, which the head coin does not pick: the tail path promoted it.
+  ASSERT_FALSE(obs::RequestTracer::head_sampled(trace));
+  EXPECT_EQ(tail.value(), tail0 + 1);
   std::set<std::string> names;
   for (const auto& s : spans) {
     if (s.trace_id == trace) names.insert(s.name);

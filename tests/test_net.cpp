@@ -265,31 +265,6 @@ TEST(SimNetwork, MidRunLinkChange) {
   EXPECT_NEAR((t2 - t1).as_seconds(), 10.0, 0.1);
 }
 
-TEST(SimNetwork, PairLatencyOverride) {
-  SimNetwork net;
-  StationLink link;
-  link.up_bps = 8e9;
-  link.down_bps = 8e9;
-  link.latency = SimTime::millis(100);  // default: 200 ms end to end
-  StationId a = net.add_station(link);
-  StationId b = net.add_station(link);
-  SimTime t;
-  net.set_handler(b, [&](const Message&) { t = net.now(); });
-
-  ASSERT_TRUE(net.send(make_msg(a, b, 1000)).is_ok());
-  net.run();
-  EXPECT_NEAR(t.as_millis(), 200.0, 1.0);
-
-  // Same LAN: 1 ms, symmetric regardless of direction argument order.
-  ASSERT_TRUE(net.set_pair_latency(b, a, SimTime::millis(1)).is_ok());
-  SimTime before = net.now();
-  ASSERT_TRUE(net.send(make_msg(a, b, 1000)).is_ok());
-  net.run();
-  EXPECT_NEAR((t - before).as_millis(), 1.0, 0.5);
-  EXPECT_EQ(net.set_pair_latency(a, StationId{99}, SimTime::zero()).code(),
-            Errc::not_found);
-}
-
 TEST(SimNetwork, JitterSpreadsDeliveries) {
   SimNetwork net(3);
   StationLink link;

@@ -166,11 +166,9 @@ TEST(Tracer, SpanParentageAndClear) {
   EXPECT_EQ(spans[0].parent, 0u);
   EXPECT_EQ(spans[1].parent, root);
   EXPECT_TRUE(spans[0].finished);
+  EXPECT_EQ(spans[1].name, "hop");
+  EXPECT_EQ(spans[1].start, SimTime::millis(12));
   EXPECT_EQ(spans[1].end, SimTime::millis(15));
-
-  std::string json = tr.to_json();
-  EXPECT_NE(json.find("\"name\":\"hop\""), std::string::npos);
-  EXPECT_NE(json.find("\"start_us\":12000"), std::string::npos);
 
   // end() on a stale id from before clear() must be a no-op.
   tr.clear();

@@ -1,10 +1,13 @@
-// obs::RequestTracer: deterministic head sampling, tail-based promotion,
-// SpanScope parent chains, per-request span caps, and byte-identical
-// same-seed Perfetto exports of the promoted trace set.
+// obs::RequestTracer: deterministic 1% head sampling, tail promotion at
+// 20 ms, error promotion, SpanScope parent chains, the 128-span request cap,
+// byte-identical exports of repeated runs, escaping of promoted names in
+// the Perfetto export, and exact head promotion under concurrent requests.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -17,24 +20,31 @@ using namespace wdoc::obs;
 
 namespace {
 
-RequestTraceConfig config_with(double head_rate, std::int64_t tail_micros,
-                               std::uint64_t seed = 0x7ace) {
-  RequestTraceConfig cfg;
-  cfg.head_sample_rate = head_rate;
-  cfg.tail_latency_micros = tail_micros;
-  cfg.seed = seed;
-  return cfg;
+Counter& promoted(const char* reason) {
+  return MetricsRegistry::global().counter("obs.trace.promoted", {{"reason", reason}});
 }
 
-// Runs `n` fast requests and returns the promoted trace ids, in order.
-std::vector<std::uint64_t> promoted_ids(const RequestTraceConfig& cfg, int n) {
+// Opens a request whose trace id won (`sampled`) or lost the head coin.
+// start_request discards the request still open on this thread, so the ids
+// skipped on the way leave nothing behind.
+TraceContext start_with_verdict(bool sampled, const std::string& name, SimTime at) {
+  for (;;) {
+    TraceContext ctx = RequestTracer::global().start_request(name, at);
+    if (ctx.sampled == sampled) return ctx;
+  }
+}
+
+// Runs `n` fast requests from a restarted id sequence and returns the
+// promoted trace ids, in order.
+std::vector<std::uint64_t> promoted_ids(int n) {
   auto& rt = RequestTracer::global();
-  rt.configure(cfg);
+  rt.restart_trace_ids();
   Tracer::global().clear();
   std::vector<std::uint64_t> out;
   for (int i = 0; i < n; ++i) {
     TraceContext ctx = rt.start_request("GET /x", SimTime::micros(i * 10));
     if (rt.finish_request(ctx, SimTime::micros(i * 10 + 1), /*error=*/false)) {
+      EXPECT_TRUE(ctx.sampled);
       out.push_back(ctx.trace_id);
     }
   }
@@ -42,40 +52,44 @@ std::vector<std::uint64_t> promoted_ids(const RequestTraceConfig& cfg, int n) {
   return out;
 }
 
-TEST(RequestTracer, HeadSamplingIsDeterministicPerSeed) {
-  auto a = promoted_ids(config_with(0.25, 1'000'000), 400);
-  auto b = promoted_ids(config_with(0.25, 1'000'000), 400);
-  EXPECT_EQ(a, b) << "same seed must promote the identical trace set";
-  EXPECT_GT(a.size(), 40u);   // ~100 expected at 25%
-  EXPECT_LT(a.size(), 180u);
-
-  auto c = promoted_ids(config_with(0.25, 1'000'000, /*seed=*/99), 400);
-  EXPECT_NE(a, c) << "a different seed must flip different coins";
-
-  EXPECT_TRUE(promoted_ids(config_with(0.0, 1'000'000), 100).empty());
-  EXPECT_EQ(promoted_ids(config_with(1.0, 1'000'000), 100).size(), 100u);
+TEST(RequestTracer, HeadSamplingIsDeterministicAndKeepsOnePercent) {
+  auto a = promoted_ids(20'000);
+  auto b = promoted_ids(20'000);
+  EXPECT_EQ(a, b) << "a restarted id sequence must promote the identical trace set";
+  EXPECT_GT(a.size(), 100u);  // ~200 expected at 1%
+  EXPECT_LT(a.size(), 300u);
 }
 
 TEST(RequestTracer, HeadVerdictIsPureFunctionOfTraceId) {
   auto& rt = RequestTracer::global();
-  rt.configure(config_with(0.5, 1'000'000));
-  TraceContext ctx = rt.mint();
-  // Re-asking later (e.g. a remote station reproducing the coin) agrees.
-  EXPECT_EQ(rt.head_sampled(ctx.trace_id), ctx.sampled);
-  EXPECT_EQ(rt.head_sampled(ctx.trace_id), rt.head_sampled(ctx.trace_id));
+  rt.restart_trace_ids();
+  int sampled = 0;
+  for (int i = 0; i < 1'000; ++i) {
+    TraceContext ctx = rt.start_request("GET /x", SimTime::micros(i));
+    // Re-asking later (e.g. a remote station reproducing the coin) agrees.
+    EXPECT_EQ(RequestTracer::head_sampled(ctx.trace_id), ctx.sampled);
+    if (ctx.sampled) ++sampled;
+    (void)rt.finish_request(ctx, SimTime::micros(i + 1), false);
+  }
+  EXPECT_GT(sampled, 0) << "the check must see both verdicts";
+  EXPECT_LT(sampled, 1'000);
+  Tracer::global().clear();
 }
 
-TEST(RequestTracer, TailLatencyPromotesSlowRequests) {
+TEST(RequestTracer, TailLatencyPromotesRequestsOfTwentyMillisecondsOrMore) {
   auto& rt = RequestTracer::global();
-  rt.configure(config_with(0.0, /*tail_micros=*/5'000));
+  auto& tail = promoted("tail_latency");
   Tracer::global().clear();
+  const auto tail0 = tail.value();
 
-  TraceContext fast = rt.start_request("GET /fast", SimTime::micros(0));
-  EXPECT_FALSE(rt.finish_request(fast, SimTime::micros(4'999), false));
+  TraceContext fast = start_with_verdict(false, "GET /fast", SimTime::micros(0));
+  EXPECT_FALSE(rt.finish_request(fast, SimTime::micros(19'999), false));
   EXPECT_EQ(Tracer::global().span_count(), 0u);
+  EXPECT_EQ(tail.value(), tail0);
 
-  TraceContext slow = rt.start_request("GET /slow", SimTime::micros(0));
-  EXPECT_TRUE(rt.finish_request(slow, SimTime::micros(5'000), false));
+  TraceContext slow = start_with_verdict(false, "GET /slow", SimTime::micros(0));
+  EXPECT_TRUE(rt.finish_request(slow, SimTime::micros(20'000), false));
+  EXPECT_EQ(tail.value(), tail0 + 1);
   auto spans = Tracer::global().spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].trace_id, slow.trace_id);
@@ -86,39 +100,45 @@ TEST(RequestTracer, TailLatencyPromotesSlowRequests) {
 
 TEST(RequestTracer, ErrorsArePromotedRegardlessOfLatency) {
   auto& rt = RequestTracer::global();
-  rt.configure(config_with(0.0, 1'000'000));
+  auto& err = promoted("error");
   Tracer::global().clear();
-  TraceContext ctx = rt.start_request("GET /boom", SimTime::micros(0));
+  const auto err0 = err.value();
+  TraceContext ctx = start_with_verdict(false, "GET /boom", SimTime::micros(0));
   EXPECT_TRUE(rt.finish_request(ctx, SimTime::micros(1), /*error=*/true));
+  EXPECT_EQ(err.value(), err0 + 1);
   EXPECT_EQ(Tracer::global().span_count(), 1u);
   Tracer::global().clear();
 }
 
-TEST(RequestTracer, PromotionReasonPrecedenceIsHeadFirst) {
+TEST(RequestTracer, PromotionReasonPrecedenceIsHeadThenError) {
   // A head-sampled slow error counts once, as reason=head — that keeps the
-  // head counter an exact function of (seed, request count) for CI.
+  // head counter an exact function of the request count for CI. Without
+  // the head coin, error wins over tail latency.
   auto& rt = RequestTracer::global();
-  auto& reg = MetricsRegistry::global();
-  auto& head = reg.counter("obs.trace.promoted", {{"reason", "head"}});
-  auto& err = reg.counter("obs.trace.promoted", {{"reason", "error"}});
-  auto& tail = reg.counter("obs.trace.promoted", {{"reason", "tail_latency"}});
-  rt.configure(config_with(1.0, /*tail_micros=*/1));
+  auto& head = promoted("head");
+  auto& err = promoted("error");
+  auto& tail = promoted("tail_latency");
   Tracer::global().clear();
 
   const auto head0 = head.value();
   const auto err0 = err.value();
   const auto tail0 = tail.value();
-  TraceContext ctx = rt.start_request("GET /slow-error", SimTime::micros(0));
-  EXPECT_TRUE(rt.finish_request(ctx, SimTime::micros(100), /*error=*/true));
+  TraceContext sampled = start_with_verdict(true, "GET /slow-error", SimTime::micros(0));
+  EXPECT_TRUE(rt.finish_request(sampled, SimTime::micros(100'000), /*error=*/true));
   EXPECT_EQ(head.value(), head0 + 1);
   EXPECT_EQ(err.value(), err0);
+  EXPECT_EQ(tail.value(), tail0);
+
+  TraceContext unsampled = start_with_verdict(false, "GET /slow-error", SimTime::micros(0));
+  EXPECT_TRUE(rt.finish_request(unsampled, SimTime::micros(100'000), /*error=*/true));
+  EXPECT_EQ(head.value(), head0 + 1);
+  EXPECT_EQ(err.value(), err0 + 1);
   EXPECT_EQ(tail.value(), tail0);
   Tracer::global().clear();
 }
 
 TEST(RequestTracer, SpanScopeNestsUnderAmbientContext) {
   auto& rt = RequestTracer::global();
-  rt.configure(config_with(1.0, 1'000'000));
   Tracer::global().clear();
 
   TraceContext ctx = rt.start_request("GET /nested", SimTime::micros(0));
@@ -137,7 +157,7 @@ TEST(RequestTracer, SpanScopeNestsUnderAmbientContext) {
     outer.end(SimTime::micros(4));
   }
   EXPECT_EQ(RequestTracer::current().span_id, ctx.span_id);
-  ASSERT_TRUE(rt.finish_request(ctx, SimTime::micros(5), false));
+  ASSERT_TRUE(rt.finish_request(ctx, SimTime::micros(5), /*error=*/true));
 
   auto spans = Tracer::global().spans();
   ASSERT_EQ(spans.size(), 3u);  // root + outer + inner
@@ -154,22 +174,16 @@ TEST(RequestTracer, SpanScopeNestsUnderAmbientContext) {
 }
 
 TEST(RequestTracer, SpanScopeIsNoopOutsideARequest) {
-  auto& rt = RequestTracer::global();
-  rt.configure(config_with(1.0, 1'000'000));
   Tracer::global().clear();
   EXPECT_FALSE(RequestTracer::current().active());
   SpanScope scope("orphan", SimTime::micros(1));
   EXPECT_FALSE(scope.active());
   scope.end(SimTime::micros(2));
   EXPECT_EQ(Tracer::global().span_count(), 0u);
-  EXPECT_EQ(rt.begin_span("orphan2", SimTime::micros(3)), 0u);
 }
 
 TEST(RequestTracer, PerRequestSpanCapCountsProvisionalDrops) {
   auto& rt = RequestTracer::global();
-  RequestTraceConfig cfg = config_with(1.0, 1'000'000);
-  cfg.max_spans_per_request = 4;  // root + 3 children
-  rt.configure(cfg);
   Tracer::global().clear();
   auto& dropped =
       MetricsRegistry::global().counter("obs.trace.provisional_dropped");
@@ -177,24 +191,22 @@ TEST(RequestTracer, PerRequestSpanCapCountsProvisionalDrops) {
 
   TraceContext ctx = rt.start_request("GET /fanout", SimTime::micros(0));
   int recorded = 0;
-  for (int i = 0; i < 10; ++i) {
-    std::uint64_t id = rt.begin_span("child", SimTime::micros(i + 1));
-    if (id != 0) {
-      ++recorded;
-      rt.end_span(id, SimTime::micros(i + 2));
-    }
+  for (int i = 0; i < 140; ++i) {
+    SpanScope child("child", SimTime::micros(i + 1));
+    if (child.active()) ++recorded;
+    child.end(SimTime::micros(i + 2));
   }
-  EXPECT_EQ(recorded, 3);
-  ASSERT_TRUE(rt.finish_request(ctx, SimTime::micros(50), false));
-  EXPECT_EQ(Tracer::global().span_count(), 4u);
-  EXPECT_EQ(dropped.value(), dropped0 + 7);
+  EXPECT_EQ(recorded, 127);  // 128 spans per request, the root included
+  ASSERT_TRUE(rt.finish_request(ctx, SimTime::micros(500), /*error=*/true));
+  EXPECT_EQ(Tracer::global().span_count(), 128u);
+  EXPECT_EQ(dropped.value(), dropped0 + 13);
   Tracer::global().clear();
 }
 
 TEST(RequestTracer, SameSeedExportsAreByteIdentical) {
-  auto run = [](std::uint64_t seed) {
+  auto run = [] {
     auto& rt = RequestTracer::global();
-    rt.configure(config_with(0.3, /*tail_micros=*/500, seed));
+    rt.restart_trace_ids();
     Tracer::global().clear();
     for (int i = 0; i < 50; ++i) {
       TraceContext ctx =
@@ -202,36 +214,151 @@ TEST(RequestTracer, SameSeedExportsAreByteIdentical) {
       SpanScope child("work", SimTime::micros(i * 100 + 10));
       child.end(SimTime::micros(i * 100 + 20));
       // Every 7th request is slow enough for tail promotion.
-      const std::int64_t latency = (i % 7 == 0) ? 600 : 90;
+      const std::int64_t latency = (i % 7 == 0) ? 20'000 : 90;
       (void)rt.finish_request(ctx, SimTime::micros(i * 100 + latency), false);
     }
-    std::string json = to_chrome_trace(Tracer::global().drain());
-    return json;
+    return to_chrome_trace(Tracer::global().drain());
   };
-  std::string a = run(0xabc);
-  std::string b = run(0xabc);
-  EXPECT_EQ(a, b) << "same seed, same explicit clock -> identical export";
+  std::string a = run();
+  EXPECT_EQ(a, run()) << "same seed, same explicit clock -> identical export";
   // Promoted trace ids appear in the export (raw, not rebased).
   EXPECT_NE(a.find("\"trace\":"), std::string::npos);
-  std::string c = run(0xdef);
-  EXPECT_NE(a, c);
 }
 
 TEST(RequestTracer, LeakedRequestIsDiscardedByNextStart) {
   auto& rt = RequestTracer::global();
-  rt.configure(config_with(1.0, 1'000'000));
   Tracer::global().clear();
   TraceContext leaked = rt.start_request("GET /leaked", SimTime::micros(0));
   ASSERT_TRUE(leaked.active());
   // A new request on the same thread discards the stale buffer wholesale.
   TraceContext fresh = rt.start_request("GET /fresh", SimTime::micros(10));
-  EXPECT_TRUE(rt.finish_request(fresh, SimTime::micros(11), false));
+  EXPECT_TRUE(rt.finish_request(fresh, SimTime::micros(11), /*error=*/true));
   // Only the fresh request's root was promoted.
   auto spans = Tracer::global().spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "GET /fresh");
   // Finishing the leaked context after the fact is a counted no-op.
   EXPECT_FALSE(rt.finish_request(leaked, SimTime::micros(20), false));
+  Tracer::global().clear();
+}
+
+// The gateway names a request's root span after its percent-decoded path,
+// so a client chooses every byte of it. Promoted, it must still export as
+// JSON: each quote and control byte escaped, and the name never cut short.
+TEST(RequestTracer, PromotedNameWithControlBytesExportsEscaped) {
+  auto& rt = RequestTracer::global();
+  Tracer::global().clear();
+  const std::string rest(300, 'x');
+  TraceContext ctx =
+      rt.start_request("GET /a\nb\"c\x01" + rest, SimTime::micros(0));
+  ASSERT_TRUE(rt.finish_request(ctx, SimTime::micros(1), /*error=*/true));
+  const std::string json = to_chrome_trace(Tracer::global().drain());
+
+  EXPECT_NE(json.find("\"name\":\"GET /a\\nb\\\"c\\u0001" + rest + "\""),
+            std::string::npos)
+      << json;
+  bool in_string = false;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    const char c = json[i];
+    if (!in_string) {
+      in_string = c == '"';
+      continue;
+    }
+    ASSERT_GE(static_cast<unsigned char>(c), 0x20) << "raw control byte at " << i;
+    if (c == '"') {
+      in_string = false;
+    } else if (c == '\\') {
+      ASSERT_LT(i + 1, json.size());
+      ASSERT_NE(std::string("\"\\/bfnrtu").find(json[i + 1]), std::string::npos)
+          << "bad escape at " << i;
+      ++i;
+    }
+  }
+  EXPECT_FALSE(in_string) << "unterminated string";
+}
+
+// Four threads run requests with nested spans at once. Whatever the
+// interleaving, they mint the first 8,000 ids of the sequence, and exactly
+// the head-sampled ones are promoted, each with its whole span tree.
+TEST(RequestTracer, ConcurrentRequestsPromoteExactlyTheHeadSampledIds) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2'000;
+  auto& rt = RequestTracer::global();
+  auto& head = promoted("head");
+
+  // The ids a restarted sequence mints, one request at a time.
+  rt.restart_trace_ids();
+  std::set<std::uint64_t> expected;
+  for (int i = 0; i < kThreads * kPerThread; ++i) {
+    TraceContext ctx = rt.start_request("GET /seq", SimTime::micros(0));
+    expected.insert(ctx.trace_id);
+    (void)rt.finish_request(ctx, SimTime::micros(1), false);
+  }
+  ASSERT_EQ(expected.size(), static_cast<std::size_t>(kThreads * kPerThread));
+
+  rt.restart_trace_ids();
+  Tracer::global().clear();
+  const auto head0 = head.value();
+  struct Outcome {
+    TraceContext ctx;
+    bool promoted = false;
+  };
+  std::vector<std::vector<Outcome>> outcomes(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&rt, &outcomes, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::int64_t at = i * 100;
+        Outcome o;
+        o.ctx = rt.start_request("GET /t" + std::to_string(t), SimTime::micros(at));
+        {
+          SpanScope outer("outer", SimTime::micros(at + 1));
+          SpanScope inner("inner", SimTime::micros(at + 2));
+          inner.end(SimTime::micros(at + 3));
+          outer.end(SimTime::micros(at + 4));
+        }
+        o.promoted = rt.finish_request(o.ctx, SimTime::micros(at + 5), false);
+        outcomes[t].push_back(o);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  std::set<std::uint64_t> ids;
+  std::set<std::uint64_t> sampled;
+  for (const auto& per_thread : outcomes) {
+    for (const Outcome& o : per_thread) {
+      ids.insert(o.ctx.trace_id);
+      EXPECT_EQ(o.ctx.sampled, RequestTracer::head_sampled(o.ctx.trace_id));
+      EXPECT_EQ(o.promoted, o.ctx.sampled);
+      if (o.ctx.sampled) sampled.insert(o.ctx.trace_id);
+    }
+  }
+  EXPECT_EQ(ids, expected) << "the threads must mint the first 8,000 ids";
+  EXPECT_EQ(head.value() - head0, sampled.size());
+  ASSERT_FALSE(sampled.empty());
+
+  const auto spans = Tracer::global().spans();
+  ASSERT_EQ(spans.size(), 3 * sampled.size());  // root, outer, inner
+  std::map<std::uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& s : spans) by_id[s.id] = &s;
+  for (const SpanRecord& s : spans) {
+    EXPECT_TRUE(sampled.count(s.trace_id)) << s.name;
+    EXPECT_TRUE(s.finished) << s.name;
+    if (s.parent == 0) {
+      EXPECT_EQ(s.name.rfind("GET /t", 0), 0u) << s.name;
+      continue;
+    }
+    ASSERT_TRUE(by_id.count(s.parent)) << s.name;
+    const SpanRecord& parent = *by_id.at(s.parent);
+    EXPECT_EQ(parent.trace_id, s.trace_id);
+    if (s.name == "inner") {
+      EXPECT_EQ(parent.name, "outer");
+    } else {
+      EXPECT_EQ(s.name, "outer");
+      EXPECT_EQ(parent.parent, 0u);  // outer hangs off the root
+    }
+  }
   Tracer::global().clear();
 }
 

@@ -1,6 +1,7 @@
-// obs::SloEngine: window algebra over cumulative rings, burn-rate math,
-// multi-window alert transitions (fire + clear), latency-threshold
-// bucket rounding, availability objectives, and JSON rendering.
+// obs::SloEngine: window algebra over cumulative rings (5- and
+// 60-evaluation windows), burn-rate math, multi-window alert transitions
+// (fire + clear), latency-threshold bucket rounding, availability
+// objectives, and JSON rendering.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,13 +15,9 @@ using namespace wdoc::obs;
 
 namespace {
 
-SloWindows tight_windows() {
-  SloWindows w;
-  w.eval_period_micros = 1'000;
-  w.short_evals = 2;
-  w.long_evals = 6;
-  return w;
-}
+// The engine reports its period but never reads a clock: each test
+// evaluates at explicit times one period apart.
+constexpr std::int64_t kPeriodMicros = 1'000;
 
 // Each test uses its own instrument names: the registry is process-global.
 Histogram& fresh_hist(const std::string& name) {
@@ -31,7 +28,7 @@ Histogram& fresh_hist(const std::string& name) {
 
 TEST(SloEngine, LatencyObjectiveRoundsThresholdDownToBucketBoundary) {
   Histogram& h = fresh_hist("slo_test.round_hist");
-  SloEngine eng(tight_windows());
+  SloEngine eng(kPeriodMicros);
   SloObjective o;
   o.name = "slo_test.round";
   o.target = 0.5;
@@ -56,7 +53,7 @@ TEST(SloEngine, FastBurnAlertFiresOncePerEpisodeAndClears) {
   auto& fast_counter = MetricsRegistry::global().counter(
       "obs.slo.alerts", {{"slo", "slo_test.burn"}, {"severity", "fast"}});
   const auto fast0 = fast_counter.value();
-  SloEngine eng(tight_windows());
+  SloEngine eng(kPeriodMicros);
   SloObjective o;
   o.name = "slo_test.burn";
   o.target = 0.99;  // error budget 1%; fast-burn needs bad fraction >= 14.4%
@@ -79,18 +76,28 @@ TEST(SloEngine, FastBurnAlertFiresOncePerEpisodeAndClears) {
   EXPECT_TRUE(st[0].fast_alert);
   EXPECT_EQ(fast_counter.value(), fast0 + 1);
 
-  // Healthy traffic long enough to flush every window: alert clears.
-  for (int p = 3; p <= 12; ++p) {
+  // Healthy traffic: the alert clears once the 5-evaluation short window
+  // holds no bad events, and 60 healthy evaluations fill the long window.
+  for (int p = 3; p <= 62; ++p) {
     for (int i = 0; i < 100; ++i) h.observe(100);
     st = eng.evaluate(SimTime::micros(p * 1'000));
+    if (p == 7) {
+      EXPECT_FALSE(st[0].fast_alert);
+      EXPECT_DOUBLE_EQ(st[0].short_ratio, 1.0);
+      EXPECT_LT(st[0].long_ratio, 1.0);  // the episode is still in the long window
+    }
   }
   EXPECT_FALSE(st[0].fast_alert);
+  EXPECT_DOUBLE_EQ(st[0].long_ratio, 1.0);
+  EXPECT_EQ(st[0].window_total, 6'000u);  // the last 60 evaluations only
   EXPECT_EQ(fast_counter.value(), fast0 + 1);  // clear does not re-count
 
-  // A fresh episode fires again.
-  for (int i = 0; i < 500; ++i) h.observe(100'000);
-  st = eng.evaluate(SimTime::micros(13'000));
+  // A fresh episode fires again once it burns the long window too: 6,500
+  // bad against 5,900 good is 52% bad, a burn of 52.
+  for (int i = 0; i < 6'500; ++i) h.observe(100'000);
+  st = eng.evaluate(SimTime::micros(63'000));
   EXPECT_TRUE(st[0].fast_alert);
+  EXPECT_EQ(st[0].window_total, 12'400u);
   EXPECT_EQ(fast_counter.value(), fast0 + 2);
 }
 
@@ -98,7 +105,7 @@ TEST(SloEngine, AlertTransitionsLeaveFlightEvents) {
   Histogram& h = fresh_hist("slo_test.flight_hist");
   auto& rec = FlightRecorder::global();
   const std::uint64_t recorded0 = rec.recorded();
-  SloEngine eng(tight_windows());
+  SloEngine eng(kPeriodMicros);
   SloObjective o;
   o.name = "slo_test.flight";
   o.target = 0.99;
@@ -127,7 +134,7 @@ TEST(SloEngine, AvailabilityObjectiveUsesCounterRatio) {
   auto& bad = reg.counter("slo_test.avail_bad");
   total.reset();
   bad.reset();
-  SloEngine eng(tight_windows());
+  SloEngine eng(kPeriodMicros);
   SloObjective o;
   o.name = "slo_test.avail";
   o.target = 0.999;
@@ -151,7 +158,7 @@ TEST(SloEngine, AvailabilityObjectiveUsesCounterRatio) {
 
 TEST(SloEngine, EmptyWindowCountsAsMeetingTheObjective) {
   Histogram& h = fresh_hist("slo_test.idle_hist");
-  SloEngine eng(tight_windows());
+  SloEngine eng(kPeriodMicros);
   SloObjective o;
   o.name = "slo_test.idle";
   o.target = 0.99;
@@ -167,21 +174,29 @@ TEST(SloEngine, EmptyWindowCountsAsMeetingTheObjective) {
 
 TEST(SloEngine, JsonIsStableAndListedInDumpAll) {
   Histogram& h = fresh_hist("slo_test.json_hist");
-  SloEngine eng(tight_windows());
-  SloObjective o;
-  o.name = "slo_test.json";
-  o.target = 0.99;
-  o.kind = SloObjective::Kind::latency;
-  o.histogram = &h;
-  o.threshold_micros = 1'000;
-  eng.add(std::move(o));
+  SloEngine eng(kPeriodMicros);
+  for (const char* name : {"slo_test.json", "slo_test.\"json\"\n"}) {
+    SloObjective o;
+    o.name = name;
+    o.target = 0.99;
+    o.kind = SloObjective::Kind::latency;
+    o.histogram = &h;
+    o.threshold_micros = 1'000;
+    eng.add(std::move(o));
+  }
   (void)eng.evaluate(SimTime::micros(1'000));
 
   std::string a = eng.to_json();
   std::string b = eng.to_json();
   EXPECT_EQ(a, b);
+  EXPECT_EQ(a.rfind("{\"windows\":{\"eval_period_micros\":1000,\"short_evals\":5,"
+                    "\"long_evals\":60,\"fast_burn\":14.4,\"slow_burn\":6},",
+                    0),
+            0u)
+      << a;
   EXPECT_NE(a.find("\"name\":\"slo_test.json\""), std::string::npos);
-  EXPECT_NE(a.find("\"fast_burn\":14.4"), std::string::npos);
+  // Objective names are escaped like every other JSON string.
+  EXPECT_NE(a.find("\"name\":\"slo_test.\\\"json\\\"\\n\""), std::string::npos) << a;
   EXPECT_NE(SloEngine::dump_all().find("slo_test.json"), std::string::npos);
 }
 

@@ -45,14 +45,6 @@ TEST(Value, CrossTypeOrderIsTotalAndStable) {
   EXPECT_LT(Value("zzz"), Value(Bytes{0}));
 }
 
-TEST(Value, HashConsistentWithEquality) {
-  EXPECT_EQ(Value("course").hash(), Value("course").hash());
-  EXPECT_EQ(Value(7).hash(), Value(7).hash());
-  EXPECT_NE(Value(7).hash(), Value(8).hash());
-  // Same payload different types must not collide via trivial hashing.
-  EXPECT_NE(Value(1).hash(), Value(true).hash());
-}
-
 TEST(Value, ToStringForDebugging) {
   EXPECT_EQ(Value::null().to_string(), "NULL");
   EXPECT_EQ(Value(5).to_string(), "5");
