@@ -6,7 +6,10 @@
 // lookups are index hits (flat, sub-microsecond); instructor lookups scale
 // with the instructor's own course count; keyword search (`search`, the
 // TF-IDF ranking the gateway's /search also uses) scales with the
-// posting-list length of the query terms; ledger appends are O(1).
+// posting-list length of the query terms; a check-out or check-in is one
+// hash lookup in the open loans, so its cost stays flat from one open loan
+// (BM_CheckOutIn) to 10^5 (BM_CheckOutInWithOpenLoans). BM_BuildLibrary
+// times add_entry over a whole catalog.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -83,6 +86,32 @@ void BM_CheckOutIn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 2));
 }
 BENCHMARK(BM_CheckOutIn);
+
+// The same pair with `range(0)` other loans open on 1,000 courses, as a
+// shard of the HTTP gateway holds after a long run.
+void BM_CheckOutInWithOpenLoans(benchmark::State& state) {
+  VirtualLibrary lib = build_library(1000);
+  const auto open = static_cast<std::uint64_t>(state.range(0));
+  for (std::uint64_t s = 1; s <= open; ++s) {
+    lib.check_out("CS" + std::to_string(1000 + s % 1000), UserId{s}, 1000).expect("open");
+  }
+  std::uint64_t student = open;
+  for (auto _ : state) {
+    UserId u{++student};
+    lib.check_out("CS1500", u, 1000).expect("out");
+    lib.check_in("CS1500", u, 2000).expect("in");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * 2));
+}
+BENCHMARK(BM_CheckOutInWithOpenLoans)->Arg(1000)->Arg(100000);
+
+void BM_BuildLibrary(benchmark::State& state) {
+  for (auto _ : state) {
+    VirtualLibrary lib = build_library(static_cast<std::size_t>(state.range(0)));
+    benchmark::DoNotOptimize(lib.entry_count());
+  }
+}
+BENCHMARK(BM_BuildLibrary)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -47,7 +47,7 @@ int main() {
   // 3. Student-side: search the virtual library and check the course out.
   auto hits = alice.search("multimedia");
   std::printf("search 'multimedia' -> %zu hit(s); top: %s\n", hits.size(),
-              hits.empty() ? "-" : hits[0].course_number.c_str());
+              hits.empty() ? "-" : hits[0].entry->course_number.c_str());
   alice.check_out("CS102", 2000).expect("check out");
   std::printf("alice checked out CS102\n");
   alice.check_in("CS102", 9000).expect("check in");

@@ -49,11 +49,41 @@ Response error_json(int status, std::string_view detail) {
 // Scores are doubles; render with six fixed decimals (as printf's "%.6f"
 // does) so identical rankings serialize byte-identically across runs and
 // platforms. The buffer holds any finite double in that form.
-void append_score(std::string& out, double v) {
+struct ScoreText {
   char buf[std::numeric_limits<double>::max_exponent10 + 10];
-  const std::to_chars_result r =
-      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 6);
-  out.append(buf, r.ptr);
+  std::size_t size = 0;
+
+  void render(double v) {
+    size = static_cast<std::size_t>(
+        std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, 6).ptr - buf);
+  }
+};
+
+// The routes, indexed by Gateway::Endpoint. A request whose path no row
+// before `other` names is answered 404 and counted under "other".
+struct Route {
+  const char* name;  // the endpoint label of http.requests and http.request_micros
+  std::string_view path;
+  Method method;
+};
+constexpr Route kRoutes[] = {
+    {"search", "/search", Method::get},      {"check-out", "/check-out", Method::post},
+    {"check-in", "/check-in", Method::post}, {"doc", "/doc", Method::get},
+    {"metrics", "/metrics", Method::get},    {"debug", "/debug/slo", Method::get},
+    {"healthz", "/healthz", Method::get},    {"admin", "/admin/quit", Method::post},
+    {"other", "", Method::get},
+};
+
+// A /search hit up to its score: the escaped catalog text.
+std::string hit_head(const library::LibraryEntry& e) {
+  std::string out = "{\"course\":\"";
+  json_escape(out, e.course_number);
+  out += "\",\"title\":\"";
+  json_escape(out, e.title);
+  out += "\",\"instructor\":\"";
+  json_escape(out, e.instructor);
+  out += "\",\"score\":";
+  return out;
 }
 
 bool parse_u64(const std::string& s, std::uint64_t& out) {
@@ -120,18 +150,31 @@ Result<std::string> StorageDocumentSource::fetch(const std::string& course_numbe
 
 Gateway::Gateway(GatewayConfig cfg, std::vector<library::VirtualLibrary*> shards,
                  DocumentSource* docs)
-    : shards_(std::move(shards)),
-      docs_(docs),
-      slo_(cfg.slo_eval_period_micros) {
-  for (const auto* shard : shards_) {
+    : docs_(docs), slo_(cfg.slo_eval_period_micros) {
+  for (const auto* shard : shards) {
     for (const auto& [_, entry] : shard->entries()) index_.add_entry(entry);
   }
+  // The index keeps the first copy of a replicated course, so its row renders
+  // that one too.
+  courses_.resize(index_.id_bound());
+  for (auto* shard : shards) {
+    for (const auto& [number, entry] : shard->entries()) {
+      CourseRow& row = courses_[*index_.id_of(number)];
+      if (row.shards.empty()) row.hit_head = hit_head(entry);
+      row.shards.push_back(shard);
+    }
+  }
+  for (CourseRow& row : courses_) {
+    row.hit_tail = ",\"instances\":" + std::to_string(row.shards.size()) + "}";
+  }
+  corpus_field_ = "\",\"corpus\":" + std::to_string(index_.size()) + ",\"hits\":[";
+
   auto& reg = obs::MetricsRegistry::global();
-  for (const char* endpoint : {"search", "check-out", "check-in", "doc", "metrics",
-                               "debug", "healthz", "admin", "other"}) {
-    endpoint_stats_[endpoint] = EndpointStats{
-        &reg.counter("http.requests", {{"endpoint", endpoint}}),
-        &reg.histogram("http.request_micros", {{"endpoint", endpoint}})};
+  static_assert(std::size(kRoutes) == kEndpoints);
+  for (std::size_t e = 0; e < kEndpoints; ++e) {
+    endpoint_stats_[e] = EndpointStats{
+        &reg.counter("http.requests", {{"endpoint", kRoutes[e].name}}),
+        &reg.histogram("http.request_micros", {{"endpoint", kRoutes[e].name}})};
   }
   for (int status : {200, 400, 404, 405, 409, 500, 501}) {
     status_counters_[status] =
@@ -145,12 +188,13 @@ Gateway::Gateway(GatewayConfig cfg, std::vector<library::VirtualLibrary*> shards
   // same-seed runs mint the same ids and promote the same head-sampled set.
   obs::RequestTracer::global().restart_trace_ids();
 
-  for (const char* endpoint : {"search", "doc"}) {
+  for (Endpoint endpoint : {Endpoint::search, Endpoint::doc}) {
+    const auto e = static_cast<std::size_t>(endpoint);
     obs::SloObjective latency;
-    latency.name = std::string("http.") + endpoint + ".latency";
+    latency.name = std::string("http.") + kRoutes[e].name + ".latency";
     latency.target = kLatencySloTarget;
     latency.kind = obs::SloObjective::Kind::latency;
-    latency.histogram = endpoint_stats_[endpoint].micros;
+    latency.histogram = endpoint_stats_[e].micros;
     latency.threshold_micros = kLatencySloMicros;
     slo_.add(std::move(latency));
   }
@@ -194,32 +238,28 @@ Response Gateway::do_search(const Request& req) {
 
   search_results_->inc(hits.size());
 
-  // One buffer, sized for the body unless escapes grow it.
+  // One buffer, sized for the body unless the query's escapes or a long
+  // score grow it. Each hit is its row's two fragments around the score;
+  // tied hits, which are common, reuse the score's text.
+  constexpr std::size_t kScoreChars = 16;  // "123.456789" and some
   std::string body;
-  std::size_t size = 64 + q->size();
+  std::size_t size = 16 + q->size() + corpus_field_.size();
   for (const library::SearchHit& h : hits) {
-    size += 96 + h.course_number.size() + h.title.size() + h.instructor.size();
+    const CourseRow& row = courses_[h.course_id];
+    size += 1 + row.hit_head.size() + kScoreChars + row.hit_tail.size();
   }
   body.reserve(size);
   body += "{\"query\":\"";
   json_escape(body, *q);
-  body += "\",\"corpus\":";
-  body += std::to_string(index_.size());
-  body += ",\"hits\":[";
+  body += corpus_field_;
+  ScoreText score;
   for (std::size_t i = 0; i < hits.size(); ++i) {
-    const library::SearchHit& h = hits[i];
+    const CourseRow& row = courses_[hits[i].course_id];
     if (i > 0) body += ',';
-    body += "{\"course\":\"";
-    json_escape(body, h.course_number);
-    body += "\",\"title\":\"";
-    json_escape(body, h.title);
-    body += "\",\"instructor\":\"";
-    json_escape(body, h.instructor);
-    body += "\",\"score\":";
-    append_score(body, h.score);
-    body += ",\"instances\":";
-    body += std::to_string(h.instances);
-    body += '}';
+    body += row.hit_head;
+    if (i == 0 || hits[i].score != hits[i - 1].score) score.render(hits[i].score);
+    body.append(score.buf, score.size);
+    body += row.hit_tail;
   }
   body += "]}";
   return Response::json(200, std::move(body));
@@ -236,23 +276,24 @@ Response Gateway::do_ledger(const Request& req, bool check_out) {
     return error_json(400, "student must be a positive integer");
   }
 
+  const CourseRow* row = row_of(*course);
   obs::SpanScope span("gateway.ledger");
   std::unique_lock lock(ledger_mu_);
+  // An unknown course ticks the clock too.
   const std::int64_t at = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   // The mutation applies to every shard replicating the course so replicas
   // stay in lockstep; replicas are consistent, so each returns the same
   // status and reporting the last one is faithful.
-  bool found = false;
   Status status = Status::ok();
-  for (auto* shard : shards_) {
-    if (!shard->entries().contains(*course)) continue;
-    found = true;
-    status = check_out ? shard->check_out(*course, UserId{student_id}, at)
-                       : shard->check_in(*course, UserId{student_id}, at);
+  if (row != nullptr) {
+    for (auto* shard : row->shards) {
+      status = check_out ? shard->check_out(*course, UserId{student_id}, at)
+                         : shard->check_in(*course, UserId{student_id}, at);
+    }
   }
   lock.unlock();
 
-  if (!found) return error_json(404, "no course: " + *course);
+  if (row == nullptr) return error_json(404, "no course: " + *course);
   if (!status.is_ok()) return error_json(status_of(status), status.error().message);
   std::string body = "{\"ok\":true,\"course\":\"";
   json_escape(body, *course);
@@ -266,10 +307,7 @@ Response Gateway::do_doc(const Request& req) {
   if (!course.has_value() || course->empty()) {
     return error_json(400, "missing parameter course");
   }
-  const bool known = std::any_of(shards_.begin(), shards_.end(), [&](const auto* shard) {
-    return shard->entries().contains(*course);
-  });
-  if (!known) return error_json(404, "no course: " + *course);
+  if (row_of(*course) == nullptr) return error_json(404, "no course: " + *course);
   if (docs_ == nullptr) return error_json(404, "no document store attached");
   obs::SpanScope span("gateway.doc");
   Result<std::string> body = docs_->fetch(*course);
@@ -277,6 +315,11 @@ Response Gateway::do_doc(const Request& req) {
     return error_json(status_of(body.status()), body.error().message);
   }
   return Response::html(200, std::move(body).value());
+}
+
+const Gateway::CourseRow* Gateway::row_of(const std::string& course_number) const {
+  const std::optional<std::uint32_t> id = index_.id_of(course_number);
+  return id ? &courses_[*id] : nullptr;
 }
 
 Response Gateway::do_debug_slo() {
@@ -299,54 +342,40 @@ void Gateway::maybe_evaluate_slo(std::int64_t now) {
 }
 
 Response Gateway::route(const Request& req, const EndpointStats*& stats) {
-  const bool is_get = req.method == Method::get;
-  const bool is_post = req.method == Method::post;
-  if (req.path == "/search") {
-    stats = &endpoint_stats_.at("search");
-    if (!is_get) return error_json(405, "use GET /search");
-    return do_search(req);
+  std::size_t e = 0;
+  while (e + 1 < kEndpoints && kRoutes[e].path != req.path) ++e;
+  stats = &endpoint_stats_[e];
+  const auto endpoint = static_cast<Endpoint>(e);
+  if (endpoint != Endpoint::other && req.method != kRoutes[e].method) {
+    return error_json(405, std::string("use ") + method_name(kRoutes[e].method) + " " +
+                               std::string(kRoutes[e].path));
   }
-  if (req.path == "/check-out") {
-    stats = &endpoint_stats_.at("check-out");
-    if (!is_post) return error_json(405, "use POST /check-out");
-    return do_ledger(req, /*check_out=*/true);
+  switch (endpoint) {
+    case Endpoint::search:
+      return do_search(req);
+    case Endpoint::check_out:
+      return do_ledger(req, /*check_out=*/true);
+    case Endpoint::check_in:
+      return do_ledger(req, /*check_out=*/false);
+    case Endpoint::doc:
+      return do_doc(req);
+    case Endpoint::metrics:
+      // JSON (not the text table): scrapers get machine-readable samples with
+      // explicit histogram bucket boundaries and exemplar trace ids.
+      return Response::json(200, obs::to_json(obs::MetricsRegistry::global().snapshot()));
+    case Endpoint::debug_slo:
+      return do_debug_slo();
+    case Endpoint::healthz:
+      return Response::text(200, "ok\n");
+    case Endpoint::admin_quit: {
+      quit_.store(true, std::memory_order_release);
+      Response r = Response::json(200, "{\"ok\":true,\"quitting\":true}");
+      r.keep_alive = false;
+      return r;
+    }
+    case Endpoint::other:
+      break;
   }
-  if (req.path == "/check-in") {
-    stats = &endpoint_stats_.at("check-in");
-    if (!is_post) return error_json(405, "use POST /check-in");
-    return do_ledger(req, /*check_out=*/false);
-  }
-  if (req.path == "/doc") {
-    stats = &endpoint_stats_.at("doc");
-    if (!is_get) return error_json(405, "use GET /doc");
-    return do_doc(req);
-  }
-  if (req.path == "/metrics") {
-    stats = &endpoint_stats_.at("metrics");
-    if (!is_get) return error_json(405, "use GET /metrics");
-    // JSON (not the text table): scrapers get machine-readable samples with
-    // explicit histogram bucket boundaries and exemplar trace ids.
-    return Response::json(200, obs::to_json(obs::MetricsRegistry::global().snapshot()));
-  }
-  if (req.path == "/debug/slo") {
-    stats = &endpoint_stats_.at("debug");
-    if (!is_get) return error_json(405, "use GET /debug/slo");
-    return do_debug_slo();
-  }
-  if (req.path == "/healthz") {
-    stats = &endpoint_stats_.at("healthz");
-    if (!is_get) return error_json(405, "use GET /healthz");
-    return Response::text(200, "ok\n");
-  }
-  if (req.path == "/admin/quit") {
-    stats = &endpoint_stats_.at("admin");
-    if (!is_post) return error_json(405, "use POST /admin/quit");
-    quit_.store(true, std::memory_order_release);
-    Response r = Response::json(200, "{\"ok\":true,\"quitting\":true}");
-    r.keep_alive = false;
-    return r;
-  }
-  stats = &endpoint_stats_.at("other");
   return error_json(404, "no such endpoint: " + req.path);
 }
 

@@ -15,7 +15,10 @@
 // The gateway composes *on top of* the library/storage layers (the HCA
 // layering argument in PAPERS.md): it owns no protocol state of theirs. The
 // catalogs do not change while a gateway lives, so /search and /doc read
-// them without a lock; one mutex orders the check-out/check-in ledger.
+// them without a lock, and the constructor does their string work once: one
+// row per course holds the shards carrying it and its /search hit as JSON,
+// escaped once, around the score. One mutex orders the check-out/check-in
+// ledger.
 // Check-out/check-in timestamps come from a logical clock (one tick per
 // mutation) so same-seed workloads leave byte-identical ledgers behind.
 //
@@ -29,6 +32,7 @@
 // period, the one setting in GatewayConfig.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -113,7 +117,20 @@ class Gateway {
     obs::Counter* requests = nullptr;
     obs::Histogram* micros = nullptr;
   };
+  // Indexes the route table in gateway.cpp, which names each endpoint.
+  enum class Endpoint : std::uint8_t {
+    search, check_out, check_in, doc, metrics, debug_slo, healthz, admin_quit, other
+  };
+  static constexpr std::size_t kEndpoints = static_cast<std::size_t>(Endpoint::other) + 1;
 
+  // One per course id of index_, built by the constructor.
+  struct CourseRow {
+    std::vector<library::VirtualLibrary*> shards;  // holding the course, in shard order
+    std::string hit_head;  // {"course":…,"title":…,"instructor":…,"score":
+    std::string hit_tail;  // ,"instances":N}
+  };
+
+  [[nodiscard]] const CourseRow* row_of(const std::string& course_number) const;
   [[nodiscard]] Response route(const Request& req, const EndpointStats*& stats);
   [[nodiscard]] Response do_search(const Request& req);
   [[nodiscard]] Response do_ledger(const Request& req, bool check_out);
@@ -124,19 +141,21 @@ class Gateway {
   // hit the gate, a single CAS winner pays the evaluation.
   void maybe_evaluate_slo(std::int64_t now);
 
-  std::vector<library::VirtualLibrary*> shards_;
-  library::SearchIndex index_;  // every shard's entries
+  library::SearchIndex index_;      // every shard's entries
+  std::vector<CourseRow> courses_;  // indexed by course id
+  std::string corpus_field_;        // ","corpus":N,"hits":[ of every /search body
   DocumentSource* docs_;
-  // Held only by do_ledger. The read endpoints take no lock: index_ is
-  // written only by the constructor, the shards' catalogs must not change
-  // while the gateway lives (see the constructor), and check-out/check-in
-  // touch only each shard's open loans and ledger, which no read endpoint
-  // reads. The logical clock ticks under it, so same-seed ledgers match.
+  // Held only by do_ledger. The read endpoints take no lock: index_ and
+  // courses_ are written only by the constructor, the shards' catalogs must
+  // not change while the gateway lives (see the constructor), and
+  // check-out/check-in touch only each shard's open loans and ledger, which
+  // no read endpoint reads. The logical clock ticks under it, so same-seed
+  // ledgers match.
   std::mutex ledger_mu_;
   std::atomic<std::int64_t> clock_{0};
   std::atomic<bool> quit_{false};
-  std::map<std::string, EndpointStats> endpoint_stats_;  // fixed after ctor
-  std::map<int, obs::Counter*> status_counters_;         // fixed after ctor
+  std::array<EndpointStats, kEndpoints> endpoint_stats_;  // fixed after ctor
+  std::map<int, obs::Counter*> status_counters_;          // fixed after ctor
   obs::Counter* search_results_ = nullptr;
   // Aggregates feeding the availability objective.
   obs::Counter* requests_total_ = nullptr;   // http.requests_total

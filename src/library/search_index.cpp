@@ -21,6 +21,18 @@ std::map<std::string, std::uint32_t> term_counts(const LibraryEntry& entry) {
   return tf;
 }
 
+// The first 8 bytes of the course number, big-endian and zero-padded. Keys
+// order like the strings do (std::string compares bytes as unsigned char),
+// except that two numbers sharing their first 8 bytes get equal keys.
+std::uint64_t order_key(const std::string& course_number) {
+  std::uint64_t key = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    key <<= 8;
+    if (i < course_number.size()) key |= static_cast<unsigned char>(course_number[i]);
+  }
+  return key;
+}
+
 }  // namespace
 
 std::vector<std::string> tokenize(const std::string& text) {
@@ -52,7 +64,7 @@ void SearchIndex::add_entry(const LibraryEntry& entry) {
     free_ids_.pop_back();
   }
   const std::uint32_t id = it->second;
-  courses_[id] = Course{&entry, 1};
+  courses_[id] = Course{&entry, order_key(entry.course_number), 1};
   for (const auto& [tok, tf] : term_counts(entry)) {
     postings_[tok].emplace_back(id, 1.0 + std::log2(static_cast<double>(tf)));
   }
@@ -104,14 +116,22 @@ std::vector<SearchHit> SearchIndex::search(const std::string& query,
     for (std::uint32_t id : it->second) bump(id, 10.0);
   }
 
-  // Rank (score, id) pairs and build strings only for the returned prefix.
-  std::vector<std::pair<double, std::uint32_t>> ranked;
+  // Rank (score, order key, id) triples; only a tie of keys reads the
+  // course-number strings.
+  struct Ranked {
+    double score;
+    std::uint64_t key;
+    std::uint32_t id;
+  };
+  std::vector<Ranked> ranked;
   ranked.reserve(touched.size());
-  for (std::uint32_t id : touched) ranked.emplace_back(scores[id], id);
-  const auto better = [this](const std::pair<double, std::uint32_t>& a,
-                             const std::pair<double, std::uint32_t>& b) {
-    if (a.first != b.first) return a.first > b.first;
-    return courses_[a.second].entry->course_number < courses_[b.second].entry->course_number;
+  for (std::uint32_t id : touched) {
+    ranked.push_back({scores[id], courses_[id].order_key, id});
+  }
+  const auto better = [this](const Ranked& a, const Ranked& b) {
+    if (a.score != b.score) return a.score > b.score;
+    if (a.key != b.key) return a.key < b.key;
+    return courses_[a.id].entry->course_number < courses_[b.id].entry->course_number;
   };
   if (limit > 0 && ranked.size() > limit) {
     std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(limit),
@@ -123,12 +143,16 @@ std::vector<SearchHit> SearchIndex::search(const std::string& query,
 
   std::vector<SearchHit> hits;
   hits.reserve(ranked.size());
-  for (const auto& [score, id] : ranked) {
-    const Course& c = courses_[id];
-    hits.push_back(SearchHit{c.entry->course_number, c.entry->title, c.entry->instructor,
-                             score, c.instances});
+  for (const Ranked& r : ranked) {
+    const Course& c = courses_[r.id];
+    hits.push_back(SearchHit{c.entry, r.id, c.instances, r.score});
   }
   return hits;
+}
+
+std::optional<std::uint32_t> SearchIndex::id_of(const std::string& course_number) const {
+  if (auto it = ids_.find(course_number); it != ids_.end()) return it->second;
+  return std::nullopt;
 }
 
 std::vector<const LibraryEntry*> SearchIndex::taught_by(const std::string& name) const {

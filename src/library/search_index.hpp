@@ -16,10 +16,18 @@
 // +100 when the whole query is the course number and +10 when it is the
 // instructor's name. Hits are ordered by score descending, then course
 // number ascending: a total order, so equal contents give byte-identical
-// results whatever the order the entries were added in.
+// results whatever the order the entries were added in. Each course keeps an
+// order key computed from its course number alone (the number's first 8
+// bytes, big-endian), so ranking breaks score ties on integers and compares
+// the strings only when two keys tie.
+//
+// A hit points at the indexed entry, as taught_by does, and carries the
+// course's id, so a caller such as the gateway can keep per-course data in a
+// vector indexed by it.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -30,11 +38,10 @@ namespace wdoc::library {
 struct LibraryEntry;
 
 struct SearchHit {
-  std::string course_number;
-  std::string title;
-  std::string instructor;
-  double score = 0.0;           // TF-IDF relevance plus retrieval-mode boosts
-  std::uint32_t instances = 0;  // copies indexed (shards holding the course)
+  const LibraryEntry* entry = nullptr;  // the indexed entry (the first copy added)
+  std::uint32_t course_id = 0;          // the index's id of the course
+  std::uint32_t instances = 0;          // copies indexed (shards holding the course)
+  double score = 0.0;                   // TF-IDF relevance plus retrieval-mode boosts
 };
 
 // Lowercased alphanumeric tokens of `text`.
@@ -53,10 +60,18 @@ class SearchIndex {
   [[nodiscard]] std::vector<const LibraryEntry*> taught_by(const std::string& name) const;
   // Distinct courses (the N of idf).
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
+  // The id of an indexed course: below id_bound(), and stable until the
+  // course is removed (a removed course's id is reused).
+  [[nodiscard]] std::optional<std::uint32_t> id_of(
+      const std::string& course_number) const;
+  [[nodiscard]] std::uint32_t id_bound() const {
+    return static_cast<std::uint32_t>(courses_.size());
+  }
 
  private:
   struct Course {
     const LibraryEntry* entry = nullptr;  // null: the id is free for reuse
+    std::uint64_t order_key = 0;          // see the header comment
     std::uint32_t instances = 0;
   };
 

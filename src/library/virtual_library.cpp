@@ -1,5 +1,6 @@
 #include "library/virtual_library.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "storage/database.hpp"
@@ -93,23 +94,26 @@ std::optional<LibraryEntry> VirtualLibrary::by_course_number(
   return it->second;
 }
 
+std::size_t VirtualLibrary::LoanKeyHash::operator()(const LoanKey& k) const noexcept {
+  return std::hash<std::string>{}(k.course_number) ^ (k.student * 0x9e3779b97f4a7c15ULL);
+}
+
 Status VirtualLibrary::check_out(const std::string& course_number, UserId student,
                                  std::int64_t now) {
-  if (!entries_.contains(course_number)) {
+  if (!index_.id_of(course_number)) {
     return {Errc::not_found, "no course: " + course_number};
   }
-  auto key = std::make_pair(course_number, student.value());
-  if (open_loans_.contains(key)) {
+  if (!open_loans_.try_emplace(LoanKey{course_number, student.value()}, ledger_.size())
+           .second) {
     return {Errc::already_exists, "already checked out"};
   }
-  open_loans_.emplace(std::move(key), ledger_.size());
   ledger_.push_back(LedgerRecord{course_number, student, now, std::nullopt});
   return Status::ok();
 }
 
 Status VirtualLibrary::check_in(const std::string& course_number, UserId student,
                                 std::int64_t now) {
-  auto it = open_loans_.find(std::make_pair(course_number, student.value()));
+  auto it = open_loans_.find(LoanKey{course_number, student.value()});
   if (it == open_loans_.end()) {
     return {Errc::not_found, "no open loan for this course/student"};
   }
@@ -132,10 +136,10 @@ std::vector<LedgerRecord> VirtualLibrary::ledger_of(UserId student) const {
 
 std::vector<UserId> VirtualLibrary::holders_of(const std::string& course_number) const {
   std::vector<UserId> out;
-  for (auto it = open_loans_.lower_bound(std::make_pair(course_number, std::uint64_t{0}));
-       it != open_loans_.end() && it->first.first == course_number; ++it) {
-    out.push_back(UserId{it->first.second});
+  for (const auto& [key, _] : open_loans_) {
+    if (key.course_number == course_number) out.push_back(UserId{key.student});
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -196,8 +200,7 @@ Status VirtualLibrary::load(storage::Database& db) {
       r.checked_out_at = row[2].as_int();
       if (!row[3].is_null()) r.checked_in_at = row[3].as_int();
       if (!r.checked_in_at) {
-        open_loans_.emplace(std::make_pair(r.course_number, r.student.value()),
-                            ledger_.size());
+        open_loans_.emplace(LoanKey{r.course_number, r.student.value()}, ledger_.size());
       }
       ledger_.push_back(std::move(r));
       return true;

@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -90,6 +91,7 @@ class VirtualLibrary {
   [[nodiscard]] Status check_in(const std::string& course_number, UserId student,
                                 std::int64_t now);
   [[nodiscard]] std::vector<LedgerRecord> ledger_of(UserId student) const;
+  // Students holding the course, in ascending id order; walks every open loan.
   [[nodiscard]] std::vector<UserId> holders_of(const std::string& course_number) const;
   [[nodiscard]] AssessmentReport assess(UserId student) const;
 
@@ -102,12 +104,21 @@ class VirtualLibrary {
   [[nodiscard]] Status load(storage::Database& db);
 
  private:
+  struct LoanKey {
+    std::string course_number;
+    std::uint64_t student = 0;
+    bool operator==(const LoanKey&) const = default;
+  };
+  struct LoanKeyHash {
+    std::size_t operator()(const LoanKey& k) const noexcept;
+  };
+
   std::map<std::string, LibraryEntry> entries_;  // map nodes never move
   SearchIndex index_;                             // points into entries_
   std::vector<LedgerRecord> ledger_;
-  // (course, student id) -> index of the open ledger row; keeps check-out /
-  // check-in O(log n) instead of scanning the full history.
-  std::map<std::pair<std::string, std::uint64_t>, std::size_t> open_loans_;
+  // (course, student id) -> index of the open ledger row: check-out and
+  // check-in are one hash lookup each, however many loans are open.
+  std::unordered_map<LoanKey, std::size_t, LoanKeyHash> open_loans_;
 };
 
 }  // namespace wdoc::library

@@ -167,10 +167,13 @@ bool RequestTracer::finish_request(const TraceContext& ctx, SimTime at, bool err
   } else if (latency >= kTailLatencyMicros) {
     reason = &m.promoted_tail;
   }
-  bool promoted = reason != nullptr;
-  if (promoted) {
+  // The reason counts the decision; the request counts as promoted only if
+  // the durable buffer kept its root span (the first record), so an
+  // exemplar never names a trace a full buffer dropped.
+  bool promoted = false;
+  if (reason != nullptr) {
     reason->inc();
-    Tracer::global().adopt(std::move(t.spans));
+    promoted = Tracer::global().adopt(std::move(t.spans)) > 0;
   } else {
     m.discarded.inc();
   }

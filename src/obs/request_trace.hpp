@@ -64,7 +64,8 @@ class RequestTracer {
                                            std::uint64_t station = 0);
 
   // Ends the root span and applies the promotion decision. Returns true if
-  // the request's spans were adopted into the durable Tracer. Clears the
+  // the durable Tracer kept the request's root span: a full buffer keeps
+  // none, though obs.trace.promoted still counts the decision. Clears the
   // thread's ambient context either way.
   bool finish_request(const TraceContext& ctx, SimTime at, bool error);
 

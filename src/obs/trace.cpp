@@ -32,9 +32,10 @@ std::uint64_t Tracer::allocate_id() {
 }
 
 void Tracer::note_drop_locked(std::size_t n) {
+  static Counter& dropped = MetricsRegistry::global().counter("obs.trace.dropped");
   const bool first = dropped_ == 0;
   dropped_ += n;
-  MetricsRegistry::global().counter("obs.trace.dropped").inc(n);
+  dropped.inc(n);
   if (first) {
     WDOC_WARN("tracer: span buffer full (%zu spans); dropping new spans "
               "(counted in obs.trace.dropped) until drain()/clear()",

@@ -138,7 +138,7 @@ TEST_F(CoreFixture, LibrarySearchAndAssessment) {
 
   auto hits = student_->search("multimedia");
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].course_number, "CS102");
+  EXPECT_EQ(hits[0].entry->course_number, "CS102");
   EXPECT_EQ(student_->courses_by_instructor("shih").size(), 2u);
 
   ASSERT_TRUE(student_->check_out("CS102", 5000).is_ok());

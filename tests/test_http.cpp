@@ -215,7 +215,7 @@ TEST(Federation, MergesAndDeduplicatesReplicas) {
   Shards s;
   auto hits = s.search().search("btree");
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].course_number, "CS101");
+  EXPECT_EQ(hits[0].entry->course_number, "CS101");
   EXPECT_EQ(hits[0].instances, 2u);  // held by both shards, scored once
 }
 
@@ -236,20 +236,20 @@ TEST(Federation, TieBreaksByCourseAscending) {
   ASSERT_EQ(hits.size(), 2u);
   // CS101 has tf("storage")=1 same as CS301; the tie resolves by course number.
   EXPECT_LT(hits[0].score - hits[1].score, 1e-12);
-  EXPECT_EQ(hits[0].course_number, "CS101");
-  EXPECT_EQ(hits[1].course_number, "CS301");
+  EXPECT_EQ(hits[0].entry->course_number, "CS101");
+  EXPECT_EQ(hits[1].entry->course_number, "CS301");
 }
 
 TEST(Federation, CourseNumberAndInstructorBoosts) {
   Shards s;
   auto by_course = s.search().search("CS301");
   ASSERT_FALSE(by_course.empty());
-  EXPECT_EQ(by_course[0].course_number, "CS301");
+  EXPECT_EQ(by_course[0].entry->course_number, "CS301");
   EXPECT_GE(by_course[0].score, 100.0);
 
   auto by_instructor = s.search().search("knuth");
   ASSERT_EQ(by_instructor.size(), 1u);
-  EXPECT_EQ(by_instructor[0].course_number, "CS101");
+  EXPECT_EQ(by_instructor[0].entry->course_number, "CS101");
   // Replica on both shards must be boosted exactly once.
   EXPECT_GE(by_instructor[0].score, 10.0);
   EXPECT_LT(by_instructor[0].score, 20.0);
@@ -277,7 +277,7 @@ TEST(Federation, DeterministicAcrossRebuilds) {
     std::string rendered;
     for (const auto& q : queries) {
       for (const auto& h : index.search(q, 10)) {
-        rendered += h.course_number + ":" + std::to_string(h.score) + ":" +
+        rendered += h.entry->course_number + ":" + std::to_string(h.score) + ":" +
                     std::to_string(h.instances) + ";";
       }
       rendered += "|";
@@ -362,12 +362,14 @@ std::string first_difference(const std::vector<library::SearchHit>& a,
     return std::to_string(a.size()) + " hits vs " + std::to_string(b.size());
   }
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].course_number != b[i].course_number || a[i].title != b[i].title ||
-        a[i].instructor != b[i].instructor || a[i].score != b[i].score) {
+    const library::LibraryEntry& x = *a[i].entry;
+    const library::LibraryEntry& y = *b[i].entry;
+    if (x.course_number != y.course_number || x.title != y.title ||
+        x.instructor != y.instructor || a[i].score != b[i].score) {
       std::ostringstream why;
       why.precision(17);
-      why << "rank " << i << ": " << a[i].course_number << " " << a[i].score << " vs "
-          << b[i].course_number << " " << b[i].score;
+      why << "rank " << i << ": " << x.course_number << " " << a[i].score << " vs "
+          << y.course_number << " " << b[i].score;
       return why.str();
     }
   }
@@ -407,9 +409,10 @@ TEST(Federation, RanksLikeTheUnionCatalog) {
       ASSERT_EQ(first_difference(federated.search(q, 10), whole.search(q, 10)), "");
       for (const auto& h : hits) {
         const auto held = std::count_if(libs.begin(), libs.end(), [&](const auto& lib) {
-          return lib.entries().contains(h.course_number);
+          return lib.entries().contains(h.entry->course_number);
         });
-        ASSERT_EQ(h.instances, static_cast<std::uint32_t>(held)) << h.course_number;
+        ASSERT_EQ(h.instances, static_cast<std::uint32_t>(held))
+            << h.entry->course_number;
       }
     }
   }
@@ -610,6 +613,43 @@ TEST(Gateway, SlowDocRequestIsTailPromotedWithExemplar) {
     if (doc_hist.exemplar(i) == trace) exemplar_found = true;
   }
   EXPECT_TRUE(exemplar_found) << "p-bucket exemplar must resolve to the trace";
+  obs::Tracer::global().clear();
+}
+
+// Once the durable span buffer is full, head-sampled requests still count
+// under obs.trace.promoted{reason=head} but stamp no exemplar: an exemplar
+// names only a trace the buffer kept.
+TEST(Gateway, FullSpanBufferStampsNoExemplar) {
+  GatewayHarness h;
+  auto& hist = obs::MetricsRegistry::global().histogram("http.request_micros",
+                                                        {{"endpoint", "healthz"}});
+  auto& head = obs::MetricsRegistry::global().counter("obs.trace.promoted",
+                                                      {{"reason", "head"}});
+  auto exemplars = [&] {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < obs::Histogram::kBuckets; ++i) n += hist.exemplar(i) != 0;
+    return n;
+  };
+  auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(h.gateway->handle(make_request(Method::get, "/healthz")).status, 200);
+    }
+  };
+
+  obs::Tracer::global().clear();
+  std::vector<obs::SpanRecord> filler(obs::Tracer::kMaxSpans);
+  for (auto& rec : filler) rec.id = obs::Tracer::allocate_id();
+  ASSERT_EQ(obs::Tracer::global().adopt(std::move(filler)), obs::Tracer::kMaxSpans);
+  hist.reset();
+  const auto head0 = head.value();
+  send(1'000);
+  EXPECT_GT(head.value(), head0) << "some of the requests must win the head coin";
+  EXPECT_EQ(exemplars(), 0u);
+
+  // With room in the buffer the same traffic stamps exemplars again.
+  obs::Tracer::global().clear();
+  send(1'000);
+  EXPECT_GT(exemplars(), 0u);
   obs::Tracer::global().clear();
 }
 

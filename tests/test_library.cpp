@@ -70,13 +70,13 @@ TEST_F(LibraryFixture, KeywordSearchRanksByMatches) {
   // CS101 and CS103 match both tokens ("introduction", "engineering");
   // CS102 matches only "introduction".
   EXPECT_GT(hits[0].score, hits.back().score);
-  EXPECT_EQ(hits.back().course_number, "CS102");
+  EXPECT_EQ(hits.back().entry->course_number, "CS102");
 }
 
 TEST_F(LibraryFixture, KeywordSearchFindsKeywordField) {
   auto hits = lib_.search("video");
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].course_number, "CS102");
+  EXPECT_EQ(hits[0].entry->course_number, "CS102");
 }
 
 TEST_F(LibraryFixture, SearchMissesReturnEmpty) {
@@ -100,7 +100,7 @@ TEST_F(LibraryFixture, ByCourseNumber) {
 TEST_F(LibraryFixture, CombinedSearchPrioritizesExactCourse) {
   auto hits = lib_.search("CS102");
   ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].course_number, "CS102");
+  EXPECT_EQ(hits[0].entry->course_number, "CS102");
   EXPECT_GE(hits[0].score, 100.0);
 }
 
@@ -135,6 +135,15 @@ TEST_F(LibraryFixture, CheckOutAndIn) {
   EXPECT_EQ(lib_.holders_of("CS101").size(), 1u);
   EXPECT_EQ(lib_.check_in("CS101", kAlice, 2100).code(), Errc::not_found);
   EXPECT_EQ(lib_.check_in("CS101", kBob, 500).code(), Errc::invalid_argument);
+
+  // Holders come back in ascending student id, whatever the check-out
+  // order: descending, then interleaved.
+  for (std::uint64_t id : {50, 40, 30, 20, 10, 35, 15, 45, 25}) {
+    ASSERT_TRUE(lib_.check_out("CS103", UserId{id}, 3000).is_ok());
+  }
+  std::vector<UserId> want;
+  for (std::uint64_t id = 10; id <= 50; id += 5) want.push_back(UserId{id});
+  EXPECT_EQ(lib_.holders_of("CS103"), want);
 }
 
 TEST_F(LibraryFixture, ReCheckoutAfterReturn) {
@@ -196,6 +205,38 @@ TEST_F(LibraryFixture, SaveLoadRoundTrip) {
   EXPECT_TRUE(loaded.check_in("CS101", kAlice, 3000).is_ok());
 }
 
+TEST_F(LibraryFixture, SaveLoadKeepsEveryOpenLoan) {
+  // 1,200 open loans over the three courses, plus returned ones that a load
+  // must not reopen.
+  constexpr std::uint64_t kStudents = 400;
+  const std::vector<std::string> courses = {"CS101", "CS102", "CS103"};
+  for (std::uint64_t s = 1; s <= kStudents; ++s) {
+    for (const std::string& c : courses) {
+      ASSERT_TRUE(lib_.check_out(c, UserId{s}, 1000).is_ok());
+    }
+  }
+  for (std::uint64_t s = kStudents + 1; s <= kStudents + 50; ++s) {
+    ASSERT_TRUE(lib_.check_out("CS101", UserId{s}, 1000).is_ok());
+    ASSERT_TRUE(lib_.check_in("CS101", UserId{s}, 1500).is_ok());
+  }
+  auto db = storage::Database::in_memory();
+  ASSERT_TRUE(lib_.save(*db).is_ok());
+  VirtualLibrary loaded;
+  ASSERT_TRUE(loaded.load(*db).is_ok());
+
+  EXPECT_EQ(loaded.holders_of("CS102").size(), kStudents);
+  for (std::uint64_t s = 1; s <= kStudents; ++s) {
+    for (const std::string& c : courses) {
+      ASSERT_EQ(loaded.check_out(c, UserId{s}, 2000).code(), Errc::already_exists)
+          << c << " student " << s;
+      ASSERT_TRUE(loaded.check_in(c, UserId{s}, 2000).is_ok()) << c << " student " << s;
+    }
+  }
+  for (const std::string& c : courses) EXPECT_TRUE(loaded.holders_of(c).empty());
+  EXPECT_EQ(loaded.check_in("CS101", UserId{kStudents + 1}, 2000).code(),
+            Errc::not_found);
+}
+
 TEST_F(LibraryFixture, SaveIsReplaceAll) {
   auto db = storage::Database::in_memory();
   ASSERT_TRUE(lib_.save(*db).is_ok());
@@ -219,7 +260,7 @@ TEST(Library, TermFrequencyBreaksTies) {
   lib.add_entry(course("A2", "video", "y", {})).expect("A2");
   auto hits = lib.search("video");
   ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].course_number, "A1");  // higher tf
+  EXPECT_EQ(hits[0].entry->course_number, "A1");  // higher tf
   EXPECT_GT(hits[0].score, hits[1].score);
 }
 
@@ -257,7 +298,7 @@ TEST(Library, MutatedIndexRanksLikeFreshOne) {
       const auto want = fresh.search(q);
       ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " query '" << q << "'";
       for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i].course_number, want[i].course_number)
+        ASSERT_EQ(got[i].entry->course_number, want[i].entry->course_number)
             << "seed " << seed << " query '" << q << "' rank " << i;
         ASSERT_EQ(got[i].score, want[i].score) << "seed " << seed << " query '" << q << "'";
         ASSERT_EQ(got[i].instances, 1u);

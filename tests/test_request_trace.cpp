@@ -1,7 +1,8 @@
 // obs::RequestTracer: deterministic 1% head sampling, tail promotion at
 // 20 ms, error promotion, SpanScope parent chains, the 128-span request cap,
 // byte-identical exports of repeated runs, escaping of promoted names in
-// the Perfetto export, and exact head promotion under concurrent requests.
+// the Perfetto export, exact head promotion under concurrent requests, and
+// no promotion reported once the durable buffer is full.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -134,6 +135,25 @@ TEST(RequestTracer, PromotionReasonPrecedenceIsHeadThenError) {
   EXPECT_EQ(head.value(), head0 + 1);
   EXPECT_EQ(err.value(), err0 + 1);
   EXPECT_EQ(tail.value(), tail0);
+  Tracer::global().clear();
+}
+
+TEST(RequestTracer, FullDurableBufferPromotesNothing) {
+  // The reason counter counts the decision; finish_request reports a
+  // promotion only when the durable buffer kept the root span.
+  auto& rt = RequestTracer::global();
+  auto& head = promoted("head");
+  Tracer::global().clear();
+  std::vector<SpanRecord> filler(Tracer::kMaxSpans);
+  for (auto& rec : filler) rec.id = Tracer::allocate_id();
+  ASSERT_EQ(Tracer::global().adopt(std::move(filler)), Tracer::kMaxSpans);
+
+  const auto head0 = head.value();
+  TraceContext ctx = start_with_verdict(true, "GET /full", SimTime::micros(0));
+  EXPECT_FALSE(rt.finish_request(ctx, SimTime::micros(1), /*error=*/false));
+  EXPECT_EQ(head.value(), head0 + 1);
+  EXPECT_EQ(Tracer::global().span_count(), Tracer::kMaxSpans);
+  EXPECT_GE(Tracer::global().dropped(), 1u);
   Tracer::global().clear();
 }
 
