@@ -23,17 +23,14 @@ Result<std::unique_ptr<Database>> Database::open(const std::string& dir) {
   Status snap = load_snapshot(snapshot_path(dir), db->catalog_);
   if (!snap.is_ok() && snap.code() != Errc::not_found) return Error(snap.error());
 
-  auto records = Wal::read_all(wal_path(dir));
+  // One scan of the log feeds replay and puts the writer right after the
+  // last intact frame.
+  auto records = db->wal_.open(wal_path(dir));
   if (!records) return records.error();
   WDOC_TRY(Wal::replay(records.value(), db->catalog_));
 
-  WDOC_TRY(db->wal_.open(wal_path(dir)));
   db->catalog_.set_default_sink(db.get());
   return db;
-}
-
-Database::~Database() {
-  if (durable_) (void)wal_.sync();
 }
 
 void Database::on_mutation(const Mutation& m) {
@@ -106,7 +103,7 @@ Status Database::checkpoint() {
   if (!durable_) return Status::ok();
   WDOC_TRY(wal_.sync());
   WDOC_TRY(save_snapshot(catalog_, snapshot_path(dir_)));
-  WDOC_TRY(wal_.open(wal_path(dir_), /*truncate=*/true));
+  WDOC_TRY(wal_.truncate());
   return Status::ok();
 }
 

@@ -2,12 +2,13 @@
 //
 // Open modes:
 //   - in_memory(): no files, no logging.
-//   - open(dir): loads <dir>/snapshot.db if present, replays <dir>/wal.log,
-//     then appends new mutations to the WAL. checkpoint() collapses the WAL
-//     into a fresh snapshot.
+//   - open(dir): loads <dir>/snapshot.db if present, replays the intact
+//     prefix of <dir>/wal.log, then appends new mutations right after it.
+//     checkpoint() collapses the WAL into a fresh snapshot. Destruction
+//     writes the WAL's buffered frames and trims its zero tail.
 //
-// Thread safety: Database itself is not synchronized; concurrent access is
-// mediated by TransactionManager (txn.hpp).
+// Thread safety: Database itself is not synchronized (its WAL is); concurrent
+// access is mediated by TransactionManager (txn.hpp).
 #pragma once
 
 #include <memory>
@@ -24,7 +25,6 @@ class Database : private MutationSink {
   [[nodiscard]] static std::unique_ptr<Database> in_memory();
   [[nodiscard]] static Result<std::unique_ptr<Database>> open(const std::string& dir);
 
-  ~Database() override;
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 

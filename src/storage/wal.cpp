@@ -1,14 +1,68 @@
 #include "storage/wal.hpp"
 
-#include "obs/metrics.hpp"
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <set>
 
 #include "common/hash.hpp"
+#include "obs/metrics.hpp"
 
 namespace wdoc::storage {
 
 namespace {
+
+// The zero tail (DESIGN.md §3d). sync() tops it up to kTailBytes past the
+// log's end once fewer than kTailLowWater remain, so the file grows once per
+// ~240 KiB of frames rather than on every commit.
+constexpr std::uint64_t kTailLowWater = 16 << 10;
+constexpr std::uint64_t kTailBytes = 256 << 10;
+// Frames buffered in user space; append() writes them out before the buffer
+// would outgrow this (a larger frame goes alone).
+constexpr std::size_t kBufferBytes = 64 << 10;
+
+// Every iovec of a top-up points at this one page.
+constexpr std::size_t kZeroPageBytes = 4096;
+const std::uint8_t kZeroPage[kZeroPageBytes] = {};
+
+struct Scan {
+  std::vector<LogRecord> records;
+  std::uint64_t end = 0;  // offset just past the last intact frame
+};
+
+// Reads frames from the start of `f` until one is torn or fails its checksum.
+//
+// The zero tail that a crash leaves behind needs no case of its own. A zero
+// header ends the scan: its length is 0, and the checksum of an empty payload
+// is fnv1a64's offset basis, not 0. A header whose payload never reached the
+// disk reads zeros as its payload, while its checksum covers a payload whose
+// first byte, a LogKind, is never 0, so the zeros fail that checksum like any
+// other corrupt frame.
+Scan scan_frames(std::FILE* f) {
+  Scan scan;
+  for (;;) {
+    std::uint8_t header[12];
+    if (std::fread(header, 1, sizeof header, f) != sizeof header) break;
+    std::uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
+    std::uint64_t checksum = 0;
+    for (int i = 0; i < 8; ++i)
+      checksum |= static_cast<std::uint64_t>(header[4 + i]) << (8 * i);
+    if (len > (64u << 20)) break;  // implausible frame; treat as torn tail
+    Bytes payload(len);
+    if (len > 0 && std::fread(payload.data(), 1, len, f) != len) break;
+    if (fnv1a64(std::span<const std::uint8_t>(payload)) != checksum) break;
+    auto rec = LogRecord::decode(payload);
+    if (!rec) break;
+    scan.records.push_back(std::move(rec).value());
+    scan.end += sizeof header + len;
+  }
+  return scan;
+}
 
 void encode_row(Writer& w, const std::vector<Value>& row) {
   w.u32(static_cast<std::uint32_t>(row.size()));
@@ -89,76 +143,138 @@ Result<LogRecord> LogRecord::decode(const Bytes& frame) {
   return rec;
 }
 
-Wal::~Wal() { close(); }
+Wal::~Wal() { (void)close(); }
 
-Status Wal::open(const std::string& path, bool truncate) {
-  close();
-  file_ = std::fopen(path.c_str(), truncate ? "wb" : "ab");
-  if (file_ == nullptr) return {Errc::io_error, "cannot open WAL: " + path};
-  path_ = path;
+Result<std::vector<LogRecord>> Wal::open(const std::string& path) {
+  WDOC_TRY(close());
+  // A log that exists but cannot be read must not be truncated to nothing.
+  Scan scan;
+  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
+    scan = scan_frames(f);
+    const bool failed = std::ferror(f) != 0;
+    std::fclose(f);
+    if (failed) return Error{Errc::io_error, "cannot read WAL: " + path};
+  } else if (errno != ENOENT) {
+    return Error{Errc::io_error, "cannot read WAL: " + path};
+  }
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) return Error{Errc::io_error, "cannot open WAL: " + path};
+  // Frames written after a torn one would sit past the prefix that recovery
+  // reads, and be lost at the next open.
+  if (::ftruncate(fd, static_cast<off_t>(scan.end)) != 0) {
+    ::close(fd);
+    return Error{Errc::io_error, "cannot truncate WAL: " + path};
+  }
+  std::lock_guard<std::mutex> g(mu_);
+  fd_ = fd;
+  end_ = file_size_ = scan.end;
   bytes_appended_ = 0;
-  return Status::ok();
+  return std::move(scan.records);
 }
 
-void Wal::close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
+Status Wal::close() {
+  std::lock_guard<std::mutex> g(mu_);
+  if (fd_ < 0) return Status::ok();
+  Status s = write_buffer();
+  if (s.is_ok() && ::ftruncate(fd_, static_cast<off_t>(end_)) != 0) {
+    s = {Errc::io_error, "WAL truncate failed"};
   }
+  ::close(fd_);
+  fd_ = -1;
+  buffer_.clear();
+  return s;
 }
 
 Status Wal::append(const LogRecord& record) {
-  if (file_ == nullptr) return {Errc::io_error, "WAL not open"};
-  Bytes payload = record.encode();
-  Writer frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u64(fnv1a64(std::span<const std::uint8_t>(payload)));
-  frame.raw(payload);
-  const Bytes& buf = frame.data();
-  if (std::fwrite(buf.data(), 1, buf.size(), file_) != buf.size()) {
-    return {Errc::io_error, "WAL write failed"};
+  const Bytes payload = record.encode();
+  Writer header;
+  header.u32(static_cast<std::uint32_t>(payload.size()));
+  header.u64(fnv1a64(std::span<const std::uint8_t>(payload)));
+  const std::size_t frame_bytes = header.size() + payload.size();
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    if (fd_ < 0) return {Errc::io_error, "WAL not open"};
+    if (buffer_.size() + frame_bytes > kBufferBytes) WDOC_TRY(write_buffer());
+    buffer_.insert(buffer_.end(), header.data().begin(), header.data().end());
+    buffer_.insert(buffer_.end(), payload.begin(), payload.end());
+    bytes_appended_ += frame_bytes;
   }
-  bytes_appended_ += buf.size();
   static obs::Counter& c_appends =
       obs::MetricsRegistry::global().counter("storage.wal_appends");
   static obs::Counter& c_bytes =
       obs::MetricsRegistry::global().counter("storage.wal_bytes");
   c_appends.inc();
-  c_bytes.inc(buf.size());
+  c_bytes.inc(frame_bytes);
   return Status::ok();
 }
 
 Status Wal::sync() {
-  if (file_ == nullptr) return {Errc::io_error, "WAL not open"};
-  if (std::fflush(file_) != 0) return {Errc::io_error, "WAL flush failed"};
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    if (fd_ < 0) return {Errc::io_error, "WAL not open"};
+    WDOC_TRY(write_buffer());
+    if (file_size_ - end_ < kTailLowWater) WDOC_TRY(extend_tail());
+  }
   static obs::Counter& c_fsyncs =
       obs::MetricsRegistry::global().counter("storage.wal_fsyncs");
   c_fsyncs.inc();
   return Status::ok();
 }
 
+Status Wal::truncate() {
+  std::lock_guard<std::mutex> g(mu_);
+  if (fd_ < 0) return {Errc::io_error, "WAL not open"};
+  if (::ftruncate(fd_, 0) != 0) return {Errc::io_error, "WAL truncate failed"};
+  buffer_.clear();
+  end_ = file_size_ = bytes_appended_ = 0;
+  return Status::ok();
+}
+
+std::uint64_t Wal::bytes_appended() const {
+  std::lock_guard<std::mutex> g(mu_);
+  return bytes_appended_;
+}
+
+Status Wal::write_buffer() {
+  for (std::size_t done = 0; done < buffer_.size();) {
+    const ssize_t n = ::pwrite(fd_, buffer_.data() + done, buffer_.size() - done,
+                               static_cast<off_t>(end_ + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return {Errc::io_error, "WAL write failed"};
+    done += static_cast<std::size_t>(n);
+  }
+  end_ += buffer_.size();
+  file_size_ = std::max(file_size_, end_);
+  buffer_.clear();
+  return Status::ok();
+}
+
+Status Wal::extend_tail() {
+  // Zeros that are written, not fallocate'd: fallocate leaves unwritten
+  // extents, and the first write into each one is journalled again.
+  const std::uint64_t target = end_ + kTailBytes;
+  iovec iov[kTailBytes / kZeroPageBytes];
+  while (file_size_ < target) {
+    int n = 0;
+    for (std::uint64_t at = file_size_; at < target; at += iov[n++].iov_len) {
+      iov[n].iov_base = const_cast<std::uint8_t*>(kZeroPage);
+      iov[n].iov_len =
+          static_cast<std::size_t>(std::min<std::uint64_t>(kZeroPageBytes, target - at));
+    }
+    const ssize_t written = ::pwritev(fd_, iov, n, static_cast<off_t>(file_size_));
+    if (written < 0 && errno == EINTR) continue;
+    if (written <= 0) return {Errc::io_error, "WAL tail write failed"};
+    file_size_ += static_cast<std::uint64_t>(written);
+  }
+  return Status::ok();
+}
+
 Result<std::vector<LogRecord>> Wal::read_all(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return std::vector<LogRecord>{};  // no log yet
-  std::vector<LogRecord> out;
-  for (;;) {
-    std::uint8_t header[12];
-    if (std::fread(header, 1, sizeof header, f) != sizeof header) break;
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(header[i]) << (8 * i);
-    std::uint64_t checksum = 0;
-    for (int i = 0; i < 8; ++i)
-      checksum |= static_cast<std::uint64_t>(header[4 + i]) << (8 * i);
-    if (len > (64u << 20)) break;  // implausible frame; treat as torn tail
-    Bytes payload(len);
-    if (len > 0 && std::fread(payload.data(), 1, len, f) != len) break;
-    if (fnv1a64(std::span<const std::uint8_t>(payload)) != checksum) break;
-    auto rec = LogRecord::decode(payload);
-    if (!rec) break;
-    out.push_back(std::move(rec).value());
-  }
+  Scan scan = scan_frames(f);
   std::fclose(f);
-  return out;
+  return std::move(scan.records);
 }
 
 Status Wal::replay(const std::vector<LogRecord>& records, Catalog& catalog) {

@@ -2,7 +2,8 @@
 //   * randomized insert/update/erase streams against a reference map, with
 //     FK cascade semantics cross-checked structurally;
 //   * WAL corruption fuzzing: flip any byte, recovery must never crash and
-//     must yield a prefix of the committed history;
+//     must yield a prefix of the committed history; flips in a crash image's
+//     zero tail must leave every frame;
 //   * snapshot round-trip equivalence under random content.
 #include <gtest/gtest.h>
 
@@ -174,6 +175,24 @@ INSTANTIATE_TEST_SUITE_P(
 
 class WalFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+// A healthy log of 31 frames: the people table's create_table, then 30
+// autocommit inserts.
+void append_people_log(Wal& wal) {
+  LogRecord create;
+  create.kind = LogKind::create_table;
+  create.table = "people";
+  create.schema = people_schema();
+  ASSERT_TRUE(wal.append(create).is_ok());
+  for (int i = 0; i < 30; ++i) {
+    LogRecord rec;
+    rec.kind = LogKind::insert;
+    rec.table = "people";
+    rec.row = RowId{static_cast<std::uint64_t>(i + 1)};
+    rec.after = {Value("p" + std::to_string(i)), Value(i), Value("bio")};
+    ASSERT_TRUE(wal.append(rec).is_ok());
+  }
+}
+
 TEST_P(WalFuzz, BitFlipsNeverCrashRecovery) {
   const std::uint64_t seed = GetParam();
   fs::path dir = fs::temp_directory_path() /
@@ -186,19 +205,7 @@ TEST_P(WalFuzz, BitFlipsNeverCrashRecovery) {
   {
     Wal wal;
     ASSERT_TRUE(wal.open(wal_path).is_ok());
-    LogRecord create;
-    create.kind = LogKind::create_table;
-    create.table = "people";
-    create.schema = people_schema();
-    ASSERT_TRUE(wal.append(create).is_ok());
-    for (int i = 0; i < 30; ++i) {
-      LogRecord rec;
-      rec.kind = LogKind::insert;
-      rec.table = "people";
-      rec.row = RowId{static_cast<std::uint64_t>(i + 1)};
-      rec.after = {Value("p" + std::to_string(i)), Value(i), Value("bio")};
-      ASSERT_TRUE(wal.append(rec).is_ok());
-    }
+    append_people_log(wal);
     ASSERT_TRUE(wal.sync().is_ok());
   }
   const auto healthy = Wal::read_all(wal_path).expect("healthy read");
@@ -233,6 +240,57 @@ TEST_P(WalFuzz, BitFlipsNeverCrashRecovery) {
     Catalog catalog;
     Status replayed = Wal::replay(records.value(), catalog);
     EXPECT_TRUE(replayed.is_ok()) << replayed.message();
+  }
+  fs::remove_all(dir);
+}
+
+// A crash leaves on disk the zeros that sync() wrote ahead of the log's end
+// (only close() trims them). Flipping bytes there must not add, drop or
+// change a record.
+TEST_P(WalFuzz, TailFlipsInACrashImageKeepEveryFrame) {
+  const std::uint64_t seed = GetParam();
+  fs::path dir = fs::temp_directory_path() /
+                 ("wdoc-fuzz-tail-" + std::to_string(::getpid()) + "-" +
+                  std::to_string(seed));
+  fs::create_directories(dir);
+  const fs::path wal_path = dir / "wal.log";
+  const fs::path image = dir / "crash.log";
+  std::uint64_t log_end = 0;
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.open(wal_path.string()).is_ok());
+    append_people_log(wal);
+    ASSERT_TRUE(wal.sync().is_ok());
+    fs::copy_file(wal_path, image);  // while the log is open, as a crash finds it
+    log_end = wal.bytes_appended();
+  }
+  const auto healthy = Wal::read_all(wal_path.string()).expect("healthy read");
+  ASSERT_EQ(healthy.size(), 31u);
+  const std::uintmax_t size = fs::file_size(image);
+  ASSERT_GT(size, log_end) << "no zero tail in the crash image";
+
+  Rng rng(seed);
+  for (int trial = 0; trial < 40; ++trial) {
+    fs::path mutated = dir / ("mutated-" + std::to_string(trial));
+    fs::copy_file(image, mutated, fs::copy_options::overwrite_existing);
+    {
+      std::FILE* f = std::fopen(mutated.c_str(), "rb+");
+      ASSERT_NE(f, nullptr);
+      for (std::uint64_t flips = 1 + rng.uniform(3); flips > 0; --flips) {
+        long offset = static_cast<long>(log_end + rng.uniform(size - log_end));
+        std::fseek(f, offset, SEEK_SET);
+        int c = std::fgetc(f);
+        std::fseek(f, -1, SEEK_CUR);
+        std::fputc(c ^ static_cast<int>(1 + rng.uniform(255)), f);
+      }
+      std::fclose(f);
+    }
+    auto records = Wal::read_all(mutated.string());
+    ASSERT_TRUE(records.is_ok());
+    ASSERT_EQ(records.value().size(), healthy.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < healthy.size(); ++i) {
+      EXPECT_EQ(records.value()[i].encode(), healthy[i].encode()) << "record " << i;
+    }
   }
   fs::remove_all(dir);
 }

@@ -1,6 +1,6 @@
 // WAL + snapshot tests: record round-trips, replay semantics (committed vs
-// uncommitted transactions), torn-tail tolerance, snapshot round-trips and
-// durable Database reopen.
+// uncommitted transactions), torn-tail tolerance, crash images that carry
+// the zero tail, snapshot round-trips and durable Database reopen.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "common/hash.hpp"
 #include "storage/database.hpp"
 
 namespace wdoc::storage {
@@ -37,6 +38,44 @@ Schema simple_schema() {
                  Column{"v", ValueType::integer, true, false, false}},
                 "k");
 }
+
+LogRecord insert_record(std::uint64_t row) {
+  LogRecord rec;
+  rec.kind = LogKind::insert;
+  rec.table = "t";
+  rec.row = RowId{row};
+  rec.after = {Value("k" + std::to_string(row)), Value(static_cast<std::int64_t>(row))};
+  return rec;
+}
+
+// The bytes of one frame: u32 payload length, u64 fnv1a64 of the payload
+// (both little-endian), then the payload.
+Bytes frame_of(const LogRecord& rec) {
+  const Bytes payload = rec.encode();
+  Writer w;
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u64(fnv1a64(std::span<const std::uint8_t>(payload)));
+  w.raw(payload);
+  return w.take();
+}
+
+void write_at(const std::string& path, std::uint64_t offset, const Bytes& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, static_cast<long>(offset), SEEK_SET);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+void append_bytes(const std::string& path, const Bytes& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+// Six bytes of a frame header: a crash tore the frame after them.
+const Bytes kTornHeader = {0x20, 0x00, 0x00, 0x00, 0x11, 0x22};
 
 TEST(LogRecord, EncodeDecodeRoundTrip) {
   LogRecord rec;
@@ -111,14 +150,209 @@ TEST(Wal, TornTailIsIgnored) {
     ASSERT_TRUE(wal.sync().is_ok());
   }
   // Simulate a torn write: append garbage half-frame.
-  std::FILE* f = std::fopen(path.c_str(), "ab");
-  const char garbage[] = {0x20, 0x00, 0x00, 0x00, 0x11, 0x22};
-  std::fwrite(garbage, 1, sizeof garbage, f);
-  std::fclose(f);
+  append_bytes(path, kTornHeader);
 
   auto records = Wal::read_all(path);
   ASSERT_TRUE(records.is_ok());
   EXPECT_EQ(records.value().size(), 1u);
+}
+
+TEST(Wal, FramesAppendedAfterATornTailSurviveTheNextOpen) {
+  TempDir dir;
+  std::string path = dir.str() + "/wal.log";
+  {
+    Wal wal;
+    ASSERT_TRUE(wal.open(path).is_ok());
+    for (std::uint64_t row = 1; row <= 3; ++row) {
+      ASSERT_TRUE(wal.append(insert_record(row)).is_ok());
+    }
+  }
+  append_bytes(path, kTornHeader);
+  {
+    Wal wal;
+    auto recovered = wal.open(path);
+    ASSERT_TRUE(recovered.is_ok());
+    ASSERT_EQ(recovered.value().size(), 3u);
+    // The torn bytes are gone, so the new frame follows the intact prefix
+    // instead of hiding behind the tear.
+    EXPECT_EQ(fs::file_size(path), 3 * frame_of(insert_record(1)).size());
+    ASSERT_TRUE(wal.append(insert_record(4)).is_ok());
+    ASSERT_TRUE(wal.sync().is_ok());
+  }
+  auto records = Wal::read_all(path);
+  ASSERT_TRUE(records.is_ok());
+  ASSERT_EQ(records.value().size(), 4u);
+  EXPECT_EQ(records.value()[3].row, RowId{4});
+}
+
+TEST(Wal, AppendWritesWholeFramesOnceTheBufferIsFull) {
+  TempDir dir;
+  std::string path = dir.str() + "/wal.log";
+  auto big = [](std::uint64_t row, std::size_t bytes) {
+    LogRecord rec = insert_record(row);
+    rec.after[0] = Value(std::string(bytes, 'x'));
+    return rec;
+  };
+  Wal wal;
+  ASSERT_TRUE(wal.open(path).is_ok());
+  // 10 KB frames fill the 64 KiB buffer six at a time. A 100 KB frame
+  // outgrows the buffer on its own and goes out with the next append.
+  for (std::uint64_t row = 1; row <= 10; ++row) {
+    ASSERT_TRUE(wal.append(big(row, 10'000)).is_ok());
+  }
+  ASSERT_TRUE(wal.append(big(11, 100'000)).is_ok());
+  ASSERT_TRUE(wal.append(big(12, 10)).is_ok());
+  // Before any sync, the file holds whole frames, in order: all but the
+  // last, which is still buffered.
+  auto written = Wal::read_all(path);
+  ASSERT_TRUE(written.is_ok());
+  ASSERT_EQ(written.value().size(), 11u);
+  for (std::uint64_t row = 1; row <= 10; ++row) {
+    EXPECT_EQ(written.value()[row - 1].encode(), big(row, 10'000).encode());
+  }
+  EXPECT_EQ(written.value()[10].encode(), big(11, 100'000).encode());
+  ASSERT_TRUE(wal.sync().is_ok());
+  auto synced = Wal::read_all(path);
+  ASSERT_TRUE(synced.is_ok());
+  ASSERT_EQ(synced.value().size(), 12u);
+  EXPECT_EQ(synced.value()[11].row, RowId{12});
+}
+
+TEST(Wal, OpensFramesWrittenWithoutAZeroTail) {
+  // Frames back to back and nothing after them, as a clean close leaves a
+  // log, and as a writer without the zero tail left every log. Every record
+  // comes back, and the next frame lands right after them.
+  TempDir dir;
+  std::string path = dir.str() + "/wal.log";
+  Bytes log;
+  for (std::uint64_t row = 1; row <= 4; ++row) {
+    const Bytes frame = frame_of(insert_record(row));
+    log.insert(log.end(), frame.begin(), frame.end());
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(log.data(), 1, log.size(), f), log.size());
+  std::fclose(f);
+  {
+    Wal wal;
+    auto records = wal.open(path);
+    ASSERT_TRUE(records.is_ok());
+    ASSERT_EQ(records.value().size(), 4u);
+    for (std::uint64_t row = 1; row <= 4; ++row) {
+      EXPECT_EQ(records.value()[row - 1].encode(), insert_record(row).encode());
+    }
+    ASSERT_TRUE(wal.append(insert_record(5)).is_ok());
+  }
+  const Bytes fifth = frame_of(insert_record(5));
+  EXPECT_EQ(fs::file_size(path), log.size() + fifth.size());
+  EXPECT_EQ(Wal::read_all(path).value().size(), 5u);
+}
+
+// --- crash images ------------------------------------------------------------
+//
+// sync() leaves zeros written ahead past the log's end, and only close()
+// removes them, so a crash leaves them on disk. Each image below is a copy
+// of wal.log taken after a sync while the Wal was still open.
+
+class WalCrashImage : public ::testing::Test {
+ protected:
+  static constexpr std::uint64_t kFrames = 5;
+
+  // Appends and syncs kFrames frames, then copies the file while the log is
+  // still open.
+  void SetUp() override {
+    Wal wal;
+    ASSERT_TRUE(wal.open(path_).is_ok());
+    for (std::uint64_t row = 1; row <= kFrames; ++row) {
+      ASSERT_TRUE(wal.append(insert_record(row)).is_ok());
+    }
+    ASSERT_TRUE(wal.sync().is_ok());
+    fs::copy_file(path_, image_);
+    log_end_ = wal.bytes_appended();
+  }
+
+  // Opening the image recovers `frames` frames and cuts what follows them;
+  // a frame appended after that recovery is there at the next one.
+  void expect_recovers_then_appends(std::uint64_t frames) {
+    {
+      Wal wal;
+      auto recovered = wal.open(image_);
+      ASSERT_TRUE(recovered.is_ok());
+      ASSERT_EQ(recovered.value().size(), frames);
+      for (std::uint64_t i = 0; i < frames; ++i) {
+        EXPECT_EQ(recovered.value()[i].encode(), insert_record(i + 1).encode());
+      }
+      ASSERT_TRUE(wal.append(insert_record(100)).is_ok());
+      ASSERT_TRUE(wal.sync().is_ok());
+      ASSERT_TRUE(wal.close().is_ok());
+    }
+    auto records = Wal::read_all(image_);
+    ASSERT_TRUE(records.is_ok());
+    ASSERT_EQ(records.value().size(), frames + 1);
+    EXPECT_EQ(records.value().back().row, RowId{100});
+  }
+
+  TempDir dir_;
+  std::string path_ = dir_.str() + "/wal.log";
+  std::string image_ = dir_.str() + "/crash.log";
+  std::uint64_t log_end_ = 0;
+};
+
+TEST_F(WalCrashImage, RecoversExactlyTheSyncedFrames) {
+  EXPECT_EQ(log_end_, kFrames * frame_of(insert_record(1)).size());
+  EXPECT_GT(fs::file_size(image_), log_end_) << "no zero tail in the crash image";
+  auto records = Wal::read_all(image_);
+  ASSERT_TRUE(records.is_ok());
+  ASSERT_EQ(records.value().size(), kFrames);
+  expect_recovers_then_appends(kFrames);
+}
+
+TEST_F(WalCrashImage, HeaderWithoutItsPayloadEndsTheScan) {
+  // The header of a sixth frame reached the disk over the zeros; its
+  // payload did not.
+  Bytes header = frame_of(insert_record(kFrames + 1));
+  header.resize(12);
+  write_at(image_, log_end_, header);
+  EXPECT_EQ(Wal::read_all(image_).value().size(), kFrames);
+  expect_recovers_then_appends(kFrames);
+}
+
+TEST_F(WalCrashImage, TornLastFrameEndsTheScan) {
+  // Only the first half of the last frame reached the disk; the rest of it
+  // reads as the zeros beneath.
+  const std::uint64_t frame = frame_of(insert_record(kFrames)).size();
+  const std::uint64_t torn_at = log_end_ - frame / 2;
+  std::FILE* f = std::fopen(image_.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  Bytes lost(log_end_ - torn_at);
+  std::fseek(f, static_cast<long>(torn_at), SEEK_SET);
+  ASSERT_EQ(std::fread(lost.data(), 1, lost.size(), f), lost.size());
+  std::fclose(f);
+  ASSERT_NE(lost, Bytes(lost.size(), 0)) << "the torn half held only zeros";
+  write_at(image_, torn_at, Bytes(lost.size(), 0));
+  EXPECT_EQ(Wal::read_all(image_).value().size(), kFrames - 1);
+  expect_recovers_then_appends(kFrames - 1);
+}
+
+TEST_F(WalCrashImage, FlippedByteInTheTailIsIgnored) {
+  const std::uint64_t tail = fs::file_size(image_) - log_end_;
+  for (std::uint64_t offset : {std::uint64_t{0}, std::uint64_t{4}, tail / 2, tail - 1}) {
+    write_at(image_, log_end_ + offset, {0x5a});
+    EXPECT_EQ(Wal::read_all(image_).value().size(), kFrames) << "offset " << offset;
+    write_at(image_, log_end_ + offset, {0x00});
+  }
+  write_at(image_, log_end_ + tail / 3, {0xa5});
+  expect_recovers_then_appends(kFrames);
+}
+
+TEST_F(WalCrashImage, CleanCloseLeavesExactlyTheFrames) {
+  Wal wal;
+  ASSERT_TRUE(wal.open(path_).is_ok());
+  ASSERT_TRUE(wal.append(insert_record(kFrames + 1)).is_ok());
+  ASSERT_TRUE(wal.sync().is_ok());
+  EXPECT_GT(fs::file_size(path_), log_end_);
+  ASSERT_TRUE(wal.close().is_ok());
+  EXPECT_EQ(fs::file_size(path_), log_end_ + frame_of(insert_record(kFrames + 1)).size());
 }
 
 TEST(Wal, CorruptChecksumStopsScan) {
@@ -297,6 +531,30 @@ TEST(Database, CheckpointCollapsesWalIntoSnapshot) {
   auto reopened = Database::open(dir.str());
   ASSERT_TRUE(reopened.is_ok());
   EXPECT_EQ(reopened.value()->catalog().table("t")->row_count(), 11u);
+}
+
+TEST(Database, CommitAfterTornTailSurvivesRecovery) {
+  TempDir dir;
+  {
+    auto db = Database::open(dir.str());
+    ASSERT_TRUE(db.is_ok());
+    ASSERT_TRUE(db.value()->create_table(simple_schema()).is_ok());
+    ASSERT_TRUE(db.value()->insert("t", {Value("before"), Value(1)}).is_ok());
+    ASSERT_TRUE(db.value()->flush().is_ok());
+  }
+  append_bytes(dir.str() + "/wal.log", kTornHeader);
+  {
+    auto db = Database::open(dir.str());
+    ASSERT_TRUE(db.is_ok());
+    ASSERT_EQ(db.value()->catalog().table("t")->row_count(), 1u);
+    ASSERT_TRUE(db.value()->insert("t", {Value("after"), Value(2)}).is_ok());
+    ASSERT_TRUE(db.value()->flush().is_ok());
+  }
+  auto reopened = Database::open(dir.str());
+  ASSERT_TRUE(reopened.is_ok());
+  const Table* t = reopened.value()->catalog().table("t");
+  EXPECT_EQ(t->row_count(), 2u);
+  EXPECT_TRUE(t->find_unique("k", Value("after")).has_value());
 }
 
 TEST(Database, EraseAndUpdateSurviveReopen) {
