@@ -100,18 +100,6 @@ class SimCluster {
   [[nodiscard]] StationId id(std::size_t i) const { return ids_[i]; }
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
 
-  // Drops every non-root copy of `doc_key` and resets stats, so one cluster
-  // can host several strategies back to back.
-  void reset_doc(const std::string& doc_key) {
-    for (std::size_t i = 1; i < size(); ++i) {
-      if (stores_[i]->doc(doc_key) != nullptr) {
-        (void)stores_[i]->remove(doc_key);
-      }
-      (void)blobs_[i]->gc();
-    }
-    net_.reset_stats();
-  }
-
   [[nodiscard]] std::size_t count_materialized(const std::string& doc_key) const {
     std::size_t n = 0;
     for (const auto& store : stores_) {

@@ -420,13 +420,6 @@ void BlobStore::chunk_bits(const Digest128& digest, std::uint64_t size,
   }
 }
 
-void BlobStore::drop_partial(const Digest128& digest) {
-  auto it = partials_.find(digest);
-  if (it == partials_.end()) return;
-  if (it->second.any_real) partial_bytes_ -= it->second.info.size;
-  partials_.erase(it);
-}
-
 std::uint64_t BlobStore::gc() {
   std::uint64_t reclaimed = 0;
   for (auto it = blobs_.begin(); it != blobs_.end();) {

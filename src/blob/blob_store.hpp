@@ -128,7 +128,6 @@ class BlobStore {
   // evicted buffers alive until the last slice drops.
   [[nodiscard]] Result<net::Payload> chunk_payload(const Digest128& digest, std::uint32_t index,
                                                    std::uint32_t chunk_bytes);
-  void drop_partial(const Digest128& digest);
   // Snapshot of this store's possession of `digest`'s chunks, packed one
   // bit per chunk into `words` starting at absolute bit `bit_offset` (the
   // swarm layer concatenates every blob of a manifest into one

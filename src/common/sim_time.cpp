@@ -16,6 +16,4 @@ std::string SimTime::to_string() const {
   return buf;
 }
 
-std::ostream& operator<<(std::ostream& os, SimTime t) { return os << t.to_string(); }
-
 }  // namespace wdoc

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 
 namespace wdoc {
@@ -34,8 +33,6 @@ class SimTime {
 
   friend constexpr bool operator==(SimTime, SimTime) = default;
   friend constexpr auto operator<=>(SimTime, SimTime) = default;
-
-  friend std::ostream& operator<<(std::ostream& os, SimTime t);
 
   [[nodiscard]] std::string to_string() const;
 

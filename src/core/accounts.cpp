@@ -34,7 +34,7 @@ Result<UserId> AccountRegistry::create_account(const std::string& name, Role rol
                                                std::int64_t now,
                                                std::optional<UserId> actor) {
   if (name.empty()) return Error{Errc::invalid_argument, "empty account name"};
-  if (by_name_.contains(name)) {
+  if (names_.contains(name)) {
     return Error{Errc::already_exists, "account exists: " + name};
   }
   if (accounts_.empty()) {
@@ -49,19 +49,9 @@ Result<UserId> AccountRegistry::create_account(const std::string& name, Role rol
     WDOC_TRY(require(*actor, Privilege::manage_accounts));
   }
   UserId id = ids_.next();
-  Account account{id, name, role, now, true};
-  accounts_.emplace(id, account);
-  by_name_.emplace(name, id);
+  accounts_.emplace(id, Account{id, name, role, now});
+  names_.insert(name);
   return id;
-}
-
-Status AccountRegistry::deactivate(UserId id, UserId actor) {
-  WDOC_TRY(require(actor, Privilege::manage_accounts));
-  auto it = accounts_.find(id);
-  if (it == accounts_.end()) return {Errc::not_found, "no such account"};
-  if (id == actor) return {Errc::conflict, "cannot deactivate yourself"};
-  it->second.active = false;
-  return Status::ok();
 }
 
 Result<Account> AccountRegistry::get(UserId id) const {
@@ -70,23 +60,9 @@ Result<Account> AccountRegistry::get(UserId id) const {
   return it->second;
 }
 
-std::optional<UserId> AccountRegistry::find_by_name(const std::string& name) const {
-  auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<Account> AccountRegistry::by_role(Role role) const {
-  std::vector<Account> out;
-  for (const auto& [_, account] : accounts_) {
-    if (account.role == role && account.active) out.push_back(account);
-  }
-  return out;
-}
-
 bool AccountRegistry::allowed(UserId id, Privilege p) const {
   auto it = accounts_.find(id);
-  if (it == accounts_.end() || !it->second.active) return false;
+  if (it == accounts_.end()) return false;
   return role_grants(it->second.role, p);
 }
 
@@ -95,9 +71,6 @@ Status AccountRegistry::require(UserId id, Privilege p) const {
   auto it = accounts_.find(id);
   if (it == accounts_.end()) {
     return {Errc::not_found, "unknown user " + std::to_string(id.value())};
-  }
-  if (!it->second.active) {
-    return {Errc::lock_conflict, it->second.name + " is deactivated"};
   }
   return {Errc::lock_conflict,
           it->second.name + " (" + role_name(it->second.role) +

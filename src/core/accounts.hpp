@@ -7,8 +7,8 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/result.hpp"
@@ -44,7 +44,6 @@ struct Account {
   std::string name;
   Role role = Role::student;
   std::int64_t created_at = 0;
-  bool active = true;
 };
 
 class AccountRegistry {
@@ -54,19 +53,16 @@ class AccountRegistry {
   [[nodiscard]] Result<UserId> create_account(const std::string& name, Role role,
                                               std::int64_t now,
                                               std::optional<UserId> actor = {});
-  [[nodiscard]] Status deactivate(UserId id, UserId actor);
   [[nodiscard]] Result<Account> get(UserId id) const;
-  [[nodiscard]] std::optional<UserId> find_by_name(const std::string& name) const;
-  [[nodiscard]] std::vector<Account> by_role(Role role) const;
   [[nodiscard]] std::size_t count() const { return accounts_.size(); }
 
-  // Central permission check: unknown or deactivated users hold nothing.
+  // Central permission check: unknown users hold nothing.
   [[nodiscard]] bool allowed(UserId id, Privilege p) const;
   [[nodiscard]] Status require(UserId id, Privilege p) const;
 
  private:
   std::map<UserId, Account> accounts_;
-  std::map<std::string, UserId> by_name_;
+  std::set<std::string> names_;
   IdAllocator<UserId> ids_;
 };
 

@@ -66,31 +66,16 @@ void AwarenessHost::on_message(const net::Message& msg) {
 
   if (msg.type == kJoin) {
     if (it == members.end()) {
-      members.push_back(RoomMember{m.user, m.name, msg.from, fabric_->now()});
+      members.push_back(RoomMember{m.user, m.name, msg.from});
       broadcast_roster(m.room);
     } else {
-      it->last_seen = fabric_->now();
       it->station = msg.from;
     }
     return;
   }
   if (it == members.end()) return;  // everything else requires membership
 
-  if (msg.type == kLeave) {
-    members.erase(it);
-    if (members.empty()) {
-      rooms_.erase(m.room);
-    } else {
-      broadcast_roster(m.room);
-    }
-    return;
-  }
-  if (msg.type == kHeartbeat) {
-    it->last_seen = fabric_->now();
-    return;
-  }
   if (msg.type == kChat) {
-    it->last_seen = fabric_->now();
     ++chats_relayed_;
     for (const RoomMember& member : members) {
       if (member.user == m.user) continue;
@@ -125,31 +110,6 @@ void AwarenessHost::broadcast_roster(const std::string& room) {
   }
 }
 
-std::size_t AwarenessHost::sweep(SimTime timeout) {
-  std::size_t expired = 0;
-  SimTime now = fabric_->now();
-  std::vector<std::string> changed;
-  for (auto& [room, members] : rooms_) {
-    auto stale = std::remove_if(members.begin(), members.end(),
-                                [&](const RoomMember& m) {
-                                  return now - m.last_seen > timeout;
-                                });
-    if (stale != members.end()) {
-      expired += static_cast<std::size_t>(members.end() - stale);
-      members.erase(stale, members.end());
-      changed.push_back(room);
-    }
-  }
-  for (const std::string& room : changed) {
-    if (rooms_[room].empty()) {
-      rooms_.erase(room);
-    } else {
-      broadcast_roster(room);
-    }
-  }
-  return expired;
-}
-
 std::vector<RoomMember> AwarenessHost::roster(const std::string& room) const {
   auto it = rooms_.find(room);
   return it == rooms_.end() ? std::vector<RoomMember>{} : it->second;
@@ -165,23 +125,13 @@ void AwarenessClient::bind() {
   fabric_->set_handler(self_, [this](const net::Message& msg) { on_message(msg); });
 }
 
-Status AwarenessClient::send_simple(const char* type, const std::string& room) {
+Status AwarenessClient::join(const std::string& room) {
   net::Message msg;
   msg.from = self_;
   msg.to = host_;
-  msg.type = type;
+  msg.type = AwarenessHost::kJoin;
   msg.payload = encode_member_msg(user_, name_, room, "");
   return fabric_->send(std::move(msg));
-}
-
-Status AwarenessClient::join(const std::string& room) {
-  return send_simple(AwarenessHost::kJoin, room);
-}
-Status AwarenessClient::leave(const std::string& room) {
-  return send_simple(AwarenessHost::kLeave, room);
-}
-Status AwarenessClient::heartbeat(const std::string& room) {
-  return send_simple(AwarenessHost::kHeartbeat, room);
 }
 
 Status AwarenessClient::chat(const std::string& room, const std::string& text) {
@@ -215,15 +165,9 @@ void AwarenessClient::on_message(const net::Message& msg) {
       if (!name) return;
       names.push_back(std::move(name).value());
     }
-    rosters_[room.value()] = names;
     if (on_roster_) on_roster_(room.value(), names);
     return;
   }
-}
-
-std::vector<std::string> AwarenessClient::known_roster(const std::string& room) const {
-  auto it = rosters_.find(room);
-  return it == rosters_.end() ? std::vector<std::string>{} : it->second;
 }
 
 }  // namespace wdoc::core

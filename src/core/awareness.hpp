@@ -5,16 +5,12 @@
 // (§1; the student workstation receives daemons for "group discussions").
 //
 // A host station (typically the instructor's) keeps per-room rosters;
-// member daemons join, heartbeat, and chat. The host relays chat to every
-// other member and pushes roster updates on membership changes; a sweep
-// expires members whose heartbeats stopped (the 1999 equivalent of a
-// dropped modem connection).
+// member daemons join and chat. The host relays chat to every other member
+// and pushes the roster to the room whenever someone joins.
 //
 // Wire protocol (all via net::Fabric, so it runs on the simulator and on
 // real threads alike):
 //   aw.join       member -> host    {user, name, room}
-//   aw.leave      member -> host    {user, room}
-//   aw.heartbeat  member -> host    {user, room}
 //   aw.chat       member -> host    {user, room, text}
 //   aw.chat_fwd   host -> member    {room, from_name, text}
 //   aw.roster     host -> member    {room, names...}
@@ -32,7 +28,6 @@ struct RoomMember {
   UserId user;
   std::string name;
   StationId station;
-  SimTime last_seen;
 };
 
 class AwarenessHost {
@@ -42,17 +37,11 @@ class AwarenessHost {
   void bind();
   [[nodiscard]] StationId id() const { return self_; }
 
-  // Members not heard from within `timeout` are dropped; returns how many
-  // were expired (each expiry triggers a roster update).
-  std::size_t sweep(SimTime timeout);
-
   [[nodiscard]] std::vector<RoomMember> roster(const std::string& room) const;
   [[nodiscard]] std::size_t room_count() const { return rooms_.size(); }
   [[nodiscard]] std::uint64_t chats_relayed() const { return chats_relayed_; }
 
   static constexpr const char* kJoin = "aw.join";
-  static constexpr const char* kLeave = "aw.leave";
-  static constexpr const char* kHeartbeat = "aw.heartbeat";
   static constexpr const char* kChat = "aw.chat";
   static constexpr const char* kChatFwd = "aw.chat_fwd";
   static constexpr const char* kRoster = "aw.roster";
@@ -82,19 +71,13 @@ class AwarenessClient {
   [[nodiscard]] StationId id() const { return self_; }
 
   [[nodiscard]] Status join(const std::string& room);
-  [[nodiscard]] Status leave(const std::string& room);
-  [[nodiscard]] Status heartbeat(const std::string& room);
   [[nodiscard]] Status chat(const std::string& room, const std::string& text);
 
   void set_chat_handler(ChatHandler handler) { on_chat_ = std::move(handler); }
   void set_roster_handler(RosterHandler handler) { on_roster_ = std::move(handler); }
 
-  // Last roster received per room.
-  [[nodiscard]] std::vector<std::string> known_roster(const std::string& room) const;
-
  private:
   void on_message(const net::Message& msg);
-  [[nodiscard]] Status send_simple(const char* type, const std::string& room);
 
   net::Fabric* fabric_;
   StationId self_;
@@ -103,7 +86,6 @@ class AwarenessClient {
   std::string name_;
   ChatHandler on_chat_;
   RosterHandler on_roster_;
-  std::map<std::string, std::vector<std::string>> rosters_;
 };
 
 }  // namespace wdoc::core

@@ -22,17 +22,6 @@ Status Registrar::admit(UserId actor, UserId student, const std::string& program
   return Status::ok();
 }
 
-Result<AdmissionRecord> Registrar::admission_of(UserId actor, UserId student) const {
-  if (actor != student) {
-    WDOC_TRY(accounts_->require(actor, Privilege::view_any_transcript));
-  }
-  auto it = admissions_.find(student);
-  if (it == admissions_.end()) {
-    return Error{Errc::not_found, "no admission record"};
-  }
-  return it->second;
-}
-
 bool Registrar::is_admitted(UserId student) const {
   return admissions_.contains(student);
 }

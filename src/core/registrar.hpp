@@ -43,7 +43,6 @@ class Registrar {
   // --- admission (administrator) ---------------------------------------
   [[nodiscard]] Status admit(UserId actor, UserId student, const std::string& program,
                              std::int64_t now);
-  [[nodiscard]] Result<AdmissionRecord> admission_of(UserId actor, UserId student) const;
   [[nodiscard]] bool is_admitted(UserId student) const;
 
   // --- enrollment --------------------------------------------------------

@@ -122,20 +122,6 @@ Status InstructorSession::finish_edit(const std::string& script_name, Bytes new_
   return db_->locks().unlock(user_, *node);
 }
 
-void InstructorSession::abandon_edit(const std::string& script_name) {
-  (void)db_->scm().cancel_checkout("script:" + script_name, user_);
-  if (auto node = db_->lock_node_of("script:" + script_name)) {
-    (void)db_->locks().unlock(user_, *node);
-  }
-}
-
-Status InstructorSession::broadcast_lecture(const std::string& starting_url) {
-  if (db_->node() == nullptr) return {Errc::unavailable, "station not attached"};
-  auto manifest = db_->manifest_for(starting_url);
-  if (!manifest) return manifest.status();
-  return db_->node()->broadcast_push(manifest.value());
-}
-
 Result<std::vector<integrity::Alert>> InstructorSession::alerts_for_script(
     const std::string& script_name) {
   return db_->update_alerts(integrity::SciRef{integrity::SciKind::script, script_name});
@@ -145,11 +131,6 @@ Result<std::vector<integrity::Alert>> InstructorSession::alerts_for_script(
 
 std::vector<library::SearchHit> StudentSession::search(const std::string& query) const {
   return db_->library().search(query);
-}
-
-std::vector<const library::LibraryEntry*> StudentSession::courses_by_instructor(
-    const std::string& instructor) const {
-  return db_->library().by_instructor(instructor);
 }
 
 Status StudentSession::check_out(const std::string& course_number, std::int64_t now) {
@@ -162,12 +143,6 @@ Status StudentSession::check_in(const std::string& course_number, std::int64_t n
 
 library::AssessmentReport StudentSession::assessment() const {
   return db_->library().assess(user_);
-}
-
-Status StudentSession::fetch_course(const std::string& starting_url,
-                                    dist::StationNode::FetchCallback cb) {
-  if (db_->node() == nullptr) return {Errc::unavailable, "station not attached"};
-  return db_->node()->fetch(starting_url, std::move(cb));
 }
 
 }  // namespace wdoc::core

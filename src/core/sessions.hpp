@@ -56,10 +56,6 @@ class InstructorSession {
   [[nodiscard]] Status begin_edit(const std::string& script_name, std::int64_t now);
   [[nodiscard]] Status finish_edit(const std::string& script_name, Bytes new_content,
                                    const std::string& comment, std::int64_t now);
-  void abandon_edit(const std::string& script_name);
-
-  // Pre-broadcasts a lecture down the configured distribution tree.
-  [[nodiscard]] Status broadcast_lecture(const std::string& starting_url);
 
   // Alerts produced by an update to this script.
   [[nodiscard]] Result<std::vector<integrity::Alert>> alerts_for_script(
@@ -82,18 +78,9 @@ class StudentSession {
   // --- virtual library ------------------------------------------------------
   // Ranked like the HTTP gateway's GET /search (library::SearchIndex).
   [[nodiscard]] std::vector<library::SearchHit> search(const std::string& query) const;
-  // The library's own entries; see VirtualLibrary::by_instructor.
-  [[nodiscard]] std::vector<const library::LibraryEntry*> courses_by_instructor(
-      const std::string& instructor) const;
   [[nodiscard]] Status check_out(const std::string& course_number, std::int64_t now);
   [[nodiscard]] Status check_in(const std::string& course_number, std::int64_t now);
   [[nodiscard]] library::AssessmentReport assessment() const;
-
-  // --- lecture access -------------------------------------------------------
-  // Resolves a course's document through the distribution layer; local hits
-  // complete synchronously, remote ones via the tree.
-  [[nodiscard]] Status fetch_course(const std::string& starting_url,
-                                    dist::StationNode::FetchCallback cb);
 
  private:
   WebDocDb* db_;

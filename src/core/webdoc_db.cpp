@@ -27,12 +27,7 @@ Result<std::unique_ptr<WebDocDb>> WebDocDb::create(const WebDocDbOptions& option
   db->repo_ = std::make_unique<docmodel::Repository>(*db->db_, *db->blobs_);
   db->objects_ = std::make_unique<dist::ObjectStore>(*db->blobs_);
   db->sql_ = std::make_unique<storage::sql::Engine>(*db->db_);
-  if (!options.data_dir.empty()) {
-    db->rehydrate_blob_refs();
-    if (db->db_->catalog().has_table("wd_library_entry")) {
-      WDOC_TRY(db->library_.load(*db->db_));
-    }
-  }
+  if (!options.data_dir.empty()) db->rehydrate_blob_refs();
   return db;
 }
 

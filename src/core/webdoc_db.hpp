@@ -59,10 +59,6 @@ class WebDocDb {
   // standard" compatibility surface).
   [[nodiscard]] storage::sql::Engine& sql() { return *sql_; }
 
-  // Mirrors the virtual library into the relational tier so it survives a
-  // durable restart (create() reloads it automatically).
-  [[nodiscard]] Status persist_library() { return library_.save(*db_); }
-
   // --- distribution ---------------------------------------------------------
   // Joins a fabric as `self`; afterwards node() is live.
   [[nodiscard]] Status attach(net::Fabric& fabric, StationId self);

@@ -25,7 +25,7 @@ class AdminNode {
  public:
   // Result<Snapshot> carries scrape failures (timeout when the whole tree is
   // unreachable).
-  using SnapshotCallback = StationNode::SnapshotCallback;
+  using SnapshotCallback = net::Rpc<obs::Snapshot>;
 
   AdminNode(net::Fabric& fabric, StationId self, Coordinator& coordinator,
             std::uint64_t m = 2);

@@ -1,7 +1,6 @@
 #include "dist/coordinator.hpp"
 
 #include <algorithm>
-#include <memory>
 
 namespace wdoc::dist {
 
@@ -17,11 +16,6 @@ std::optional<std::uint64_t> Coordinator::position_of(StationId id) const {
   return it->second;
 }
 
-void Coordinator::set_m(blob::MediaType type, std::uint64_t m) {
-  WDOC_CHECK(m >= 1, "m must be >= 1");
-  m_by_media_[static_cast<std::size_t>(type)] = m;
-}
-
 std::uint64_t Coordinator::m_for(blob::MediaType type) const {
   std::uint64_t m = m_by_media_[static_cast<std::size_t>(type)];
   return m == 0 ? 2 : m;  // conservative binary tree until adapted
@@ -34,50 +28,6 @@ void Coordinator::adapt(double uplink_bps, double latency_s) {
         blob::typical_media_bytes(static_cast<blob::MediaType>(t));
     m_by_media_[t] = choose_m(n, bytes, uplink_bps, latency_s);
   }
-}
-
-void Coordinator::configure_tree(std::vector<StationNode*>& nodes,
-                                 blob::MediaType dominant) const {
-  const std::uint64_t m = m_for(dominant);
-  // Every node aliases one copy of the vector; at N=10,000 stations the
-  // alternative is N copies of an N-entry vector.
-  auto shared = std::make_shared<const std::vector<StationId>>(stations_);
-  for (StationNode* node : nodes) {
-    node->set_tree(shared, m);
-  }
-}
-
-Status Coordinator::register_course(const CourseRegistration& reg) {
-  if (!positions_.contains(reg.station)) {
-    return {Errc::not_found, "station not registered with the administrator"};
-  }
-  for (const CourseRegistration& r : registrations_) {
-    if (r.course == reg.course && r.student == reg.student) {
-      return {Errc::already_exists, "student already registered for " + reg.course};
-    }
-  }
-  registrations_.push_back(reg);
-  return Status::ok();
-}
-
-std::vector<CourseRegistration> Coordinator::registrations_of(
-    const std::string& course) const {
-  std::vector<CourseRegistration> out;
-  for (const CourseRegistration& r : registrations_) {
-    if (r.course == course) out.push_back(r);
-  }
-  return out;
-}
-
-std::vector<StationId> Coordinator::stations_of_course(const std::string& course) const {
-  std::vector<StationId> out;
-  for (const CourseRegistration& r : registrations_) {
-    if (r.course == course &&
-        std::find(out.begin(), out.end(), r.station) == out.end()) {
-      out.push_back(r.station);
-    }
-  }
-  return out;
 }
 
 }  // namespace wdoc::dist

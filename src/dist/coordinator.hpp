@@ -1,8 +1,8 @@
-// Coordinator: the paper's "class administrator" front end. It performs
-// "book keeping of course registration and network information", owns the
-// broadcast vector ("a linear sequence of workstation IP addresses"), and
-// "maintains the sizes of m's, based on the number of workstations and the
-// physical network bandwidth for different types of multimedia data" (§4).
+// Coordinator: the paper's "class administrator" front end for network
+// information. It owns the broadcast vector ("a linear sequence of
+// workstation IP addresses") and "maintains the sizes of m's, based on the
+// number of workstations and the physical network bandwidth for different
+// types of multimedia data" (§4). Course registration is core::Registrar's.
 #pragma once
 
 #include <array>
@@ -13,12 +13,6 @@
 #include "dist/station_node.hpp"
 
 namespace wdoc::dist {
-
-struct CourseRegistration {
-  std::string course;      // script name / course number
-  StationId station;       // where the student sits
-  UserId student;
-};
 
 class Coordinator {
  public:
@@ -31,28 +25,15 @@ class Coordinator {
   [[nodiscard]] std::optional<std::uint64_t> position_of(StationId id) const;
 
   // --- fan-out management ---------------------------------------------
-  // Explicitly pin m for one media type.
-  void set_m(blob::MediaType type, std::uint64_t m);
   [[nodiscard]] std::uint64_t m_for(blob::MediaType type) const;
   // Recomputes m for every media type from the current station count and a
   // measured uplink bandwidth — "adaptive to changing network conditions".
   void adapt(double uplink_bps, double latency_s);
 
-  // Pushes the broadcast vector + per-media m to a set of nodes, using the
-  // m of the given media type (a lecture is dominated by its largest media).
-  void configure_tree(std::vector<StationNode*>& nodes, blob::MediaType dominant) const;
-
-  // --- course registration ----------------------------------------------
-  [[nodiscard]] Status register_course(const CourseRegistration& reg);
-  [[nodiscard]] std::vector<CourseRegistration> registrations_of(
-      const std::string& course) const;
-  [[nodiscard]] std::vector<StationId> stations_of_course(const std::string& course) const;
-
  private:
   std::vector<StationId> stations_;
   std::map<StationId, std::uint64_t> positions_;
   std::array<std::uint64_t, blob::kMediaTypeCount> m_by_media_{};
-  std::vector<CourseRegistration> registrations_;
 };
 
 }  // namespace wdoc::dist

@@ -2,15 +2,6 @@
 
 namespace wdoc::dist {
 
-const char* object_form_name(ObjectForm f) {
-  switch (f) {
-    case ObjectForm::document_class: return "class";
-    case ObjectForm::instance: return "instance";
-    case ObjectForm::reference: return "reference";
-  }
-  return "?";
-}
-
 void DocManifest::serialize(Writer& w) const {
   w.str(doc_key);
   w.u64(structure_bytes);

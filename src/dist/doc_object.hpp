@@ -28,8 +28,6 @@ enum class ObjectForm : std::uint8_t {
   reference = 2,
 };
 
-[[nodiscard]] const char* object_form_name(ObjectForm f);
-
 // One BLOB the document needs: content digest plus size/type, and an
 // optional playout offset for timed lecture media.
 struct BlobRef {

@@ -5,15 +5,6 @@
 
 namespace wdoc::dist {
 
-const char* lecture_state_name(LectureState s) {
-  switch (s) {
-    case LectureState::pending: return "pending";
-    case LectureState::live: return "live";
-    case LectureState::ended: return "ended";
-  }
-  return "?";
-}
-
 LectureSession::LectureSession(LectureId id, DocManifest manifest,
                                StationNode& instructor,
                                std::vector<StationNode*> audience)

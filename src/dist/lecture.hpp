@@ -17,8 +17,6 @@ namespace wdoc::dist {
 
 enum class LectureState : std::uint8_t { pending = 0, live = 1, ended = 2 };
 
-[[nodiscard]] const char* lecture_state_name(LectureState s);
-
 class LectureSession {
  public:
   // `instructor` must be the tree root for push to reach everyone;

@@ -127,11 +127,6 @@ const StoredDoc* ObjectStore::doc(const std::string& doc_key) const {
   return it == docs_.end() ? nullptr : &it->second;
 }
 
-const StoredDoc* ObjectStore::document_class(const std::string& doc_key) const {
-  auto it = classes_.find(doc_key);
-  return it == classes_.end() ? nullptr : &it->second;
-}
-
 bool ObjectStore::has_materialized(const std::string& doc_key) const {
   const StoredDoc* d = doc(doc_key);
   return d != nullptr && d->form == ObjectForm::instance;

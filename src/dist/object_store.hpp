@@ -57,7 +57,6 @@ class ObjectStore {
 
   // --- queries -----------------------------------------------------------
   [[nodiscard]] const StoredDoc* doc(const std::string& doc_key) const;
-  [[nodiscard]] const StoredDoc* document_class(const std::string& doc_key) const;
   [[nodiscard]] bool has_materialized(const std::string& doc_key) const;
   [[nodiscard]] std::vector<std::string> keys() const;
   [[nodiscard]] std::size_t doc_count() const { return docs_.size(); }

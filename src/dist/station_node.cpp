@@ -1332,7 +1332,6 @@ void StationNode::on_message(const net::Message& msg) {
   using Handler = void (StationNode::*)(const net::Message&);
   static constexpr std::pair<const char*, Handler> kHandlers[] = {
       {kPush, &StationNode::on_push},
-      {kRefAnnounce, &StationNode::on_ref_announce},
       {kFetchReq, &StationNode::on_fetch_req},
       {kFetchRsp, &StationNode::on_fetch_rsp},
       {kFetchErr, &StationNode::on_fetch_err},
@@ -1382,36 +1381,6 @@ void StationNode::on_push(const net::Message& msg) {
   (void)send_push(msg.payload, m.total_bytes(),
                   obs::TraceContext{msg.trace.trace_id, span, msg.trace.sampled});
   tracer.end(span, fabric_->now());
-}
-
-Status StationNode::announce_reference(const DocManifest& manifest) {
-  if (position_ == 0) return {Errc::invalid_argument, "station not in broadcast tree"};
-  Writer w;
-  manifest.serialize(w);
-  // One refcounted manifest buffer shared across the whole fan-out.
-  const net::Payload payload{w.take()};
-  for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-    // Reference records are structure-free: only the manifest crosses the
-    // wire (charged at payload size), not the document.
-    WDOC_TRY(send(tree_order()[child - 1], kRefAnnounce, payload));
-  }
-  return Status::ok();
-}
-
-void StationNode::on_ref_announce(const net::Message& msg) {
-  Reader r(msg.payload);
-  auto manifest = DocManifest::deserialize(r);
-  if (!manifest) return;
-  const DocManifest& m = manifest.value();
-  if (store_->doc(m.doc_key) == nullptr) {
-    (void)store_->put_reference(m);
-  }
-  // Forward down the tree: the received slice itself, refcounted.
-  if (position_ != 0) {
-    for (std::uint64_t child : children_of(position_, m_, tree_order().size())) {
-      (void)send(tree_order()[child - 1], kRefAnnounce, msg.payload);
-    }
-  }
 }
 
 // --- pull --------------------------------------------------------------------
@@ -1649,10 +1618,6 @@ obs::Snapshot StationNode::local_snapshot() const {
   return snap;
 }
 
-Status StationNode::scrape_tree(SnapshotCallback cb) {
-  return start_scrape(next_id(), std::nullopt, std::move(cb));
-}
-
 Status StationNode::send_scrape_rsp(StationId to, std::uint64_t req_id,
                                     const obs::Snapshot& snap) {
   Writer w;
@@ -1661,34 +1626,27 @@ Status StationNode::send_scrape_rsp(StationId to, std::uint64_t req_id,
   return send(to, net::kMetricsResponse, w.take());
 }
 
-Status StationNode::start_scrape(std::uint64_t req_id,
-                                 std::optional<StationId> reply_to,
-                                 SnapshotCallback cb) {
+Status StationNode::start_scrape(std::uint64_t req_id, StationId reply_to) {
   // Duplicate request for an in-flight merge — a retried scrape, or a
   // station covered twice while tree views are momentarily inconsistent.
   // Register the requester as an extra waiter: the merge in flight answers
   // everyone when it completes. Fanning out again would clobber it.
   auto in_flight = pending_scrapes_.find(req_id);
   if (in_flight != pending_scrapes_.end()) {
-    if (reply_to) {
-      auto& waiters = in_flight->second.reply_to;
-      if (std::find(waiters.begin(), waiters.end(), *reply_to) == waiters.end()) {
-        waiters.push_back(*reply_to);
-      }
+    auto& waiters = in_flight->second.reply_to;
+    if (std::find(waiters.begin(), waiters.end(), reply_to) == waiters.end()) {
+      waiters.push_back(reply_to);
     }
     return Status::ok();
   }
   // A retry that crossed the completed merge's response on the wire: answer
   // from the cache instead of re-running the whole subtree fan-out.
   for (const auto& [done_id, snap] : recent_merges_) {
-    if (done_id == req_id) {
-      return reply_to ? send_scrape_rsp(*reply_to, req_id, snap) : Status::ok();
-    }
+    if (done_id == req_id) return send_scrape_rsp(reply_to, req_id, snap);
   }
 
   PendingScrape pending;
-  if (reply_to) pending.reply_to.push_back(*reply_to);
-  pending.cb = std::move(cb);
+  pending.reply_to.push_back(reply_to);
   pending.acc = local_snapshot();
 
   std::vector<StationId> targets;
@@ -1731,7 +1689,7 @@ void StationNode::on_scrape_req(const net::Message& msg) {
   Reader r(msg.payload);
   auto req_id = r.u64();
   if (!req_id) return;
-  (void)start_scrape(req_id.value(), msg.from, nullptr);
+  (void)start_scrape(req_id.value(), msg.from);
 }
 
 void StationNode::on_scrape_rsp(const net::Message& msg) {
@@ -1782,13 +1740,6 @@ void StationNode::finish_scrape_if_done(std::uint64_t req_id) {
   if (recent_merges_.size() > kRecentMerges) recent_merges_.pop_front();
   for (StationId waiter : done.reply_to) {
     (void)send_scrape_rsp(waiter, req_id, done.acc);
-  }
-  if (done.cb) {
-    obs::FlightRecorder::global().record(
-        obs::FlightKind::scrape,
-        "scrape merged " + std::to_string(done.acc.samples.size()) + " sample(s)",
-        self_.value(), 0, fabric_->now());
-    done.cb(std::move(done.acc), fabric_->now());
   }
 }
 

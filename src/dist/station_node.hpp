@@ -195,7 +195,6 @@ class StationNode {
   // completion time). See net/rpc.hpp.
   using FetchCallback = net::Rpc<DocManifest>;
   using BlobFetchCallback = net::Rpc<BlobRef>;
-  using SnapshotCallback = net::Rpc<obs::Snapshot>;
 
   StationNode(net::Fabric& fabric, StationId self, ObjectStore& store,
               StationConfig config = {});
@@ -247,11 +246,6 @@ class StationNode {
   // the pipelining regression test). Only reachable through this call.
   [[nodiscard]] Status broadcast_push_store_forward(const DocManifest& manifest);
 
-  // "References to the instance are broadcasted and stored in many remote
-  // stations" (§4): multicasts a reference record (manifest only, tiny wire
-  // size) down the tree so every station can later pull on demand.
-  [[nodiscard]] Status announce_reference(const DocManifest& manifest);
-
   // --- student side --------------------------------------------------------
   // Resolves a document: local hit completes synchronously; otherwise the
   // request travels up the live parent chain (or straight to `home` when no
@@ -289,15 +283,6 @@ class StationNode {
   // response carries.
   [[nodiscard]] obs::Snapshot local_snapshot() const;
 
-  // Initiates a hierarchical scrape of this node's subtree: the request
-  // fans down the broadcast tree, each node merges its children's responses
-  // into its own station-labeled snapshot on the way back up, and `cb`
-  // fires once here with the subtree-wide merge. Called on the tree root
-  // (directly or via AdminNode::scrape_cluster) this yields the whole
-  // cluster in one snapshot. A merge waiting on a dead subtree completes
-  // partially after a height-scaled deadline instead of hanging.
-  [[nodiscard]] Status scrape_tree(SnapshotCallback cb);
-
   [[nodiscard]] ObjectStore& store() { return *store_; }
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
   [[nodiscard]] net::RpcStats rpc_stats() const { return rpc_.stats(); }
@@ -321,7 +306,6 @@ class StationNode {
   // Message type tags (public for tests). Chunk and swarm tags live in
   // net/chunk_wire.hpp and net/swarm_wire.hpp.
   static constexpr const char* kPush = "dist.push";
-  static constexpr const char* kRefAnnounce = "dist.ref";
   static constexpr const char* kFetchReq = "dist.fetch_req";
   static constexpr const char* kFetchRsp = "dist.fetch_rsp";
   static constexpr const char* kFetchErr = "dist.fetch_err";
@@ -329,7 +313,6 @@ class StationNode {
  private:
   void on_message(const net::Message& msg);
   void on_push(const net::Message& msg);
-  void on_ref_announce(const net::Message& msg);
   void on_fetch_req(const net::Message& msg);
   void on_fetch_rsp(const net::Message& msg);
   void on_fetch_err(const net::Message& msg);
@@ -536,11 +519,13 @@ class StationNode {
   [[nodiscard]] Status start_pull_round(std::shared_ptr<BlobPull> pull);
   [[nodiscard]] Status send_chunk_req(std::uint64_t req_id, const BlobPull& pull);
 
-  // Starts pending-scrape state for `req_id` and fans the request to this
-  // node's tree children; completes immediately at a leaf.
-  [[nodiscard]] Status start_scrape(std::uint64_t req_id,
-                                    std::optional<StationId> reply_to,
-                                    SnapshotCallback cb);
+  // A hierarchical scrape of this node's subtree (AdminNode::scrape_cluster
+  // asks the tree root): the request fans down the broadcast tree, each node
+  // merges its children's responses into its own station-labeled snapshot
+  // on the way back up, and the merge answers `reply_to`. A merge waiting on
+  // a dead subtree completes partially after a height-scaled deadline
+  // instead of hanging; a leaf answers at once.
+  [[nodiscard]] Status start_scrape(std::uint64_t req_id, StationId reply_to);
   void finish_scrape_if_done(std::uint64_t req_id);
   void on_scrape_deadline(std::uint64_t req_id);
   [[nodiscard]] Status send_scrape_rsp(StationId to, std::uint64_t req_id,
@@ -579,7 +564,6 @@ class StationNode {
   // merge's own deadline.
   struct PendingScrape {
     std::vector<StationId> reply_to;
-    SnapshotCallback cb;
     std::size_t outstanding = 0;
     obs::Snapshot acc;
     net::Fabric::TimerHandle timer;

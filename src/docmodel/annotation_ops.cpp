@@ -1,42 +1,6 @@
 #include "docmodel/annotation_ops.hpp"
 
-#include <algorithm>
-
 namespace wdoc::docmodel {
-
-const char* draw_op_kind_name(DrawOpKind k) {
-  switch (k) {
-    case DrawOpKind::line: return "line";
-    case DrawOpKind::rect: return "rect";
-    case DrawOpKind::ellipse: return "ellipse";
-    case DrawOpKind::text: return "text";
-    case DrawOpKind::freehand: return "freehand";
-  }
-  return "?";
-}
-
-BoundingBox AnnotationDoc::bounding_box() const {
-  if (ops_.empty()) return {};
-  BoundingBox box{INT32_MAX, INT32_MAX, INT32_MIN, INT32_MIN};
-  auto extend = [&](Point p) {
-    box.min_x = std::min(box.min_x, p.x);
-    box.min_y = std::min(box.min_y, p.y);
-    box.max_x = std::max(box.max_x, p.x);
-    box.max_y = std::max(box.max_y, p.y);
-  };
-  for (const DrawOp& op : ops_) {
-    extend(op.a);
-    if (op.kind != DrawOpKind::text) extend(op.b);
-    for (Point p : op.points) extend(p);
-  }
-  return box;
-}
-
-std::int64_t AnnotationDoc::duration_ms() const {
-  std::int64_t max_ms = 0;
-  for (const DrawOp& op : ops_) max_ms = std::max(max_ms, op.at_ms);
-  return max_ms;
-}
 
 Bytes AnnotationDoc::encode() const {
   Writer w;
@@ -118,39 +82,6 @@ Result<AnnotationDoc> AnnotationDoc::decode(const Bytes& data) {
     doc.add(std::move(op));
   }
   return doc;
-}
-
-AnnotationPlayer::AnnotationPlayer(const AnnotationDoc& doc, double speed)
-    : speed_(speed > 0 ? speed : 1.0) {
-  timeline_.reserve(doc.ops().size());
-  for (const DrawOp& op : doc.ops()) timeline_.push_back(&op);
-  std::stable_sort(timeline_.begin(), timeline_.end(),
-                   [](const DrawOp* a, const DrawOp* b) { return a->at_ms < b->at_ms; });
-}
-
-std::vector<const DrawOp*> AnnotationPlayer::visible_at(std::int64_t t_ms) const {
-  std::vector<const DrawOp*> out;
-  auto threshold = static_cast<std::int64_t>(static_cast<double>(t_ms) * speed_);
-  for (const DrawOp* op : timeline_) {
-    if (op->at_ms > threshold) break;
-    out.push_back(op);
-  }
-  return out;
-}
-
-std::vector<const DrawOp*> AnnotationPlayer::advance_to(std::int64_t t_ms) {
-  std::vector<const DrawOp*> out;
-  auto threshold = static_cast<std::int64_t>(static_cast<double>(t_ms) * speed_);
-  while (cursor_ < timeline_.size() && timeline_[cursor_]->at_ms <= threshold) {
-    out.push_back(timeline_[cursor_++]);
-  }
-  return out;
-}
-
-std::int64_t AnnotationPlayer::duration_ms() const {
-  if (timeline_.empty()) return 0;
-  return static_cast<std::int64_t>(
-      static_cast<double>(timeline_.back()->at_ms) / speed_);
 }
 
 }  // namespace wdoc::docmodel

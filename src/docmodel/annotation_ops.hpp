@@ -21,8 +21,6 @@ enum class DrawOpKind : std::uint8_t {
   freehand = 4,
 };
 
-[[nodiscard]] const char* draw_op_kind_name(DrawOpKind k);
-
 struct Point {
   std::int32_t x = 0;
   std::int32_t y = 0;
@@ -37,16 +35,10 @@ struct DrawOp {
   std::uint16_t stroke_width = 1;
   std::string text;            // text ops only
   std::vector<Point> points;   // freehand only
-  // When the op was drawn, relative to the start of the annotation session
-  // (drives the student-side "annotation playback" daemon, paper §1).
+  // When the op was drawn, relative to the start of the annotation session.
   std::int64_t at_ms = 0;
 
   friend bool operator==(const DrawOp&, const DrawOp&) = default;
-};
-
-struct BoundingBox {
-  std::int32_t min_x = 0, min_y = 0, max_x = 0, max_y = 0;
-  friend bool operator==(const BoundingBox&, const BoundingBox&) = default;
 };
 
 class AnnotationDoc {
@@ -56,12 +48,6 @@ class AnnotationDoc {
   [[nodiscard]] std::size_t op_count() const { return ops_.size(); }
   [[nodiscard]] bool empty() const { return ops_.empty(); }
 
-  // Smallest box covering every op; nullopt-equivalent {0,0,0,0} when empty.
-  [[nodiscard]] BoundingBox bounding_box() const;
-
-  // Total duration of the drawing session (max op timestamp).
-  [[nodiscard]] std::int64_t duration_ms() const;
-
   [[nodiscard]] Bytes encode() const;  // writes the current (v2, timed) format
   // Reads v2, and the untimed v1 format (ops get at_ms = 0).
   [[nodiscard]] static Result<AnnotationDoc> decode(const Bytes& data);
@@ -70,26 +56,6 @@ class AnnotationDoc {
 
  private:
   std::vector<DrawOp> ops_;
-};
-
-// Replays an annotation in drawing order at a chosen speed — the student
-// workstation daemon that plays an instructor's notes back over a lecture.
-class AnnotationPlayer {
- public:
-  explicit AnnotationPlayer(const AnnotationDoc& doc, double speed = 1.0);
-
-  // Ops that become visible at or before `t_ms` of playback (cumulative).
-  [[nodiscard]] std::vector<const DrawOp*> visible_at(std::int64_t t_ms) const;
-  // Advances playback and returns only the newly visible ops.
-  [[nodiscard]] std::vector<const DrawOp*> advance_to(std::int64_t t_ms);
-  [[nodiscard]] bool finished() const { return cursor_ == timeline_.size(); }
-  [[nodiscard]] std::int64_t duration_ms() const;
-  void reset() { cursor_ = 0; }
-
- private:
-  std::vector<const DrawOp*> timeline_;  // sorted by at_ms (stable)
-  double speed_;
-  std::size_t cursor_ = 0;
 };
 
 }  // namespace wdoc::docmodel

@@ -29,20 +29,6 @@ Status Repository::create_database(const DatabaseInfo& info) {
       .status();
 }
 
-Result<DatabaseInfo> Repository::get_database(const std::string& name) const {
-  const storage::Table* t = db_->catalog().table(kDatabaseTable);
-  auto rid = t->find_unique("name", Value(name));
-  if (!rid) return Error{Errc::not_found, "no database: " + name};
-  const auto& row = *t->get(*rid);
-  DatabaseInfo info;
-  info.name = row[0].as_text();
-  info.keywords = row[1].is_null() ? "" : row[1].as_text();
-  info.author = row[2].is_null() ? "" : row[2].as_text();
-  info.version = row[3].is_null() ? "" : row[3].as_text();
-  info.created_at = row[4].is_null() ? 0 : row[4].as_int();
-  return info;
-}
-
 Status Repository::add_script_to_database(const std::string& database_name,
                                           const std::string& script_name) {
   // Reject duplicate membership rows.
@@ -116,66 +102,6 @@ Status Repository::set_script_progress(const std::string& name, double pct_compl
   auto rid = t->find_unique("name", Value(name));
   if (!rid) return {Errc::not_found, "no script: " + name};
   return db_->update_column(kScriptTable, *rid, "pct_complete", Value(pct_complete));
-}
-
-Status Repository::set_verbal_description(const std::string& name, Bytes audio,
-                                          blob::MediaType type) {
-  storage::Table* t = db_->catalog().table(kScriptTable);
-  auto rid = t->find_unique("name", Value(name));
-  if (!rid) return {Errc::not_found, "no script: " + name};
-  Digest128 digest = digest128(std::span<const std::uint8_t>(audio));
-  auto blob_id = blobs_->put(std::move(audio), type);
-  if (!blob_id) return blob_id.status();
-  Status s = db_->update_column(kScriptTable, *rid, "verbal_description_digest",
-                                Value(digest.to_hex()));
-  if (!s.is_ok()) {
-    (void)blobs_->release(blob_id.value(), /*evict_now=*/true);
-  }
-  return s;
-}
-
-Result<Bytes> Repository::get_verbal_description(const std::string& name) const {
-  auto script = get_script(name);
-  if (!script) return script.error();
-  if (!script.value().verbal_description_digest) {
-    return Error{Errc::not_found, name + " has no verbal description"};
-  }
-  auto digest = Digest128::from_hex(*script.value().verbal_description_digest);
-  if (!digest) return Error{Errc::corrupt, "bad verbal description digest"};
-  auto blob_id = blobs_->find(*digest);
-  if (!blob_id) return Error{Errc::not_found, "verbal description blob missing"};
-  auto data = blobs_->get(*blob_id);
-  if (!data) return data.error();
-  return Bytes(data.value().begin(), data.value().end());
-}
-
-Status Repository::delete_script(const std::string& name) {
-  storage::Table* t = db_->catalog().table(kScriptTable);
-  auto rid = t->find_unique("name", Value(name));
-  if (!rid) return {Errc::not_found, "no script: " + name};
-  // Resource rows don't FK the script (owners are polymorphic), so remove
-  // them by hand — the script's own and those of each implementation. Blob
-  // refs are dropped alongside.
-  storage::Table* rt = db_->catalog().table(kResourceTable);
-  auto drop_resources = [&](const std::string& owner) {
-    for (RowId rrid : rt->find_equal("owner_name", Value(owner))) {
-      const auto& row = *rt->get(rrid);
-      if (auto digest = Digest128::from_hex(row[2].as_text())) {
-        if (auto blob_id = blobs_->find(*digest)) {
-          (void)blobs_->release(*blob_id);
-        }
-      }
-      (void)db_->erase(kResourceTable, rrid);
-    }
-  };
-  drop_resources(name);
-  auto impls = implementations_of(name);
-  if (impls) {
-    for (const ImplementationInfo& impl : impls.value()) {
-      drop_resources(impl.starting_url);
-    }
-  }
-  return db_->erase(kScriptTable, *rid);
 }
 
 std::vector<std::string> Repository::list_scripts() const {
@@ -345,20 +271,6 @@ Result<std::vector<ResourceInfo>> Repository::resources_of(
   return out;
 }
 
-Result<std::uint64_t> Repository::presentation_bytes(
-    const std::string& starting_url) const {
-  auto impl = get_implementation(starting_url);
-  if (!impl) return impl.error();
-  std::uint64_t total = 0;
-  auto own = resources_of("implementation", starting_url);
-  if (!own) return own.error();
-  for (const ResourceInfo& r : own.value()) total += r.size;
-  auto script_res = resources_of("script", impl.value().script_name);
-  if (!script_res) return script_res.error();
-  for (const ResourceInfo& r : script_res.value()) total += r.size;
-  return total;
-}
-
 // --- testing / QA --------------------------------------------------------------
 
 Status Repository::create_test_record(const TestRecordInfo& info) {
@@ -367,21 +279,6 @@ Status Repository::create_test_record(const TestRecordInfo& info) {
                       Value(info.traversal_messages), Value(info.script_name),
                       Value(info.starting_url), Value(info.created_at)})
       .status();
-}
-
-Result<TestRecordInfo> Repository::get_test_record(const std::string& name) const {
-  const storage::Table* t = db_->catalog().table(kTestRecordTable);
-  auto rid = t->find_unique("name", Value(name));
-  if (!rid) return Error{Errc::not_found, "no test record: " + name};
-  const auto& row = *t->get(*rid);
-  TestRecordInfo info;
-  info.name = row[0].as_text();
-  info.global_scope = row[1].as_bool();
-  if (!row[2].is_null()) info.traversal_messages = row[2].as_blob();
-  info.script_name = row[3].as_text();
-  info.starting_url = row[4].as_text();
-  info.created_at = row[5].is_null() ? 0 : row[5].as_int();
-  return info;
 }
 
 Result<std::vector<std::string>> Repository::test_records_of_script(
@@ -456,66 +353,10 @@ Status Repository::create_annotation(const AnnotationInfo& info, const Annotatio
       .status();
 }
 
-Result<AnnotationInfo> Repository::get_annotation(const std::string& name) const {
-  const storage::Table* t = db_->catalog().table(kAnnotationTable);
-  auto rid = t->find_unique("name", Value(name));
-  if (!rid) return Error{Errc::not_found, "no annotation: " + name};
-  const auto& row = *t->get(*rid);
-  AnnotationInfo info;
-  info.name = row[0].as_text();
-  info.author = row[1].is_null() ? "" : row[1].as_text();
-  info.version = row[2].is_null() ? "" : row[2].as_text();
-  info.created_at = row[3].is_null() ? 0 : row[3].as_int();
-  info.script_name = row[4].as_text();
-  info.starting_url = row[5].as_text();
-  return info;
-}
-
-Result<AnnotationDoc> Repository::get_annotation_doc(const std::string& name) const {
-  auto rows = db_->query(kAnnotationFileTable)
-                  .where_eq("annotation_name", Value(name))
-                  .select({"ops"})
-                  .run();
-  if (!rows) return rows.error();
-  if (rows.value().empty()) return Error{Errc::not_found, "no annotation file: " + name};
-  const Value& ops = rows.value().front().values[0];
-  if (ops.is_null()) return AnnotationDoc{};
-  return AnnotationDoc::decode(ops.as_blob());
-}
-
-Status Repository::update_annotation(const std::string& name, const AnnotationDoc& doc,
-                                     const std::string& new_version, std::int64_t now) {
-  storage::Table* at = db_->catalog().table(kAnnotationTable);
-  auto arid = at->find_unique("name", Value(name));
-  if (!arid) return {Errc::not_found, "no annotation: " + name};
-  WDOC_TRY(db_->update_column(kAnnotationTable, *arid, "version", Value(new_version)));
-  WDOC_TRY(db_->update_column(kAnnotationTable, *arid, "created_at", Value(now)));
-
-  storage::Table* ft = db_->catalog().table(kAnnotationFileTable);
-  auto frid = ft->find_unique("path", Value(name + ".ann"));
-  if (!frid) return {Errc::corrupt, "annotation row without file: " + name};
-  Bytes encoded = doc.encode();
-  auto size = static_cast<std::int64_t>(encoded.size());
-  WDOC_TRY(db_->update_column(kAnnotationFileTable, *frid, "ops", Value(std::move(encoded))));
-  return db_->update_column(kAnnotationFileTable, *frid, "size", Value(size));
-}
-
 Result<std::vector<std::string>> Repository::annotations_of(
     const std::string& starting_url) const {
   auto rows = db_->query(kAnnotationTable)
                   .where_eq("starting_url", Value(starting_url))
-                  .select({"name"})
-                  .run();
-  if (!rows) return rows.error();
-  std::vector<std::string> out;
-  for (const auto& r : rows.value()) out.push_back(r.values[0].as_text());
-  return out;
-}
-
-Result<std::vector<std::string>> Repository::annotations_by_author(
-    const std::string& author) const {
-  auto rows = db_->query(kAnnotationTable)
-                  .where_eq("author", Value(author))
                   .select({"name"})
                   .run();
   if (!rows) return rows.error();

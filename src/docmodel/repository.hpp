@@ -107,7 +107,6 @@ class Repository {
 
   // --- database layer ----------------------------------------------------
   [[nodiscard]] Status create_database(const DatabaseInfo& info);
-  [[nodiscard]] Result<DatabaseInfo> get_database(const std::string& name) const;
   [[nodiscard]] Status add_script_to_database(const std::string& database_name,
                                               const std::string& script_name);
   [[nodiscard]] Result<std::vector<std::string>> scripts_of_database(
@@ -118,14 +117,6 @@ class Repository {
   [[nodiscard]] Status create_script(const ScriptInfo& info);
   [[nodiscard]] Result<ScriptInfo> get_script(const std::string& name) const;
   [[nodiscard]] Status set_script_progress(const std::string& name, double pct_complete);
-  // "The author may have a verbal description which is stored in a
-  // multimedia resource file" (§3): stores the recording in the BLOB layer
-  // and links its digest into the script row.
-  [[nodiscard]] Status set_verbal_description(const std::string& name, Bytes audio,
-                                              blob::MediaType type =
-                                                  blob::MediaType::audio);
-  [[nodiscard]] Result<Bytes> get_verbal_description(const std::string& name) const;
-  [[nodiscard]] Status delete_script(const std::string& name);  // cascades everywhere
   [[nodiscard]] std::vector<std::string> list_scripts() const;
 
   // --- implementations -----------------------------------------------------
@@ -156,14 +147,9 @@ class Repository {
       std::optional<std::int64_t> playout_ms = {});
   [[nodiscard]] Result<std::vector<ResourceInfo>> resources_of(
       const std::string& owner_kind, const std::string& owner_name) const;
-  // Total BLOB bytes a presentation needs (sum of resource sizes of the
-  // implementation and its script).
-  [[nodiscard]] Result<std::uint64_t> presentation_bytes(
-      const std::string& starting_url) const;
 
   // --- testing / QA ------------------------------------------------------
   [[nodiscard]] Status create_test_record(const TestRecordInfo& info);
-  [[nodiscard]] Result<TestRecordInfo> get_test_record(const std::string& name) const;
   [[nodiscard]] Result<std::vector<std::string>> test_records_of_script(
       const std::string& script_name) const;
   [[nodiscard]] Status create_bug_report(const BugReportInfo& info);
@@ -175,17 +161,8 @@ class Repository {
   // Creates the annotation row plus its annotation file holding `doc`.
   [[nodiscard]] Status create_annotation(const AnnotationInfo& info,
                                          const AnnotationDoc& doc);
-  [[nodiscard]] Result<AnnotationInfo> get_annotation(const std::string& name) const;
-  [[nodiscard]] Result<AnnotationDoc> get_annotation_doc(const std::string& name) const;
-  // Replaces an annotation's draw-ops and records the new version string.
-  [[nodiscard]] Status update_annotation(const std::string& name,
-                                         const AnnotationDoc& doc,
-                                         const std::string& new_version,
-                                         std::int64_t now);
   [[nodiscard]] Result<std::vector<std::string>> annotations_of(
       const std::string& starting_url) const;
-  [[nodiscard]] Result<std::vector<std::string>> annotations_by_author(
-      const std::string& author) const;
 
  private:
   storage::Database* db_;

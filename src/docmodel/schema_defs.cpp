@@ -229,11 +229,4 @@ Status install_schemas(storage::Database& db) {
   return Status::ok();
 }
 
-std::vector<std::string> all_table_names() {
-  return {kDatabaseTable, kScriptTable,     kDbScriptTable,
-          kImplementationTable, kTestRecordTable, kBugReportTable,
-          kAnnotationTable,     kHtmlFileTable,   kProgramFileTable,
-          kAnnotationFileTable, kResourceTable};
-}
-
 }  // namespace wdoc::docmodel

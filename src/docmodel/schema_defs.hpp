@@ -47,6 +47,4 @@ inline constexpr const char* kResourceTable = "wd_resource";
 // Creates all eleven tables (parents before children).
 [[nodiscard]] Status install_schemas(storage::Database& db);
 
-[[nodiscard]] std::vector<std::string> all_table_names();
-
 }  // namespace wdoc::docmodel

@@ -1,38 +1,6 @@
 #include "docmodel/traversal.hpp"
 
-#include <algorithm>
-
 namespace wdoc::docmodel {
-
-const char* traversal_event_kind_name(TraversalEventKind k) {
-  switch (k) {
-    case TraversalEventKind::navigate: return "navigate";
-    case TraversalEventKind::click: return "click";
-    case TraversalEventKind::scroll: return "scroll";
-    case TraversalEventKind::back: return "back";
-    case TraversalEventKind::forward: return "forward";
-    case TraversalEventKind::play_media: return "play_media";
-    case TraversalEventKind::close: return "close";
-  }
-  return "?";
-}
-
-std::vector<std::string> TraversalLog::visited_urls() const {
-  std::vector<std::string> out;
-  for (const TraversalEvent& ev : events_) {
-    if (ev.kind == TraversalEventKind::navigate && !ev.target.empty() &&
-        std::find(out.begin(), out.end(), ev.target) == out.end()) {
-      out.push_back(ev.target);
-    }
-  }
-  return out;
-}
-
-std::int64_t TraversalLog::duration_ms() const {
-  std::int64_t max_ms = 0;
-  for (const TraversalEvent& ev : events_) max_ms = std::max(max_ms, ev.at_ms);
-  return max_ms;
-}
 
 Bytes TraversalLog::encode() const {
   Writer w;

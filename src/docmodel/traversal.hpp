@@ -23,8 +23,6 @@ enum class TraversalEventKind : std::uint8_t {
   close = 6,
 };
 
-[[nodiscard]] const char* traversal_event_kind_name(TraversalEventKind k);
-
 struct TraversalEvent {
   TraversalEventKind kind = TraversalEventKind::navigate;
   std::int64_t at_ms = 0;   // offset from session start
@@ -40,10 +38,6 @@ class TraversalLog {
   [[nodiscard]] const std::vector<TraversalEvent>& events() const { return events_; }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
-
-  // URLs visited, in order, without duplicates.
-  [[nodiscard]] std::vector<std::string> visited_urls() const;
-  [[nodiscard]] std::int64_t duration_ms() const;
 
   [[nodiscard]] Bytes encode() const;
   [[nodiscard]] static Result<TraversalLog> decode(const Bytes& data);

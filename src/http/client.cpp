@@ -154,9 +154,4 @@ Result<ClientResponse> HttpClient::get(std::string_view target) {
   return read_response();
 }
 
-Result<ClientResponse> HttpClient::post(std::string_view target, std::string_view body) {
-  WDOC_TRY(send_request("POST", target, body));
-  return read_response();
-}
-
 }  // namespace wdoc::http

@@ -40,8 +40,6 @@ class HttpClient {
 
   // send_request + read_response.
   [[nodiscard]] Result<ClientResponse> get(std::string_view target);
-  [[nodiscard]] Result<ClientResponse> post(std::string_view target,
-                                            std::string_view body = {});
 
  private:
   int fd_ = -1;

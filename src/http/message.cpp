@@ -115,13 +115,6 @@ void serialize_headers(const Response& r, std::string& out) {
   out += "\r\n\r\n";
 }
 
-std::string serialize(const Response& r) {
-  std::string out;
-  serialize_headers(r, out);
-  out.append(r.body.text());
-  return out;
-}
-
 std::string percent_decode(std::string_view in, bool plus_as_space) {
   std::string out;
   out.reserve(in.size());

@@ -3,8 +3,8 @@
 // http_command protocol is the exemplar for the command surface).
 //
 // Requests are produced only by RequestParser; responses are built by the
-// gateway and rendered with serialize(). Header names are stored lowercased
-// so lookups are case-insensitive per RFC 7230 §3.2.
+// gateway and rendered with serialize_headers() plus the body. Header names
+// are stored lowercased so lookups are case-insensitive per RFC 7230 §3.2.
 #pragma once
 
 #include <cstdint>
@@ -55,15 +55,12 @@ struct Response {
 
 [[nodiscard]] const char* status_reason(int status);
 
-// Renders the full wire form: status line, headers (sorted; Content-Length
-// and Connection synthesized), CRLF, body. Byte-identical for identical
-// responses, so same-seed runs produce identical wire traffic.
-[[nodiscard]] std::string serialize(const Response& r);
-
 // Appends the wire form up to and including the blank line, without the
-// body, to `out`. The server renders a batch of responses' heads into one
-// buffer and writes each body from its own Payload, so a large body is never
-// copied into a headers+body wire string.
+// body, to `out`: status line, headers (sorted; Content-Length and
+// Connection synthesized), CRLF. Byte-identical for identical responses, so
+// same-seed runs produce identical wire traffic. The server renders a batch
+// of responses' heads into one buffer and writes each body from its own
+// Payload, so a large body is never copied into a headers+body wire string.
 void serialize_headers(const Response& r, std::string& out);
 
 // Percent-decodes `in` ('+' becomes space when `plus_as_space`). Invalid or

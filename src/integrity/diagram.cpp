@@ -32,28 +32,6 @@ void IntegrityDiagram::add_object(const SciRef& ref) { objects_.insert(ref); }
 
 bool IntegrityDiagram::has_object(const SciRef& ref) const { return objects_.contains(ref); }
 
-void IntegrityDiagram::remove_object(const SciRef& ref) {
-  objects_.erase(ref);
-  // Outgoing edges.
-  if (auto it = out_.find(ref); it != out_.end()) {
-    for (const Edge& e : it->second) {
-      auto& preds = in_[e.dst];
-      preds.erase(std::remove(preds.begin(), preds.end(), ref), preds.end());
-    }
-    out_.erase(it);
-  }
-  // Incoming edges.
-  if (auto it = in_.find(ref); it != in_.end()) {
-    for (const SciRef& src : it->second) {
-      auto& edges = out_[src];
-      edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                 [&](const Edge& e) { return e.dst == ref; }),
-                  edges.end());
-    }
-    in_.erase(it);
-  }
-}
-
 Status IntegrityDiagram::add_link(const SciRef& src, const SciRef& dst, LinkLabel label) {
   if (!objects_.contains(src)) {
     return {Errc::not_found, "no such object: " + src.to_string()};
@@ -65,20 +43,6 @@ Status IntegrityDiagram::add_link(const SciRef& src, const SciRef& dst, LinkLabe
     return {Errc::already_exists, src.to_string() + " -> " + dst.to_string()};
   }
   out_[src].push_back(Edge{dst, std::move(label)});
-  in_[dst].push_back(src);
-  return Status::ok();
-}
-
-Status IntegrityDiagram::remove_link(const SciRef& src, const SciRef& dst) {
-  auto it = out_.find(src);
-  if (it == out_.end()) return {Errc::not_found, "no link"};
-  auto& edges = it->second;
-  auto eit = std::find_if(edges.begin(), edges.end(),
-                          [&](const Edge& e) { return e.dst == dst; });
-  if (eit == edges.end()) return {Errc::not_found, "no link"};
-  edges.erase(eit);
-  auto& preds = in_[dst];
-  preds.erase(std::remove(preds.begin(), preds.end(), src), preds.end());
   return Status::ok();
 }
 
@@ -115,37 +79,20 @@ std::vector<Alert> IntegrityDiagram::on_update(const SciRef& src) const {
   return alerts;
 }
 
-std::vector<std::pair<SciRef, const LinkLabel*>> IntegrityDiagram::successors(
-    const SciRef& src) const {
-  std::vector<std::pair<SciRef, const LinkLabel*>> out;
-  auto it = out_.find(src);
-  if (it == out_.end()) return out;
-  out.reserve(it->second.size());
-  for (const Edge& e : it->second) out.emplace_back(e.dst, &e.label);
-  return out;
-}
-
-std::vector<SciRef> IntegrityDiagram::predecessors(const SciRef& dst) const {
-  auto it = in_.find(dst);
-  return it == in_.end() ? std::vector<SciRef>{} : it->second;
-}
-
 std::vector<std::string> IntegrityDiagram::check_multiplicities(
     const std::function<std::size_t(const SciRef&, const std::string&)>& counter) const {
   std::vector<std::string> violations;
   for (const auto& [src, edges] : out_) {
-    // Group '+' labels and count live targets per label.
-    std::map<std::string, std::size_t> live;
     std::set<std::string> plus_labels;
     for (const Edge& e : edges) {
       if (e.label.multiplicity == Multiplicity::one_or_more) {
         plus_labels.insert(e.label.label);
       }
-      if (objects_.contains(e.dst)) ++live[e.label.label];
     }
     for (const std::string& label : plus_labels) {
-      std::size_t n = counter ? counter(src, label) : live[label];
-      if (n == 0) {
+      // Objects are never removed, so without a counter the link's own
+      // target is a live one.
+      if (counter && counter(src, label) == 0) {
         violations.push_back(src.to_string() + " -[" + label +
                              "]+ : requires at least one target, found none");
       }

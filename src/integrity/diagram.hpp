@@ -67,11 +67,8 @@ class IntegrityDiagram {
  public:
   void add_object(const SciRef& ref);
   [[nodiscard]] bool has_object(const SciRef& ref) const;
-  // Removes the object and every link touching it.
-  void remove_object(const SciRef& ref);
 
   [[nodiscard]] Status add_link(const SciRef& src, const SciRef& dst, LinkLabel label);
-  [[nodiscard]] Status remove_link(const SciRef& src, const SciRef& dst);
   [[nodiscard]] bool has_link(const SciRef& src, const SciRef& dst) const;
 
   // All alerts triggered by updating `src`, breadth-first (direct dependents
@@ -79,14 +76,10 @@ class IntegrityDiagram {
   // diamonds or cycles.
   [[nodiscard]] std::vector<Alert> on_update(const SciRef& src) const;
 
-  // Direct successors with their labels.
-  [[nodiscard]] std::vector<std::pair<SciRef, const LinkLabel*>> successors(
-      const SciRef& src) const;
-  [[nodiscard]] std::vector<SciRef> predecessors(const SciRef& dst) const;
-
-  // Checks every '+' link's source has >=1 outgoing link with that label to
-  // a live object; `counter(src, label)` supplies the actual child count
-  // when objects live outside the diagram. Returns violation descriptions.
+  // Checks that every '+' link's source has >=1 target with that label, as
+  // counted by `counter(src, label)` (objects live outside the diagram);
+  // without a counter each link is its own live target. Returns violation
+  // descriptions.
   [[nodiscard]] std::vector<std::string> check_multiplicities(
       const std::function<std::size_t(const SciRef&, const std::string&)>& counter) const;
 
@@ -101,7 +94,6 @@ class IntegrityDiagram {
 
   std::set<SciRef> objects_;
   std::map<SciRef, std::vector<Edge>> out_;
-  std::map<SciRef, std::vector<SciRef>> in_;
 };
 
 // Default alert message: "<label>: please revisit <target>".

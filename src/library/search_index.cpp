@@ -56,37 +56,13 @@ void SearchIndex::add_entry(const LibraryEntry& entry) {
     ++courses_[it->second].instances;
     return;
   }
-  if (free_ids_.empty()) {
-    it->second = static_cast<std::uint32_t>(courses_.size());
-    courses_.emplace_back();
-  } else {
-    it->second = free_ids_.back();
-    free_ids_.pop_back();
-  }
-  const std::uint32_t id = it->second;
-  courses_[id] = Course{&entry, order_key(entry.course_number), 1};
+  const auto id = static_cast<std::uint32_t>(courses_.size());
+  it->second = id;
+  courses_.push_back(Course{&entry, order_key(entry.course_number), 1});
   for (const auto& [tok, tf] : term_counts(entry)) {
     postings_[tok].emplace_back(id, 1.0 + std::log2(static_cast<double>(tf)));
   }
   instructors_[entry.instructor].push_back(id);
-}
-
-void SearchIndex::remove_entry(const std::string& course_number) {
-  auto it = ids_.find(course_number);
-  if (it == ids_.end()) return;
-  const std::uint32_t id = it->second;
-  const LibraryEntry& entry = *courses_[id].entry;
-  for (const auto& [tok, tf] : term_counts(entry)) {
-    auto pit = postings_.find(tok);
-    std::erase_if(pit->second, [id](const auto& p) { return p.first == id; });
-    if (pit->second.empty()) postings_.erase(pit);
-  }
-  auto iit = instructors_.find(entry.instructor);
-  std::erase(iit->second, id);
-  if (iit->second.empty()) instructors_.erase(iit);
-  courses_[id] = Course{};
-  free_ids_.push_back(id);
-  ids_.erase(it);
 }
 
 std::vector<SearchHit> SearchIndex::search(const std::string& query,

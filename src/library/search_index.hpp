@@ -5,14 +5,14 @@
 // and GET /search rank alike.
 //
 // Entries are held by pointer, never copied: each added entry must stay
-// alive and in place until it is removed or the index is destroyed. Adding
+// alive and in place until the index is destroyed. Adding
 // a course that is already present counts one more instance (a replica on
 // another shard, which is the identical entry) and keeps the first entry.
 //
 // Scoring is TF-IDF. A course scores, over the distinct query tokens,
 // Σ (1 + log2 tf)·idf with idf = ln((1+N)/(1+df)) + 1, where N is the number
 // of distinct courses and df the number holding the token. Both are read
-// at query time, so add/remove need no rebuild. The retrieval modes add
+// at query time, so an add needs no rebuild. The retrieval modes add
 // +100 when the whole query is the course number and +10 when it is the
 // instructor's name. Hits are ordered by score descending, then course
 // number ascending: a total order, so equal contents give byte-identical
@@ -50,8 +50,6 @@ struct SearchHit {
 class SearchIndex {
  public:
   void add_entry(const LibraryEntry& entry);
-  // Drops the course whatever its instance count; unknown courses are a no-op.
-  void remove_entry(const std::string& course_number);
 
   // Ranked hits for `query`; at most `limit` (0 = all).
   [[nodiscard]] std::vector<SearchHit> search(const std::string& query,
@@ -60,8 +58,8 @@ class SearchIndex {
   [[nodiscard]] std::vector<const LibraryEntry*> taught_by(const std::string& name) const;
   // Distinct courses (the N of idf).
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
-  // The id of an indexed course: below id_bound(), and stable until the
-  // course is removed (a removed course's id is reused).
+  // The id of an indexed course: below id_bound(), and stable for the
+  // index's life (ids are handed out densely in order of addition).
   [[nodiscard]] std::optional<std::uint32_t> id_of(
       const std::string& course_number) const;
   [[nodiscard]] std::uint32_t id_bound() const {
@@ -70,13 +68,12 @@ class SearchIndex {
 
  private:
   struct Course {
-    const LibraryEntry* entry = nullptr;  // null: the id is free for reuse
+    const LibraryEntry* entry = nullptr;
     std::uint64_t order_key = 0;          // see the header comment
     std::uint32_t instances = 0;
   };
 
   std::vector<Course> courses_;  // course id -> course; scores index by id
-  std::vector<std::uint32_t> free_ids_;
   std::unordered_map<std::string, std::uint32_t> ids_;  // course number -> id
   // token -> (course id, 1 + log2 tf)
   std::unordered_map<std::string, std::vector<std::pair<std::uint32_t, double>>> postings_;

@@ -19,10 +19,6 @@
 #include "common/result.hpp"
 #include "library/search_index.hpp"
 
-namespace wdoc::storage {
-class Database;
-}
-
 namespace wdoc::library {
 
 struct LibraryEntry {
@@ -59,13 +55,11 @@ class VirtualLibrary {
 
   // --- instructor operations --------------------------------------------
   [[nodiscard]] Status add_entry(const LibraryEntry& entry);
-  [[nodiscard]] Status remove_entry(const std::string& course_number);
-  [[nodiscard]] Result<LibraryEntry> get(const std::string& course_number) const;
   [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
 
   // --- retrieval ---------------------------------------------------------
   // Courses taught by `name`, in course-number order: the library's own
-  // entries, valid until the course is removed or the library reloaded.
+  // entries, valid for the library's life.
   [[nodiscard]] std::vector<const LibraryEntry*> by_instructor(
       const std::string& name) const {
     return index_.taught_by(name);
@@ -90,18 +84,9 @@ class VirtualLibrary {
                                  std::int64_t now);
   [[nodiscard]] Status check_in(const std::string& course_number, UserId student,
                                 std::int64_t now);
-  [[nodiscard]] std::vector<LedgerRecord> ledger_of(UserId student) const;
   // Students holding the course, in ascending id order; walks every open loan.
   [[nodiscard]] std::vector<UserId> holders_of(const std::string& course_number) const;
   [[nodiscard]] AssessmentReport assess(UserId student) const;
-
-  // --- persistence ----------------------------------------------------------
-  // Mirrors the catalog and the full ledger into two relational tables
-  // (`wd_library_entry`, `wd_library_loan`), replacing prior contents; load
-  // rebuilds the in-memory index. Library state thus survives a durable
-  // Database restart alongside the document tables.
-  [[nodiscard]] Status save(storage::Database& db) const;
-  [[nodiscard]] Status load(storage::Database& db);
 
  private:
   struct LoanKey {

@@ -1,5 +1,7 @@
 #include "locking/hierarchy_lock.hpp"
 
+#include <string>
+
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 
@@ -27,43 +29,11 @@ Status HierarchyLockManager::add_node(LockResourceId id,
                                       std::optional<LockResourceId> parent) {
   if (!id.valid()) return {Errc::invalid_argument, "invalid node id"};
   if (nodes_.contains(id)) return {Errc::already_exists, "node exists"};
-  if (parent) {
-    auto pit = nodes_.find(*parent);
-    if (pit == nodes_.end()) return {Errc::not_found, "no such parent"};
-    pit->second.children.insert(id);
-  }
+  if (parent && !nodes_.contains(*parent)) return {Errc::not_found, "no such parent"};
   Node n;
   n.parent = parent;
   nodes_.emplace(id, std::move(n));
   return Status::ok();
-}
-
-Status HierarchyLockManager::remove_node(LockResourceId id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return {Errc::not_found, "no such node"};
-  if (!it->second.children.empty()) return {Errc::conflict, "node has children"};
-  if (!it->second.holders.empty()) return {Errc::conflict, "node is locked"};
-  if (it->second.parent) {
-    nodes_.at(*it->second.parent).children.erase(id);
-  }
-  nodes_.erase(it);
-  return Status::ok();
-}
-
-std::optional<LockResourceId> HierarchyLockManager::parent_of(LockResourceId id) const {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return std::nullopt;
-  return it->second.parent;
-}
-
-bool HierarchyLockManager::is_ancestor(LockResourceId maybe_ancestor,
-                                       LockResourceId node) const {
-  auto it = nodes_.find(node);
-  while (it != nodes_.end() && it->second.parent) {
-    if (*it->second.parent == maybe_ancestor) return true;
-    it = nodes_.find(*it->second.parent);
-  }
-  return false;
 }
 
 bool HierarchyLockManager::blocked(UserId user, LockResourceId node, Access mode) const {
@@ -123,62 +93,6 @@ Status HierarchyLockManager::unlock(UserId user, LockResourceId node) {
     return {Errc::not_found, "user holds no lock on node"};
   }
   return Status::ok();
-}
-
-void HierarchyLockManager::unlock_all(UserId user) {
-  for (auto& [_, node] : nodes_) node.holders.erase(user);
-}
-
-bool HierarchyLockManager::can_lock(UserId user, LockResourceId node, Access mode) const {
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) return false;
-  auto hit = it->second.holders.find(user);
-  if (hit != it->second.holders.end() &&
-      (hit->second == Access::write || mode == Access::read)) {
-    return true;  // already held at sufficient strength
-  }
-  return !blocked(user, node, mode);
-}
-
-bool HierarchyLockManager::can_access(UserId user, LockResourceId node, Access mode) const {
-  return can_lock(user, node, mode);
-}
-
-std::vector<HeldLock> HierarchyLockManager::locks_of(UserId user) const {
-  std::vector<HeldLock> out;
-  for (const auto& [id, node] : nodes_) {
-    auto hit = node.holders.find(user);
-    if (hit != node.holders.end()) out.push_back(HeldLock{user, id, hit->second});
-  }
-  return out;
-}
-
-std::vector<HeldLock> HierarchyLockManager::locks_on(LockResourceId node) const {
-  std::vector<HeldLock> out;
-  auto it = nodes_.find(node);
-  if (it == nodes_.end()) return out;
-  for (const auto& [user, mode] : it->second.holders) {
-    out.push_back(HeldLock{user, node, mode});
-  }
-  return out;
-}
-
-std::size_t HierarchyLockManager::lock_count() const {
-  std::size_t n = 0;
-  for (const auto& [_, node] : nodes_) n += node.holders.size();
-  return n;
-}
-
-std::optional<UserId> HierarchyLockManager::writer_of(LockResourceId node) const {
-  auto it = nodes_.find(node);
-  while (it != nodes_.end()) {
-    for (const auto& [user, mode] : it->second.holders) {
-      if (mode == Access::write) return user;
-    }
-    if (!it->second.parent) break;
-    it = nodes_.find(*it->second.parent);
-  }
-  return std::nullopt;
 }
 
 }  // namespace wdoc::locking

@@ -22,9 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
-#include <string>
-#include <vector>
 
 #include "common/ids.hpp"
 #include "common/result.hpp"
@@ -61,47 +58,22 @@ enum class Relation : std::uint8_t {
   return false;
 }
 
-struct HeldLock {
-  UserId user;
-  LockResourceId node;
-  Access mode = Access::read;
-};
-
 class HierarchyLockManager {
  public:
   // --- hierarchy -------------------------------------------------------
   // parent == nullopt makes a root. Nodes form a forest.
   [[nodiscard]] Status add_node(LockResourceId id, std::optional<LockResourceId> parent);
-  // Node must have no children and no locks.
-  [[nodiscard]] Status remove_node(LockResourceId id);
   [[nodiscard]] bool has_node(LockResourceId id) const { return nodes_.contains(id); }
-  [[nodiscard]] std::optional<LockResourceId> parent_of(LockResourceId id) const;
-  [[nodiscard]] bool is_ancestor(LockResourceId maybe_ancestor, LockResourceId node) const;
 
   // --- locking ----------------------------------------------------------
+  // A refused lock is Errc::lock_conflict: with the table, the system
+  // controls which instructor is changing a Web document.
   [[nodiscard]] Status lock(UserId user, LockResourceId node, Access mode);
   [[nodiscard]] Status unlock(UserId user, LockResourceId node);
-  void unlock_all(UserId user);
-
-  // Would `lock` succeed right now?
-  [[nodiscard]] bool can_lock(UserId user, LockResourceId node, Access mode) const;
-  // May `user` perform `mode` access on `node` given current locks (without
-  // taking a lock)? Used by read paths that trust short operations.
-  [[nodiscard]] bool can_access(UserId user, LockResourceId node, Access mode) const;
-
-  [[nodiscard]] std::vector<HeldLock> locks_of(UserId user) const;
-  [[nodiscard]] std::vector<HeldLock> locks_on(LockResourceId node) const;
-  [[nodiscard]] std::size_t lock_count() const;
-
-  // Which single user, if any, is currently allowed to change `node`
-  // (holds a write lock covering it)? The paper: "With the table, the
-  // system can control which instructor is changing a Web document."
-  [[nodiscard]] std::optional<UserId> writer_of(LockResourceId node) const;
 
  private:
   struct Node {
     std::optional<LockResourceId> parent;
-    std::set<LockResourceId> children;
     // mode per holder on this node.
     std::map<UserId, Access> holders;
   };

@@ -12,11 +12,11 @@
 //   ChunkRsp    pull summary: how many of the requested chunks were served.
 //
 // ChunkData's bulk bytes do NOT travel inside the encoded header: they ride
-// as net::Message::body, a refcounted Payload slice, so a relay re-encodes
-// only the ~50-byte header per hop and forwards the received bytes
-// untouched. encode() renders the header; decode() takes the header bytes
-// and the out-of-band body and cross-checks them (a body/length or
-// body/flag mismatch is corruption).
+// as net::Message::body, a refcounted Payload view, so a relay re-encodes
+// only the ~50-byte header per hop and never copies the bytes. encode()
+// renders the header; decode() takes the header bytes and the out-of-band
+// body and cross-checks them (a body/length or body/flag mismatch is
+// corruption).
 //
 // Every decoder fails with Errc::corrupt on truncation, implausible counts,
 // or oversized lengths — hostile input must never drive an allocation or

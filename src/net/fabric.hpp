@@ -15,9 +15,27 @@
 #include "net/fault.hpp"
 #include "net/message.hpp"
 
+namespace wdoc::obs {
+class Counter;
+class Histogram;
+}  // namespace wdoc::obs
+
 namespace wdoc::net {
 
 using MessageHandler = std::function<void(const Message&)>;
+
+// The traffic instruments every fabric feeds. Each name is registered here
+// and nowhere else, so protocol code is observable alike on either fabric.
+struct FabricTraffic {
+  obs::Counter& messages_sent;
+  obs::Counter& messages_received;
+  obs::Counter& bytes_sent;
+  obs::Counter& bytes_received;
+  obs::Histogram& delivery_latency_us;
+
+  // Process-wide, registered on first use.
+  [[nodiscard]] static const FabricTraffic& get();
+};
 
 class Fabric {
  public:

@@ -27,8 +27,8 @@ struct Message {
   std::string type;  // protocol discriminator, e.g. "dist.push"
   Payload payload;   // protocol-defined header/body bytes
   // Bulk bytes riding behind the protocol header (chunk payloads). Kept out
-  // of `payload` so a relay can forward the received slice untouched while
-  // re-encoding only the small per-hop header. Empty for most messages.
+  // of `payload` so a relay sends them as a refcounted view, never copied,
+  // while re-encoding only the small per-hop header. Empty for most messages.
   Payload body;
   std::uint64_t wire_size = 0;  // bytes charged on the wire (0 -> payload size)
   std::uint64_t seq = 0;        // assigned by the fabric

@@ -6,8 +6,7 @@ namespace wdoc::net {
 
 namespace {
 
-// Process-wide: one pair of counters across every fabric and store, so a
-// bench's metrics dump shows the total deep-copy volume of the whole run.
+// Process-wide: one pair of counters across every fabric and store.
 struct PayloadMetrics {
   obs::Counter& copies;
   obs::Counter& bytes_copied;
@@ -24,12 +23,6 @@ struct PayloadMetrics {
   }
 };
 
-void count_copy(std::size_t bytes) {
-  auto& m = PayloadMetrics::get();
-  m.copies.inc();
-  m.bytes_copied.inc(bytes);
-}
-
 // Register at startup so the counters appear (at zero) in every metrics
 // dump: CI drift-checks "no bytes copied", which must be distinguishable
 // from "counter never existed".
@@ -39,7 +32,6 @@ const bool kRegisteredAtStartup = (PayloadMetrics::get(), true);
 
 Payload::Payload(Bytes&& b) {
   auto buf = std::make_shared<Bytes>(std::move(b));
-  minted_ = buf.get();
   data_ = buf->data();
   size_ = buf->size();
   owner_ = std::move(buf);
@@ -52,16 +44,6 @@ Payload::Payload(std::string&& s) {
   owner_ = std::move(buf);
 }
 
-Payload Payload::copy_of(std::span<const std::uint8_t> b) {
-  count_copy(b.size());
-  return Payload(Bytes(b.begin(), b.end()));
-}
-
-Payload Payload::wrap(std::shared_ptr<const Bytes> buf) {
-  const std::size_t n = buf ? buf->size() : 0;
-  return wrap(std::move(buf), 0, n);
-}
-
 Payload Payload::wrap(std::shared_ptr<const Bytes> buf, std::size_t offset, std::size_t len) {
   Payload p;
   if (!buf || offset >= buf->size()) return p;
@@ -70,42 +52,6 @@ Payload Payload::wrap(std::shared_ptr<const Bytes> buf, std::size_t offset, std:
   p.size_ = len;
   p.owner_ = std::move(buf);
   return p;
-}
-
-Payload Payload::slice(std::size_t offset, std::size_t len) const {
-  Payload p;
-  if (offset >= size_) return p;
-  p.owner_ = owner_;
-  p.minted_ = nullptr;  // a slice never owns the whole buffer
-  p.data_ = data_ + offset;
-  p.size_ = std::min(len, size_ - offset);
-  return p;
-}
-
-Bytes Payload::to_bytes() const {
-  if (size_ != 0) count_copy(size_);
-  return Bytes(data_, data_ + size_);
-}
-
-std::string Payload::to_string() const {
-  if (size_ != 0) count_copy(size_);
-  return std::string(reinterpret_cast<const char*>(data_), size_);
-}
-
-Bytes Payload::cow() {
-  Bytes out;
-  if (minted_ != nullptr && owner_.use_count() == 1 && data_ == minted_->data() &&
-      size_ == minted_->size()) {
-    // Sole owner of a whole buffer this view minted: steal the allocation.
-    // The buffer was born mutable in the Bytes&& constructor; const-ness is
-    // only what the shared view promised others, and there are no others.
-    out = std::move(*const_cast<Bytes*>(minted_));
-  } else {
-    if (size_ != 0) count_copy(size_);
-    out.assign(data_, data_ + size_);
-  }
-  *this = Payload{};
-  return out;
 }
 
 std::uint64_t Payload::copies_total() {

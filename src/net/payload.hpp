@@ -1,20 +1,14 @@
 // Refcounted immutable payload buffers — the fabric's unit of bulk bytes.
 //
 // A Payload is a view (pointer + length) into a shared heap buffer. Copying
-// a Payload bumps a refcount; slicing one narrows the view without touching
-// the bytes. That makes the chunked distribution tree genuinely zero-copy:
-// a verified chunk lands once in a station's reassembly buffer and every
-// relay hop forwards a slice of that same buffer.
+// a Payload bumps a refcount; wrap() views a window of a shared buffer
+// without touching the bytes. That makes the chunked distribution tree
+// genuinely zero-copy: a verified chunk lands once in a station's
+// reassembly buffer and every relay hop forwards a view of that same
+// buffer (ChunkPipeline.RealPayloadRelayIsZeroCopy checks it).
 //
 // The bytes behind a live Payload never change (see DESIGN.md "Buffer
-// ownership"). Mutation goes through the copy-on-write escape hatch cow(),
-// which yields an owned mutable buffer — stealing the allocation when this
-// view is the sole owner of a whole buffer, deep-copying otherwise.
-//
-// Every deep copy (copy_of, to_bytes, to_string, a cow() that cannot
-// steal) increments net.payload.copies / net.payload.bytes_copied, so the
-// zero-copy property is observable and CI can assert the relay path stays
-// near zero.
+// ownership"); Payload has no way to copy or mutate them.
 #pragma once
 
 #include <algorithm>
@@ -36,13 +30,9 @@ class Payload {
   /*implicit*/ Payload(Bytes&& b);
   /*implicit*/ Payload(std::string&& s);
 
-  // Deep-copies borrowed bytes (counted: the caller keeps ownership, so the
-  // fabric cannot share them).
-  [[nodiscard]] static Payload copy_of(std::span<const std::uint8_t> b);
-
-  // Shares `buf` (or the [offset, offset+len) window of it) — no copy. The
-  // buffer must outlive nothing: the Payload keeps it alive.
-  [[nodiscard]] static Payload wrap(std::shared_ptr<const Bytes> buf);
+  // Shares the [offset, offset+len) window of `buf` — no copy. The buffer
+  // must outlive nothing: the Payload keeps it alive. Out-of-range windows
+  // are clamped to the buffer's end.
   [[nodiscard]] static Payload wrap(std::shared_ptr<const Bytes> buf, std::size_t offset,
                                     std::size_t len);
 
@@ -56,29 +46,14 @@ class Payload {
     return {reinterpret_cast<const char*>(data_), size_};
   }
 
-  // Narrows the view to [offset, offset+len) of this payload — refcount
-  // bump, no copy. Out-of-range slices are clamped to the payload's end.
-  [[nodiscard]] Payload slice(std::size_t offset, std::size_t len) const;
-
-  // Deep-copy escape hatches (counted).
-  [[nodiscard]] Bytes to_bytes() const;
-  [[nodiscard]] std::string to_string() const;
-
-  // Copy-on-write: yields an owned mutable buffer and empties this view.
-  // Sole owner of a whole Bytes buffer -> the allocation is stolen (free);
-  // shared, sliced, or string-backed -> counted deep copy.
-  [[nodiscard]] Bytes cow();
-
-  // Process-wide deep-copy totals (the net.payload.* counters), exposed for
-  // tests that assert the relay path stays zero-copy.
+  // Process-wide deep-copy totals (the net.payload.* counters, registered
+  // at startup so every metrics dump shows them). Payload itself makes no
+  // copy, so they read 0.
   [[nodiscard]] static std::uint64_t copies_total();
   [[nodiscard]] static std::uint64_t bytes_copied_total();
 
  private:
   std::shared_ptr<const void> owner_;
-  // Non-null only when owner_ is a Bytes this Payload minted itself (the
-  // Bytes&& constructor) — the one case cow() may steal from.
-  const Bytes* minted_ = nullptr;
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
 };

@@ -8,12 +8,13 @@ namespace wdoc::net {
 
 SimNetwork::Instruments SimNetwork::Instruments::make() {
   auto& reg = obs::MetricsRegistry::global();
+  const FabricTraffic& traffic = FabricTraffic::get();
   return Instruments{
-      reg.counter("net.messages_sent"),    reg.counter("net.messages_received"),
-      reg.counter("net.messages_dropped"), reg.counter("net.bytes_sent"),
-      reg.counter("net.bytes_received"),   reg.counter("net.faults_injected"),
+      traffic.messages_sent,               traffic.messages_received,
+      reg.counter("net.messages_dropped"), traffic.bytes_sent,
+      traffic.bytes_received,              reg.counter("net.faults_injected"),
       reg.counter("net.fault_drops"),      reg.gauge("net.queue_depth"),
-      reg.histogram("net.delivery_latency", {{"unit", "us"}}),
+      traffic.delivery_latency_us,
   };
 }
 
@@ -37,12 +38,6 @@ Status SimNetwork::set_link(StationId id, const StationLink& link) {
   if (s == nullptr) return {Errc::not_found, "no such station"};
   s->link = link;
   return Status::ok();
-}
-
-Result<StationLink> SimNetwork::link_of(StationId id) const {
-  const Station* s = station(id);
-  if (s == nullptr) return Error{Errc::not_found, "no such station"};
-  return s->link;
 }
 
 Status SimNetwork::set_online(StationId id, bool online) {
@@ -184,10 +179,6 @@ void SimNetwork::schedule_at(SimTime at, std::function<void()> fn) {
   push_event(std::move(ev));
 }
 
-void SimNetwork::schedule_after(SimTime delta, std::function<void()> fn) {
-  schedule_at(now_ + delta, std::move(fn));
-}
-
 void SimNetwork::schedule_bulk(std::vector<std::pair<SimTime, std::function<void()>>> items) {
   if (items.empty()) return;
   events_.reserve(events_.size() + items.size());
@@ -243,20 +234,6 @@ bool SimNetwork::step() {
 std::size_t SimNetwork::run() {
   std::size_t n = 0;
   while (step()) ++n;
-  return n;
-}
-
-std::size_t SimNetwork::run_until(SimTime t) {
-  std::size_t n = 0;
-  for (;;) {
-    while (!events_.empty() && events_.front().cancel && events_.front().cancel->load()) {
-      (void)pop_event();
-    }
-    if (events_.empty() || events_.front().at > t) break;
-    step();
-    ++n;
-  }
-  if (now_ < t) now_ = t;
   return n;
 }
 
@@ -351,12 +328,6 @@ const StationStats& SimNetwork::stats(StationId id) const {
   const Station* s = station(id);
   WDOC_CHECK(s != nullptr, "stats for unknown station");
   return s->stats;
-}
-
-void SimNetwork::reset_stats() {
-  for (Station& s : stations_) s.stats = StationStats{};
-  total_bytes_ = 0;
-  total_messages_ = 0;
 }
 
 }  // namespace wdoc::net

@@ -51,8 +51,9 @@ class SimNetwork final : public Fabric {
 
   // Registry instruments shared by every SimNetwork in the process (the
   // per-station StationStats stay for topology-level queries; these feed
-  // the obs snapshot that benches export). Cached once per network so the
-  // per-message hot path is a plain atomic increment.
+  // the obs snapshot that benches export): the FabricTraffic set plus the
+  // simulator's own. Cached once per network so the per-message hot path
+  // is a plain atomic increment.
   struct Instruments {
     obs::Counter& messages_sent;
     obs::Counter& messages_received;
@@ -77,7 +78,6 @@ class SimNetwork final : public Fabric {
 
   // Change link properties mid-run (experiment E10: drifting bandwidth).
   [[nodiscard]] Status set_link(StationId id, const StationLink& link);
-  [[nodiscard]] Result<StationLink> link_of(StationId id) const;
   [[nodiscard]] Status set_online(StationId id, bool online);
   [[nodiscard]] bool is_online(StationId id) const override;
   [[nodiscard]] double uplink_bps(StationId id) const override {
@@ -91,7 +91,6 @@ class SimNetwork final : public Fabric {
 
   // Schedule arbitrary simulation work (timers, lecture playout deadlines).
   void schedule_at(SimTime at, std::function<void()> fn);
-  void schedule_after(SimTime delta, std::function<void()> fn);
   // Bulk-schedules many timers in one pass: k items land with one O(n + k)
   // heap rebuild instead of k O(log n) sifts. Items keep their relative
   // order for same-time ties (each gets the next event seq in turn). Used
@@ -115,14 +114,11 @@ class SimNetwork final : public Fabric {
   bool step();
   // Runs to quiescence; returns events processed.
   std::size_t run();
-  // Runs events with time <= t (and advances now_ to t).
-  std::size_t run_until(SimTime t);
 
   // --- stats --------------------------------------------------------------
   [[nodiscard]] const StationStats& stats(StationId id) const;
   [[nodiscard]] std::uint64_t total_bytes_on_wire() const { return total_bytes_; }
   [[nodiscard]] std::uint64_t total_messages() const { return total_messages_; }
-  void reset_stats();
 
  private:
   struct Station {

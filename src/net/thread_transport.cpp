@@ -36,8 +36,8 @@ Status ThreadTransport::send(Message msg) {
     box = it->second.get();
   }
   msg.seq = ++seq_;
-  c_sent_.inc();
-  c_bytes_sent_.inc(msg.charged_size());
+  traffic_.messages_sent.inc();
+  traffic_.bytes_sent.inc(msg.charged_size());
   {
     std::lock_guard<std::mutex> bg(box->mu);
     box->queue.push_back(Queued{std::move(msg), now(), nullptr});
@@ -140,9 +140,10 @@ void ThreadTransport::worker_loop(Mailbox* box) {
       continue;
     }
     const Message& msg = item.msg;
-    c_received_.inc();
-    c_bytes_received_.inc(msg.charged_size());
-    h_latency_.observe(static_cast<double>((now() - item.enqueued_at).as_micros()));
+    traffic_.messages_received.inc();
+    traffic_.bytes_received.inc(msg.charged_size());
+    traffic_.delivery_latency_us.observe(
+        static_cast<double>((now() - item.enqueued_at).as_micros()));
     if (handler) handler(msg);
     delivered_.fetch_add(1);
     {

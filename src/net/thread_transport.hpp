@@ -96,16 +96,7 @@ class ThreadTransport final : public Fabric {
   std::thread timer_thread_;
   std::uint64_t timer_seq_ = 0;
 
-  // Shared registry instruments (same names as SimNetwork's, so protocol
-  // code is observable identically on either fabric).
-  obs::Counter& c_sent_ = obs::MetricsRegistry::global().counter("net.messages_sent");
-  obs::Counter& c_received_ =
-      obs::MetricsRegistry::global().counter("net.messages_received");
-  obs::Counter& c_bytes_sent_ = obs::MetricsRegistry::global().counter("net.bytes_sent");
-  obs::Counter& c_bytes_received_ =
-      obs::MetricsRegistry::global().counter("net.bytes_received");
-  obs::Histogram& h_latency_ = obs::MetricsRegistry::global().histogram(
-      "net.delivery_latency", {{"unit", "us"}});
+  const FabricTraffic& traffic_ = FabricTraffic::get();
 };
 
 }  // namespace wdoc::net

@@ -60,15 +60,6 @@ std::vector<FlightEvent> FlightRecorder::events() const {
   return out;
 }
 
-void FlightRecorder::clear() {
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> g(sh.mu);
-    sh.ring.clear();
-    sh.write_pos = 0;
-  }
-  next_seq_.store(0, std::memory_order_relaxed);
-}
-
 std::string FlightRecorder::dump() const {
   std::string out;
   char buf[128];

@@ -69,7 +69,6 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t recorded() const {
     return next_seq_.load(std::memory_order_relaxed);
   }
-  void clear();
 
   // Text rendering of events(), one line per event:
   //   [seq] t=<time> <kind> station=<id> actor=<id> <detail>

@@ -41,36 +41,6 @@ void Histogram::observe(double v, std::uint64_t exemplar_trace_id) {
   sum_.fetch_add(std::isfinite(v) ? v : 0.0, std::memory_order_relaxed);
 }
 
-double Histogram::mean() const {
-  std::uint64_t n = count();
-  return n == 0 ? 0.0 : sum() / static_cast<double>(n);
-}
-
-double Histogram::quantile(double q) const {
-  WDOC_CHECK(q >= 0.0 && q <= 1.0, "quantile out of range");
-  std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  auto rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    seen += bucket_count(i);
-    if (seen >= rank) {
-      // Report the bucket's upper bound; the last bucket has no finite
-      // bound, so fall back to its lower edge.
-      return i == kBuckets - 1 ? upper_bound(kBuckets - 2) : upper_bound(i);
-    }
-  }
-  return upper_bound(kBuckets - 2);
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  for (auto& e : exemplars_) e.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 // --- keys -------------------------------------------------------------------
 
 namespace {
@@ -203,28 +173,6 @@ Snapshot MetricsRegistry::snapshot() const {
   std::sort(out.samples.begin(), out.samples.end(),
             [](const MetricSample& a, const MetricSample& b) { return a.key() < b.key(); });
   return out;
-}
-
-void MetricsRegistry::reset() {
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> g(sh.mu);
-    for (auto& [_, entry] : sh.entries) {
-      switch (entry.kind) {
-        case MetricSample::Kind::counter: entry.counter->reset(); break;
-        case MetricSample::Kind::gauge: entry.gauge->reset(); break;
-        case MetricSample::Kind::histogram: entry.histogram->reset(); break;
-      }
-    }
-  }
-}
-
-std::size_t MetricsRegistry::instrument_count() const {
-  std::size_t n = 0;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> g(sh.mu);
-    n += sh.entries.size();
-  }
-  return n;
 }
 
 // --- exporters --------------------------------------------------------------

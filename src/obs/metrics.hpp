@@ -4,8 +4,8 @@
 // (name, label set). Registration/lookup takes a sharded mutex; the
 // instruments themselves are plain atomics, so increments on hot paths are
 // lock-free and safe under ThreadTransport worker threads. Instrument
-// references stay valid for the life of the registry — reset() zeroes
-// values but never invalidates a reference, so call sites may cache them.
+// references stay valid for the life of the registry, so call sites may
+// cache them.
 //
 // Two exporters: an aligned text table (examples) and a stable JSON
 // snapshot (benches / CI trajectory files, see obs::to_json). Both emit
@@ -31,7 +31,6 @@ class Counter {
  public:
   void inc(std::uint64_t delta = 1) { v_.fetch_add(delta, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -43,7 +42,6 @@ class Gauge {
   void add(std::int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
   void sub(std::int64_t delta) { v_.fetch_sub(delta, std::memory_order_relaxed); }
   [[nodiscard]] std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::int64_t> v_{0};
@@ -79,17 +77,13 @@ class Histogram {
 
   [[nodiscard]] std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   [[nodiscard]] double sum() const { return sum_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double mean() const;
   [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
-  // Nearest-bucket-upper-bound quantile estimate, q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
   // Most recent sampled trace id observed into bucket i (0 = none yet).
   [[nodiscard]] std::uint64_t exemplar(std::size_t i) const {
     return exemplars_[i].load(std::memory_order_relaxed);
   }
-  void reset();
 
  private:
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
@@ -127,10 +121,6 @@ class MetricsRegistry {
   [[nodiscard]] Histogram& histogram(std::string_view name, const Labels& labels = {});
 
   [[nodiscard]] Snapshot snapshot() const;
-  // Zeroes every instrument. References handed out earlier stay valid.
-  void reset();
-
-  [[nodiscard]] std::size_t instrument_count() const;
 
  private:
   struct Entry {

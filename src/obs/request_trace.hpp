@@ -9,11 +9,15 @@
 //     promote the same trace set),
 //   * errored (5xx at the edge), or
 //   * took at least 20,000 µs, the tail-latency threshold.
-// Everything else is discarded wholesale. Slow and failed requests are
-// therefore ALWAYS fully traced, at any request rate, while the steady
-// state pays only the head-sample rate in durable-buffer space. A request
-// buffers at most 128 spans (root included); spans past that are counted in
-// obs.trace.provisional_dropped and not recorded.
+// Everything else is discarded wholesale, so the steady state pays only the
+// head-sample rate in durable-buffer space. A slow or failed request is
+// fully traced only while the durable Tracer has room: its buffer holds
+// Tracer::kMaxSpans (64 Ki) spans, only a drain() (write_trace_file at a
+// bench's exit) empties it, and once it is full a promotion keeps nothing
+// and counts the spans in obs.trace.dropped (a full-length suite `gateway`
+// run fills it). A request buffers at most 128 spans (root included);
+// spans past that are counted in obs.trace.provisional_dropped and not
+// recorded.
 //
 // Tracing is always on, and the policy above is a set of constants in
 // request_trace.cpp: no span takes a lock or reads a configuration.

@@ -86,12 +86,6 @@ void encode_snapshot(Writer& w, const Snapshot& snap) {
   for (const MetricSample& s : snap.samples) encode_sample(w, s);
 }
 
-Bytes encode_snapshot(const Snapshot& snap) {
-  Writer w;
-  encode_snapshot(w, snap);
-  return w.take();
-}
-
 Result<Snapshot> decode_snapshot(Reader& r) {
   Snapshot out;
   auto n = r.count(30);  // a sample is at least ~30 bytes on the wire
@@ -102,20 +96,6 @@ Result<Snapshot> decode_snapshot(Reader& r) {
     if (!s) return s.error();
     out.samples.push_back(std::move(s).value());
   }
-  return out;
-}
-
-Result<Snapshot> decode_snapshot(const Bytes& b) {
-  Reader r(b);
-  return decode_snapshot(r);
-}
-
-Snapshot with_label(const Snapshot& snap, const std::string& key,
-                    const std::string& value) {
-  Snapshot out = snap;
-  for (MetricSample& s : out.samples) s.labels[key] = value;
-  std::sort(out.samples.begin(), out.samples.end(),
-            [](const MetricSample& a, const MetricSample& b) { return a.key() < b.key(); });
   return out;
 }
 

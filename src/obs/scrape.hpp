@@ -16,14 +16,7 @@ namespace wdoc::obs {
 
 // Appends every sample to `w`. Inverse of decode_snapshot.
 void encode_snapshot(Writer& w, const Snapshot& snap);
-[[nodiscard]] Bytes encode_snapshot(const Snapshot& snap);
 [[nodiscard]] Result<Snapshot> decode_snapshot(Reader& r);
-[[nodiscard]] Result<Snapshot> decode_snapshot(const Bytes& b);
-
-// Returns a copy of `snap` with `key=value` added to every sample's label
-// set (existing values for `key` are overwritten). Samples stay sorted.
-[[nodiscard]] Snapshot with_label(const Snapshot& snap, const std::string& key,
-                                  const std::string& value);
 
 // Hierarchical aggregation: folds `src` into `dst`. Samples with the same
 // (name, labels) key combine — counters and gauges add, histograms add

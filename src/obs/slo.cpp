@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <set>
 
 #include "common/json.hpp"
 #include "obs/flight_recorder.hpp"
@@ -18,15 +17,6 @@ constexpr std::size_t kSlowShortEvals = kLongEvals / 2;  // slow alert's short w
 constexpr double kFastBurn = 14.4;       // page-now threshold
 constexpr double kSlowBurn = 6.0;        // ticket threshold
 static_assert(kShortEvals <= kSlowShortEvals && kSlowShortEvals <= kLongEvals);
-
-// Live-engine registry backing dump_all(). Engines register for their
-// lifetime; dump_all snapshots whatever exists when a failure artifact is
-// being written.
-std::mutex g_engines_mu;
-std::set<const SloEngine*>& engines() {
-  static auto* s = new std::set<const SloEngine*>();
-  return *s;
-}
 
 double burn_rate(double bad_fraction, double target) {
   const double budget = std::max(1e-9, 1.0 - target);
@@ -64,15 +54,9 @@ struct SloEngine::Tracked {
 };
 
 SloEngine::SloEngine(std::int64_t eval_period_micros)
-    : eval_period_micros_(eval_period_micros) {
-  std::lock_guard<std::mutex> g(g_engines_mu);
-  engines().insert(this);
-}
+    : eval_period_micros_(eval_period_micros) {}
 
-SloEngine::~SloEngine() {
-  std::lock_guard<std::mutex> g(g_engines_mu);
-  engines().erase(this);
-}
+SloEngine::~SloEngine() = default;
 
 void SloEngine::add(SloObjective objective) {
   auto t = std::make_unique<Tracked>();
@@ -176,11 +160,6 @@ std::vector<SloStatus> SloEngine::evaluate(SimTime now) {
   return out;
 }
 
-std::vector<SloStatus> SloEngine::status() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return last_;
-}
-
 std::string SloEngine::to_json() const {
   std::lock_guard<std::mutex> g(mu_);
   char buf[256];
@@ -208,16 +187,6 @@ std::string SloEngine::to_json() const {
     out += buf;
   }
   out += "]}";
-  return out;
-}
-
-std::string SloEngine::dump_all() {
-  std::lock_guard<std::mutex> g(g_engines_mu);
-  std::string out;
-  for (const SloEngine* e : engines()) {
-    out += e->to_json();
-    out += '\n';
-  }
   return out;
 }
 

@@ -94,15 +94,9 @@ class SloEngine {
   // Safe to call from any thread; cheap enough to call per second.
   std::vector<SloStatus> evaluate(SimTime now);
 
-  // Most recent evaluate() result without re-sampling.
-  [[nodiscard]] std::vector<SloStatus> status() const;
-
-  // {"windows":{...},"objectives":[...]} — stable field order.
+  // {"windows":{...},"objectives":[...]} of the most recent evaluate(),
+  // without re-sampling — stable field order.
   [[nodiscard]] std::string to_json() const;
-
-  // Every live engine's to_json(), newline-separated — wired into failure
-  // artifact dumps so a red CI run includes the SLO state at death.
-  [[nodiscard]] static std::string dump_all();
 
  private:
   struct Tracked;  // objective + cumulative ring + alert latches

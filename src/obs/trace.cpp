@@ -38,7 +38,7 @@ void Tracer::note_drop_locked(std::size_t n) {
   dropped.inc(n);
   if (first) {
     WDOC_WARN("tracer: span buffer full (%zu spans); dropping new spans "
-              "(counted in obs.trace.dropped) until drain()/clear()",
+              "(counted in obs.trace.dropped) until drain()",
               kMaxSpans);
   }
 }
@@ -103,23 +103,6 @@ std::vector<SpanRecord> Tracer::drain() {
   index_.clear();
   dropped_ = 0;
   return out;
-}
-
-std::size_t Tracer::span_count() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return spans_.size();
-}
-
-std::uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return dropped_;
-}
-
-void Tracer::clear() {
-  std::lock_guard<std::mutex> g(mu_);
-  spans_.clear();
-  index_.clear();
-  dropped_ = 0;
 }
 
 }  // namespace wdoc::obs

@@ -90,11 +90,8 @@ class Tracer {
   [[nodiscard]] std::vector<SpanRecord> spans() const;
   // Moves the record buffer out (O(1), no copy under the mutex) and leaves
   // the tracer recording into a fresh buffer. Span ids keep counting up, so
-  // end() on an id drained away is a no-op, like ids from before clear().
+  // end() on an id drained away is a no-op.
   [[nodiscard]] std::vector<SpanRecord> drain();
-  [[nodiscard]] std::size_t span_count() const;
-  [[nodiscard]] std::uint64_t dropped() const;
-  void clear();
 
  private:
   // Counts a capacity drop: bumps dropped_, the obs.trace.dropped counter,
@@ -104,7 +101,7 @@ class Tracer {
   mutable std::mutex mu_;
   std::vector<SpanRecord> spans_;
   std::unordered_map<std::uint64_t, std::size_t> index_;  // id -> spans_ index
-  std::uint64_t dropped_ = 0;
+  std::uint64_t dropped_ = 0;  // since the last drain: the warning is one-shot
   std::atomic<bool> enabled_{false};
 };
 

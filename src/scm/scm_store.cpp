@@ -8,14 +8,6 @@ namespace wdoc::scm {
 
 namespace {
 
-bool looks_text(const Bytes& b) {
-  std::size_t checked = std::min<std::size_t>(b.size(), 4096);
-  for (std::size_t i = 0; i < checked; ++i) {
-    if (b[i] == 0) return false;
-  }
-  return true;
-}
-
 std::vector<std::string_view> split_lines(std::string_view s) {
   std::vector<std::string_view> lines;
   std::size_t start = 0;
@@ -91,16 +83,8 @@ Status ScmStore::add_item(const std::string& key, Bytes initial_content,
   meta.digest = digest128(std::span<const std::uint8_t>(initial_content));
   meta.size = initial_content.size();
   item.versions.push_back(std::move(meta));
-  item.contents.push_back(std::move(initial_content));
   items_.emplace(key, std::move(item));
   return Status::ok();
-}
-
-std::vector<std::string> ScmStore::list_items() const {
-  std::vector<std::string> out;
-  out.reserve(items_.size());
-  for (const auto& [key, _] : items_) out.push_back(key);
-  return out;
 }
 
 const ScmStore::Item* ScmStore::find(const std::string& key) const {
@@ -111,17 +95,6 @@ const ScmStore::Item* ScmStore::find(const std::string& key) const {
 ScmStore::Item* ScmStore::find(const std::string& key) {
   auto it = items_.find(key);
   return it == items_.end() ? nullptr : &it->second;
-}
-
-Result<Bytes> ScmStore::content(const std::string& key,
-                                std::optional<std::uint64_t> version) const {
-  const Item* item = find(key);
-  if (item == nullptr) return Error{Errc::not_found, "no item: " + key};
-  if (!version) return item->contents.back();
-  if (*version == 0 || *version > item->versions.size()) {
-    return Error{Errc::not_found, key + ": no version " + std::to_string(*version)};
-  }
-  return item->contents[*version - 1];
 }
 
 Result<VersionMeta> ScmStore::head(const std::string& key) const {
@@ -159,7 +132,6 @@ Status ScmStore::check_out(const std::string& key, UserId user, bool write,
     }
   }
   item->active_checkouts.push_back(CheckoutInfo{user, write, now});
-  ++user_checkout_counts_[user.value()];
   return Status::ok();
 }
 
@@ -187,62 +159,8 @@ Result<VersionMeta> ScmStore::check_in(const std::string& key, UserId user,
   meta.digest = digest;
   meta.size = new_content.size();
   item->versions.push_back(meta);
-  item->contents.push_back(std::move(new_content));
   item->active_checkouts.erase(holder);
   return meta;
-}
-
-Status ScmStore::cancel_checkout(const std::string& key, UserId user) {
-  Item* item = find(key);
-  if (item == nullptr) return {Errc::not_found, "no item: " + key};
-  auto it = std::find_if(item->active_checkouts.begin(), item->active_checkouts.end(),
-                         [&](const CheckoutInfo& c) { return c.user == user; });
-  if (it == item->active_checkouts.end()) {
-    return {Errc::not_found, "no check-out by user on " + key};
-  }
-  item->active_checkouts.erase(it);
-  return Status::ok();
-}
-
-std::optional<UserId> ScmStore::write_holder(const std::string& key) const {
-  const Item* item = find(key);
-  if (item == nullptr) return std::nullopt;
-  for (const CheckoutInfo& c : item->active_checkouts) {
-    if (c.write) return c.user;
-  }
-  return std::nullopt;
-}
-
-std::vector<CheckoutInfo> ScmStore::checkouts(const std::string& key) const {
-  const Item* item = find(key);
-  return item == nullptr ? std::vector<CheckoutInfo>{} : item->active_checkouts;
-}
-
-std::uint64_t ScmStore::checkout_count(UserId user) const {
-  auto it = user_checkout_counts_.find(user.value());
-  return it == user_checkout_counts_.end() ? 0 : it->second;
-}
-
-Result<DiffSummary> ScmStore::diff(const std::string& key, std::uint64_t v1,
-                                   std::uint64_t v2) const {
-  const Item* item = find(key);
-  if (item == nullptr) return Error{Errc::not_found, "no item: " + key};
-  auto get = [&](std::uint64_t v) -> const Bytes* {
-    if (v == 0 || v > item->contents.size()) return nullptr;
-    return &item->contents[v - 1];
-  };
-  const Bytes* a = get(v1);
-  const Bytes* b = get(v2);
-  if (a == nullptr || b == nullptr) return Error{Errc::not_found, "no such version"};
-  if (!looks_text(*a) || !looks_text(*b)) {
-    DiffSummary out;
-    out.binary = true;
-    out.identical = item->versions[v1 - 1].digest == item->versions[v2 - 1].digest;
-    return out;
-  }
-  return diff_lines(
-      std::string_view(reinterpret_cast<const char*>(a->data()), a->size()),
-      std::string_view(reinterpret_cast<const char*>(b->data()), b->size()));
 }
 
 }  // namespace wdoc::scm

@@ -2,15 +2,14 @@
 // configuration management system allows checking in/out of course
 // components and maintain versions of a course").
 //
-// Each item is an append-only version chain. Write check-outs are exclusive
-// per item; read check-outs are unlimited and tracked (the virtual library
-// uses them as an assessment signal). Check-in requires holding the write
+// Each item is an append-only chain of version records (number, author,
+// comment, content digest and size). Write check-outs are exclusive per
+// item; read check-outs are unlimited. Check-in requires holding the write
 // check-out and bumps the version.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -36,7 +35,6 @@ struct DiffSummary {
   std::uint64_t lines_removed = 0;
   std::uint64_t lines_common = 0;
   bool identical = false;
-  bool binary = false;  // non-text content compared by digest only
 };
 
 struct CheckoutInfo {
@@ -52,10 +50,7 @@ class ScmStore {
                                 const std::string& author, std::int64_t now,
                                 const std::string& comment = "initial");
   [[nodiscard]] bool has_item(const std::string& key) const { return items_.contains(key); }
-  [[nodiscard]] std::vector<std::string> list_items() const;
 
-  [[nodiscard]] Result<Bytes> content(const std::string& key,
-                                      std::optional<std::uint64_t> version = {}) const;
   [[nodiscard]] Result<VersionMeta> head(const std::string& key) const;
   [[nodiscard]] Result<std::vector<VersionMeta>> history(const std::string& key) const;
 
@@ -69,24 +64,10 @@ class ScmStore {
   [[nodiscard]] Result<VersionMeta> check_in(const std::string& key, UserId user,
                                              Bytes new_content, const std::string& comment,
                                              std::int64_t now);
-  // Releases a check-out (read or write).
-  [[nodiscard]] Status cancel_checkout(const std::string& key, UserId user);
-
-  [[nodiscard]] std::optional<UserId> write_holder(const std::string& key) const;
-  [[nodiscard]] std::vector<CheckoutInfo> checkouts(const std::string& key) const;
-  // All check-outs ever made by `user` (for the assessment report).
-  [[nodiscard]] std::uint64_t checkout_count(UserId user) const;
-
-  // --- diff --------------------------------------------------------------
-  // Line diff for text content (LCS-based); digest comparison for binary or
-  // oversized payloads.
-  [[nodiscard]] Result<DiffSummary> diff(const std::string& key, std::uint64_t v1,
-                                         std::uint64_t v2) const;
 
  private:
   struct Item {
     std::vector<VersionMeta> versions;
-    std::vector<Bytes> contents;  // parallel to versions
     std::vector<CheckoutInfo> active_checkouts;
   };
 
@@ -94,11 +75,11 @@ class ScmStore {
   [[nodiscard]] Item* find(const std::string& key);
 
   std::map<std::string, Item> items_;
-  std::map<std::uint64_t, std::uint64_t> user_checkout_counts_;  // by user id value
   IdAllocator<VersionId> version_ids_;
 };
 
-// Line-diff helper, exposed for tests. Inputs are whole text bodies.
+// Line diff of two whole text bodies (LCS-based; a multiset of line hashes
+// past 4,000 lines a side).
 [[nodiscard]] DiffSummary diff_lines(std::string_view a, std::string_view b);
 
 }  // namespace wdoc::scm

@@ -39,7 +39,6 @@ BTreeIndex::BTreeIndex(std::size_t order) : order_(order < 4 ? 4 : order) {
 
 BTreeIndex::~BTreeIndex() = default;
 BTreeIndex::BTreeIndex(BTreeIndex&&) noexcept = default;
-BTreeIndex& BTreeIndex::operator=(BTreeIndex&&) noexcept = default;
 
 void BTreeIndex::insert(const Value& key, RowId rid) {
   struct Helper {
@@ -247,15 +246,6 @@ std::vector<RowId> BTreeIndex::find(const Value& key) const {
   return out;
 }
 
-bool BTreeIndex::contains(const Value& key) const {
-  bool found = false;
-  scan_range(&key, &key, [&](const Value&, RowId) {
-    found = true;
-    return false;
-  });
-  return found;
-}
-
 void BTreeIndex::scan_range(const Value* lo, const Value* hi,
                             const std::function<bool(const Value&, RowId)>& visit) const {
   // Descend to the first leaf that can contain `lo` (or leftmost leaf).
@@ -286,10 +276,6 @@ void BTreeIndex::scan_range(const Value* lo, const Value* hi,
   }
 }
 
-void BTreeIndex::scan_all(const std::function<bool(const Value&, RowId)>& visit) const {
-  scan_range(nullptr, nullptr, visit);
-}
-
 std::size_t BTreeIndex::height() const {
   std::size_t h = 1;
   const Node* n = root_.get();
@@ -298,11 +284,6 @@ std::size_t BTreeIndex::height() const {
     ++h;
   }
   return h;
-}
-
-void BTreeIndex::clear() {
-  root_ = std::make_unique<Node>();
-  size_ = 0;
 }
 
 std::string BTreeIndex::validate() const {

@@ -24,27 +24,21 @@ class BTreeIndex {
   BTreeIndex(const BTreeIndex&) = delete;
   BTreeIndex& operator=(const BTreeIndex&) = delete;
   BTreeIndex(BTreeIndex&&) noexcept;
-  BTreeIndex& operator=(BTreeIndex&&) noexcept;
 
   void insert(const Value& key, RowId rid);
   // Returns true if the (key, rid) entry existed and was removed.
   bool erase(const Value& key, RowId rid);
 
   [[nodiscard]] std::vector<RowId> find(const Value& key) const;
-  [[nodiscard]] bool contains(const Value& key) const;
 
   // Visit entries with lo <= key <= hi in key order; nullptr bound = open.
   // Visitor returns false to stop early.
   void scan_range(const Value* lo, const Value* hi,
                   const std::function<bool(const Value&, RowId)>& visit) const;
-  // Visit all entries in key order.
-  void scan_all(const std::function<bool(const Value&, RowId)>& visit) const;
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t height() const;
-
-  void clear();
 
   // Structural invariant check; returns a human-readable violation or ""
   [[nodiscard]] std::string validate() const;

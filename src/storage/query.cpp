@@ -4,21 +4,6 @@
 
 namespace wdoc::storage {
 
-const char* cmp_op_name(CmpOp op) {
-  switch (op) {
-    case CmpOp::eq: return "=";
-    case CmpOp::ne: return "!=";
-    case CmpOp::lt: return "<";
-    case CmpOp::le: return "<=";
-    case CmpOp::gt: return ">";
-    case CmpOp::ge: return ">=";
-    case CmpOp::contains: return "contains";
-    case CmpOp::is_null: return "is null";
-    case CmpOp::not_null: return "is not null";
-  }
-  return "?";
-}
-
 bool eval_cmp(CmpOp op, const Value& cell, const Value& probe) {
   if (op == CmpOp::is_null) return cell.is_null();
   if (op == CmpOp::not_null) return !cell.is_null();
@@ -74,31 +59,6 @@ const Query::Predicate* Query::choose_driver() const {
     }
   }
   return nullptr;
-}
-
-QueryPlan Query::explain() const {
-  QueryPlan plan;
-  const Predicate* driver = choose_driver();
-  if (driver != nullptr) {
-    plan.index_driven = true;
-    plan.driver_column = driver->column;
-    plan.driver_op = driver->op;
-  }
-  plan.residual_predicates = predicates_.size() - (driver != nullptr ? 1 : 0);
-  plan.sorted_output = order_column_.has_value();
-  return plan;
-}
-
-std::string QueryPlan::to_string() const {
-  std::string out = index_driven
-                        ? ("index scan on " + driver_column + " (" +
-                           cmp_op_name(driver_op) + ")")
-                        : "full scan";
-  if (residual_predicates > 0) {
-    out += ", filter x" + std::to_string(residual_predicates);
-  }
-  if (sorted_output) out += ", sort";
-  return out;
 }
 
 Status Query::for_each(

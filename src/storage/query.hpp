@@ -24,23 +24,11 @@ enum class CmpOp : std::uint8_t {
   not_null,  // probe ignored
 };
 
-[[nodiscard]] const char* cmp_op_name(CmpOp op);
 [[nodiscard]] bool eval_cmp(CmpOp op, const Value& cell, const Value& probe);
 
 struct QueryRow {
   RowId id;
   std::vector<Value> values;  // projected columns, or all columns
-};
-
-// How a query would execute (Query::explain).
-struct QueryPlan {
-  bool index_driven = false;
-  std::string driver_column;  // empty on full scan
-  CmpOp driver_op = CmpOp::eq;
-  std::size_t residual_predicates = 0;  // filtered row-at-a-time
-  bool sorted_output = false;           // ORDER BY present (post-sort)
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 class Query {
@@ -59,9 +47,6 @@ class Query {
   [[nodiscard]] Result<std::vector<QueryRow>> run() const;
   [[nodiscard]] Result<std::size_t> count() const;
   [[nodiscard]] Result<std::optional<QueryRow>> first() const;
-
-  // The access path this query would take, without executing it.
-  [[nodiscard]] QueryPlan explain() const;
 
  private:
   struct Predicate {

@@ -2,15 +2,6 @@
 
 namespace wdoc::storage {
 
-const char* ref_action_name(RefAction a) {
-  switch (a) {
-    case RefAction::restrict: return "restrict";
-    case RefAction::cascade: return "cascade";
-    case RefAction::set_null: return "set_null";
-  }
-  return "?";
-}
-
 Schema::Schema(std::string table_name, std::vector<Column> columns,
                std::string primary_key, std::vector<ForeignKey> foreign_keys)
     : table_name_(std::move(table_name)),

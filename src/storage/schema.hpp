@@ -25,7 +25,6 @@ enum class RefAction : std::uint8_t {
   set_null = 2,  // null out the referencing column
 };
 
-[[nodiscard]] const char* ref_action_name(RefAction a);
 
 struct ForeignKey {
   std::string column;        // column in this table

@@ -148,26 +148,6 @@ bool Table::has_index(std::string_view column) const {
                      [&](const ColumnIndex& idx) { return idx.column == *ci; });
 }
 
-Status Table::create_index(std::string_view column) {
-  auto ci = schema_.column_index(column);
-  if (!ci) return {Errc::invalid_argument, name() + ": no column " + std::string(column)};
-  if (has_index(column)) return {Errc::already_exists, name() + ": index exists"};
-  ColumnIndex idx{*ci, BTreeIndex{}};
-  for (const auto& [id, row] : rows_) {
-    idx.btree.insert(row[*ci], id);
-  }
-  indexes_.push_back(std::move(idx));
-  return Status::ok();
-}
-
-Value Table::cell(RowId id, std::string_view column) const {
-  const auto* row = get(id);
-  WDOC_CHECK(row != nullptr, name() + ": cell() on dead row");
-  auto ci = schema_.column_index(column);
-  WDOC_CHECK(ci.has_value(), name() + ": no column " + std::string(column));
-  return (*row)[*ci];
-}
-
 void Table::index_row(RowId id, const std::vector<Value>& row) {
   for (ColumnIndex& idx : indexes_) {
     const Value& v = row[idx.column];

@@ -60,10 +60,6 @@ class Table {
   void scan(const std::function<bool(RowId, const std::vector<Value>&)>& visit) const;
 
   [[nodiscard]] bool has_index(std::string_view column) const;
-  // Adds a B-tree index over an existing column, back-filling it.
-  [[nodiscard]] Status create_index(std::string_view column);
-
-  [[nodiscard]] Value cell(RowId id, std::string_view column) const;
 
   // Approximate resident bytes (row payloads only).
   [[nodiscard]] std::size_t payload_bytes() const { return payload_bytes_; }

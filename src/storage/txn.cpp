@@ -133,12 +133,6 @@ std::size_t TransactionManager::active_txns() const {
   return txns_.size();
 }
 
-std::size_t TransactionManager::held_locks(TxnId id) const {
-  std::lock_guard<std::mutex> g(mu_);
-  auto it = txns_.find(id.value());
-  return it == txns_.end() ? 0 : it->second.held.size();
-}
-
 bool TransactionManager::would_deadlock(std::uint64_t waiter, const ResourceKey& key,
                                         TxnLockMode mode) {
   // DFS over the waits-for graph: waiter -> current holders blocking it,
@@ -329,30 +323,6 @@ Txn::~Txn() {
   if (active_) abort();
 }
 
-Result<RowId> Txn::insert(const std::string& table, std::vector<Value> row) {
-  WDOC_CHECK(active_, "insert on finished txn");
-  WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::IX));
-  TransactionManager::UndoSink sink(mgr_, id_);
-  Result<RowId> id = [&]() -> Result<RowId> {
-    std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
-    return mgr_->db_.catalog().insert(table, std::move(row), &sink);
-  }();
-  if (id) {
-    // New row is ours; take its X lock so readers serialize behind us.
-    WDOC_TRY(mgr_->lock_row(id_, table, id.value(), TxnLockMode::X));
-  }
-  return id;
-}
-
-Status Txn::update(const std::string& table, RowId id, std::vector<Value> row) {
-  WDOC_CHECK(active_, "update on finished txn");
-  WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::IX));
-  WDOC_TRY(mgr_->lock_row(id_, table, id, TxnLockMode::X));
-  TransactionManager::UndoSink sink(mgr_, id_);
-  std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
-  return mgr_->db_.catalog().update(table, id, std::move(row), &sink);
-}
-
 Status Txn::update_column(const std::string& table, RowId id, std::string_view column,
                           Value v) {
   WDOC_CHECK(active_, "update_column on finished txn");
@@ -361,37 +331,6 @@ Status Txn::update_column(const std::string& table, RowId id, std::string_view c
   TransactionManager::UndoSink sink(mgr_, id_);
   std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
   return mgr_->db_.catalog().update_column(table, id, column, std::move(v), &sink);
-}
-
-Status Txn::erase(const std::string& table, RowId id) {
-  WDOC_CHECK(active_, "erase on finished txn");
-  WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::IX));
-  WDOC_TRY(mgr_->lock_row(id_, table, id, TxnLockMode::X));
-  TransactionManager::UndoSink sink(mgr_, id_);
-  std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
-  return mgr_->db_.catalog().erase(table, id, &sink);
-}
-
-Result<std::vector<Value>> Txn::get(const std::string& table, RowId id) {
-  WDOC_CHECK(active_, "get on finished txn");
-  WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::IS));
-  WDOC_TRY(mgr_->lock_row(id_, table, id, TxnLockMode::S));
-  std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
-  const Table* t = mgr_->db_.catalog().table(table);
-  if (t == nullptr) return Error{Errc::not_found, "no table: " + table};
-  const auto* row = t->get(id);
-  if (row == nullptr) return Error{Errc::not_found, table + ": no such row"};
-  return *row;
-}
-
-Result<std::vector<RowId>> Txn::find_equal(const std::string& table,
-                                           std::string_view column, const Value& v) {
-  WDOC_CHECK(active_, "find_equal on finished txn");
-  WDOC_TRY(mgr_->lock_table(id_, table, TxnLockMode::S));
-  std::lock_guard<std::mutex> latch(mgr_->physical_mu_);
-  const Table* t = mgr_->db_.catalog().table(table);
-  if (t == nullptr) return Error{Errc::not_found, "no table: " + table};
-  return t->find_equal(column, v);
 }
 
 Status Txn::commit() {

@@ -1,5 +1,6 @@
 // Transactions: strict two-phase locking over the Database with
-// multigranularity (table IS/IX/S/X, row S/X) locks, waits-for deadlock
+// multigranularity locks (the table IS/IX/S/X matrix; update_column, a
+// transaction's one DML, takes table IX and row X), waits-for deadlock
 // detection, and before-image undo.
 //
 // The requester of the lock that would close a cycle in the waits-for graph
@@ -37,17 +38,9 @@ class Txn {
   [[nodiscard]] TxnId id() const { return id_; }
   [[nodiscard]] bool active() const { return active_; }
 
-  // DML under locks. Insert takes table IX; update/erase take table IX plus
-  // row X; reads take table IS plus row S; scans take table S.
-  [[nodiscard]] Result<RowId> insert(const std::string& table, std::vector<Value> row);
-  [[nodiscard]] Status update(const std::string& table, RowId id, std::vector<Value> row);
+  // The one DML a transaction runs: table IX plus row X, then the update.
   [[nodiscard]] Status update_column(const std::string& table, RowId id,
                                      std::string_view column, Value v);
-  [[nodiscard]] Status erase(const std::string& table, RowId id);
-  [[nodiscard]] Result<std::vector<Value>> get(const std::string& table, RowId id);
-  [[nodiscard]] Result<std::vector<RowId>> find_equal(const std::string& table,
-                                                      std::string_view column,
-                                                      const Value& v);
 
   [[nodiscard]] Status commit();
   void abort();
@@ -72,9 +65,8 @@ class TransactionManager {
 
   [[nodiscard]] std::unique_ptr<Txn> begin();
 
-  // Introspection for tests.
+  // Unfinished transactions: release_all erases each one as it ends.
   [[nodiscard]] std::size_t active_txns() const;
-  [[nodiscard]] std::size_t held_locks(TxnId id) const;
   [[nodiscard]] std::uint64_t deadlocks_detected() const { return deadlocks_; }
 
  private:

@@ -269,14 +269,6 @@ Status Wal::extend_tail() {
   return Status::ok();
 }
 
-Result<std::vector<LogRecord>> Wal::read_all(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::vector<LogRecord>{};  // no log yet
-  Scan scan = scan_frames(f);
-  std::fclose(f);
-  return std::move(scan.records);
-}
-
 Status Wal::replay(const std::vector<LogRecord>& records, Catalog& catalog) {
   std::set<std::uint64_t> committed{0};  // autocommit pseudo-txn
   for (const LogRecord& rec : records) {

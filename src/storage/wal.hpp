@@ -82,9 +82,6 @@ class Wal {
   // Bytes appended since open(); resets when the log is truncated.
   [[nodiscard]] std::uint64_t bytes_appended() const;
 
-  // Reads every intact frame; a torn/corrupt tail ends the scan cleanly.
-  [[nodiscard]] static Result<std::vector<LogRecord>> read_all(const std::string& path);
-
   // Replays a log into a catalog: ops from committed transactions (and
   // autocommit ops) are applied in log order.
   [[nodiscard]] static Status replay(const std::vector<LogRecord>& records, Catalog& catalog);

@@ -104,16 +104,6 @@ void SwarmScheduler::peer_update(std::uint64_t position, const PeerReport& repor
   }
 }
 
-void SwarmScheduler::peer_update(std::uint64_t position,
-                                 const std::vector<std::uint64_t>& words,
-                                 std::uint32_t backlog, SimTime now) {
-  PeerReport report;
-  report.have = &words;
-  report.backlog = backlog;
-  report.now = now;
-  peer_update(position, report);
-}
-
 bool SwarmScheduler::peer_has(std::uint64_t position, std::uint32_t g) const {
   auto it = peers_.find(position);
   return it != peers_.end() && it->second.have.test(g);

@@ -94,9 +94,6 @@ class SwarmScheduler {
   // trees latches that tree into pull mode too — the orphan signal
   // cascades down the dead node's subtree and nowhere else.
   void peer_update(std::uint64_t position, const PeerReport& report);
-  // Possession-only convenience form (tests, simple callers).
-  void peer_update(std::uint64_t position, const std::vector<std::uint64_t>& words,
-                   std::uint32_t backlog = 0, SimTime now = SimTime::zero());
   [[nodiscard]] bool peer_has(std::uint64_t position, std::uint32_t g) const;
   // Has the chunk or reported a request for it in flight — the relay
   // suppression predicate (sending to either is a wasted send).

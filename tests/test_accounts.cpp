@@ -59,22 +59,11 @@ TEST(AccountRegistry, LaterAccountsNeedManagePrivilege) {
 }
 
 TEST_F(AccountsFixture, LookupAndListing) {
-  EXPECT_EQ(accounts_.find_by_name("shih"), instructor_);
-  EXPECT_EQ(accounts_.find_by_name("ghost"), std::nullopt);
   EXPECT_EQ(accounts_.get(student_).value().role, Role::student);
-  EXPECT_EQ(accounts_.by_role(Role::instructor).size(), 1u);
+  EXPECT_EQ(accounts_.get(instructor_).value().name, "shih");
+  EXPECT_EQ(accounts_.get(UserId{999}).code(), Errc::not_found);
   EXPECT_EQ(accounts_.create_account("alice", Role::student, 1, admin_).code(),
             Errc::already_exists);
-}
-
-TEST_F(AccountsFixture, DeactivationRevokesEverything) {
-  ASSERT_TRUE(accounts_.deactivate(instructor_, admin_).is_ok());
-  EXPECT_FALSE(accounts_.allowed(instructor_, Privilege::browse_library));
-  EXPECT_EQ(accounts_.require(instructor_, Privilege::author_course).code(),
-            Errc::lock_conflict);
-  // A student cannot deactivate; an admin cannot deactivate itself.
-  EXPECT_EQ(accounts_.deactivate(admin_, student_).code(), Errc::lock_conflict);
-  EXPECT_EQ(accounts_.deactivate(admin_, admin_).code(), Errc::conflict);
 }
 
 TEST_F(AccountsFixture, UnknownUserHoldsNothing) {
@@ -95,20 +84,6 @@ TEST_F(AccountsFixture, AdmissionRequiresAdministrator) {
   // Only students can be admitted.
   EXPECT_EQ(registrar_.admit(admin_, instructor_, "cs", 402).code(),
             Errc::invalid_argument);
-}
-
-TEST_F(AccountsFixture, AdmissionRecordVisibility) {
-  ASSERT_TRUE(registrar_.admit(admin_, student_, "computer science", 400).is_ok());
-  // The student sees their own record.
-  auto own = registrar_.admission_of(student_, student_);
-  ASSERT_TRUE(own.is_ok());
-  EXPECT_EQ(own.value().program, "computer science");
-  EXPECT_EQ(own.value().admitted_by, "registrar-office");
-  // Another student-level user cannot see it.
-  UserId bob = accounts_.create_account("bob", Role::student, 1, admin_).expect("bob");
-  EXPECT_EQ(registrar_.admission_of(bob, student_).code(), Errc::lock_conflict);
-  // The administrator can.
-  EXPECT_TRUE(registrar_.admission_of(admin_, student_).is_ok());
 }
 
 TEST_F(AccountsFixture, EnrollmentRules) {

@@ -1,8 +1,9 @@
-// Awareness tests: room membership, roster propagation, chat relay,
-// heartbeat expiry — over the simulator and over real threads.
+// Awareness tests: room membership, roster propagation and chat relay —
+// over the simulator and over real threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 
 #include "core/awareness.hpp"
 #include "net/sim_network.hpp"
@@ -36,15 +37,23 @@ class AwarenessFixture : public ::testing::Test {
 TEST_F(AwarenessFixture, JoinBuildsRosterEveryoneSees) {
   auto& shih = add_client("shih", 1);
   auto& alice = add_client("alice", 100);
+  std::map<std::string, std::vector<std::string>> seen;  // client -> last roster
+  for (auto* client : {&shih, &alice}) {
+    const std::string who = client == &shih ? "shih" : "alice";
+    client->set_roster_handler(
+        [&seen, who](const std::string& room, const std::vector<std::string>& names) {
+          EXPECT_EQ(room, "cs101");
+          seen[who] = names;
+        });
+  }
   ASSERT_TRUE(shih.join("cs101").is_ok());
   net_.run();
   ASSERT_TRUE(alice.join("cs101").is_ok());
   net_.run();
 
   EXPECT_EQ(host_->roster("cs101").size(), 2u);
-  EXPECT_EQ(shih.known_roster("cs101"),
-            (std::vector<std::string>{"shih", "alice"}));
-  EXPECT_EQ(alice.known_roster("cs101"), shih.known_roster("cs101"));
+  EXPECT_EQ(seen["shih"], (std::vector<std::string>{"shih", "alice"}));
+  EXPECT_EQ(seen["alice"], seen["shih"]);
   EXPECT_EQ(host_->room_count(), 1u);
 }
 
@@ -90,51 +99,6 @@ TEST_F(AwarenessFixture, NonMemberChatIgnored) {
   ASSERT_TRUE(lurker.chat("cs101", "hello?").is_ok());
   net_.run();
   EXPECT_EQ(host_->chats_relayed(), 0u);
-}
-
-TEST_F(AwarenessFixture, LeaveUpdatesRoster) {
-  auto& shih = add_client("shih", 1);
-  auto& alice = add_client("alice", 100);
-  ASSERT_TRUE(shih.join("cs101").is_ok());
-  ASSERT_TRUE(alice.join("cs101").is_ok());
-  net_.run();
-  ASSERT_TRUE(alice.leave("cs101").is_ok());
-  net_.run();
-  EXPECT_EQ(host_->roster("cs101").size(), 1u);
-  EXPECT_EQ(shih.known_roster("cs101"), std::vector<std::string>{"shih"});
-  // Last member leaving dissolves the room.
-  ASSERT_TRUE(shih.leave("cs101").is_ok());
-  net_.run();
-  EXPECT_EQ(host_->room_count(), 0u);
-}
-
-TEST_F(AwarenessFixture, SweepExpiresSilentMembers) {
-  auto& shih = add_client("shih", 1);
-  auto& alice = add_client("alice", 100);
-  ASSERT_TRUE(shih.join("cs101").is_ok());
-  ASSERT_TRUE(alice.join("cs101").is_ok());
-  net_.run();
-
-  // Time passes; only shih heartbeats.
-  net_.schedule_after(SimTime::seconds(30), [&] {
-    (void)shih.heartbeat("cs101");
-  });
-  net_.run();
-  net_.run_until(net_.now() + SimTime::seconds(40));
-
-  std::size_t expired = host_->sweep(SimTime::seconds(45));
-  EXPECT_EQ(expired, 1u);
-  auto roster = host_->roster("cs101");
-  ASSERT_EQ(roster.size(), 1u);
-  EXPECT_EQ(roster[0].name, "shih");
-}
-
-TEST_F(AwarenessFixture, SweepWithFreshMembersExpiresNobody) {
-  auto& shih = add_client("shih", 1);
-  ASSERT_TRUE(shih.join("cs101").is_ok());
-  net_.run();
-  EXPECT_EQ(host_->sweep(SimTime::seconds(60)), 0u);
-  EXPECT_EQ(host_->roster("cs101").size(), 1u);
 }
 
 TEST_F(AwarenessFixture, RoomsAreIndependent) {

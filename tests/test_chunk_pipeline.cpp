@@ -11,7 +11,10 @@
 // blob completion).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dist/station_node.hpp"
+#include "net/chunk_wire.hpp"
 #include "net/sim_network.hpp"
 #include "obs/metrics.hpp"
 
@@ -51,6 +54,20 @@ class Cluster {
       }
       node->handle(m);
     });
+  }
+
+  // Station i shows every message it receives to `seen` first.
+  void observe(std::size_t i, std::function<void(const net::Message&)> seen) {
+    net_.set_handler(ids_[i], [node = nodes_[i].get(),
+                               seen = std::move(seen)](const net::Message& m) {
+      seen(m);
+      node->handle(m);
+    });
+  }
+
+  [[nodiscard]] std::size_t index_of(StationId id) const {
+    const auto it = std::find(ids_.begin(), ids_.end(), id);
+    return static_cast<std::size_t>(it - ids_.begin());
   }
 
   // Destroys station i's node while the fabric runs on, as a restart that
@@ -130,11 +147,12 @@ TEST(ChunkPipeline, CutThroughBeatsStoreAndForwardOnDepth3Tree) {
   EXPECT_LE(chunked.makespan_s, 25.0);
 }
 
-// The zero-copy contract of the payload refactor: pushing REAL bytes down
-// the tree, the only per-station byte movement is the single reassembly
-// memcpy into the lecture buffer. Every send — the root's first push, every
-// interior relay, every retransmit — is a refcounted slice, so the
-// net.payload.bytes_copied counter must not move at all during the push.
+// The zero-copy contract of the payload refactor (DESIGN.md §4e): pushing
+// REAL bytes down the tree, the only per-station byte movement is the single
+// reassembly memcpy into the station's lecture buffer. Every send — the
+// root's first push, every interior relay — is a view of the sender's own
+// buffer, so the body a station receives points at the very bytes its
+// sender's BlobStore serves for that chunk.
 TEST(ChunkPipeline, RealPayloadRelayIsZeroCopy) {
   StationConfig cfg;
   Cluster c(15, 2, cfg);
@@ -155,20 +173,35 @@ TEST(ChunkPipeline, RealPayloadRelayIsZeroCopy) {
   auto id = c.store(0).blobs().put(video, blob::MediaType::video).expect("put");
   (void)c.store(0).blobs().release(id);
 
-  const std::uint64_t copied_before = net::Payload::bytes_copied_total();
+  std::size_t received = 0;
+  std::size_t aliased = 0;
+  for (std::size_t i = 1; i < c.size(); ++i) {
+    c.observe(i, [&](const net::Message& m) {
+      if (m.type != net::kChunkData) return;
+      auto d = net::ChunkData::decode(m.payload, m.body).expect("chunk data");
+      ++received;
+      auto held = c.store(c.index_of(m.from))
+                      .blobs()
+                      .chunk_payload(d.digest, d.index, cfg.chunk.chunk_bytes);
+      ASSERT_TRUE(held.is_ok()) << held.message();
+      EXPECT_EQ(d.payload.size(), d.chunk_len);
+      if (held.value().data() == d.payload.data()) ++aliased;
+    });
+  }
   ASSERT_TRUE(c.node(0).broadcast_push(doc).is_ok());
   c.net().run();
-  const std::uint64_t copied = net::Payload::bytes_copied_total() - copied_before;
 
   // Every station holds the real, digest-verified bytes...
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_TRUE(c.store(i).has_materialized(doc.doc_key)) << "station " << i;
     EXPECT_TRUE(c.store(i).blobs().find(ref.digest).has_value()) << "station " << i;
   }
-  // ...yet no payload bytes were copied anywhere on the push/relay path.
-  // (Pre-refactor, each of the 14 receiving stations re-encoded ~2 MiB per
-  // downstream child — gigabytes of memcpy for a wide tree.)
-  EXPECT_EQ(copied, 0u);
+  // ...and each of the 14 receivers got each of the 8 chunks once, as a
+  // view of its sender's buffer. (Pre-refactor, each receiving station
+  // re-encoded ~2 MiB per downstream child — gigabytes of memcpy for a wide
+  // tree.)
+  EXPECT_EQ(received, 14u * 8u);
+  EXPECT_EQ(aliased, received);
 }
 
 // The child cursor is a pushed chunk's only ledger, with one deadline
@@ -237,7 +270,8 @@ TEST(ChunkPipeline, NodeDestroyedMidPushLeavesNoTimerBehind) {
     Cluster c(15, 2, cfg);
     auto doc = ten_mb_lecture(c.node(0).id());
     ASSERT_TRUE(c.node(0).broadcast_push(doc).is_ok());
-    c.net().run_until(SimTime::seconds(2));
+    while (c.net().now() < SimTime::seconds(2) && c.net().step()) {
+    }
     c.destroy(1);  // position 2, interior: parent of positions 4 and 5
     c.net().run();
     // The stations outside position 2's subtree still get the lecture; in

@@ -1,9 +1,8 @@
-// Coordinator (class administrator) tests: broadcast vector bookkeeping,
-// per-media adaptive m, tree configuration, course registration.
+// Coordinator (class administrator) tests: broadcast vector bookkeeping
+// and per-media adaptive m.
 #include <gtest/gtest.h>
 
 #include "dist/coordinator.hpp"
-#include "net/sim_network.hpp"
 
 namespace wdoc::dist {
 namespace {
@@ -27,13 +26,6 @@ TEST(Coordinator, DefaultMIsConservative) {
   EXPECT_EQ(coord.m_for(blob::MediaType::video), 2u);
 }
 
-TEST(Coordinator, SetMOverrides) {
-  Coordinator coord;
-  coord.set_m(blob::MediaType::midi, 8);
-  EXPECT_EQ(coord.m_for(blob::MediaType::midi), 8u);
-  EXPECT_EQ(coord.m_for(blob::MediaType::video), 2u);
-}
-
 TEST(Coordinator, AdaptPicksSmallerFanoutForHeavierMedia) {
   Coordinator coord;
   for (std::uint64_t i = 1; i <= 500; ++i) coord.register_station(StationId{i});
@@ -41,76 +33,6 @@ TEST(Coordinator, AdaptPicksSmallerFanoutForHeavierMedia) {
   // Video (10 MB) should broadcast through a narrower tree than MIDI (12 KB).
   EXPECT_LE(coord.m_for(blob::MediaType::video), coord.m_for(blob::MediaType::midi));
   EXPECT_GE(coord.m_for(blob::MediaType::midi), 2u);
-}
-
-TEST(Coordinator, ConfigureTreePropagatesToNodes) {
-  net::SimNetwork net;
-  Coordinator coord;
-  std::vector<std::unique_ptr<blob::BlobStore>> blobs;
-  std::vector<std::unique_ptr<ObjectStore>> stores;
-  std::vector<std::unique_ptr<StationNode>> nodes;
-  std::vector<StationNode*> node_ptrs;
-  for (int i = 0; i < 5; ++i) {
-    StationId id = net.add_station();
-    coord.register_station(id);
-    blobs.push_back(std::make_unique<blob::BlobStore>());
-    stores.push_back(std::make_unique<ObjectStore>(*blobs.back()));
-    nodes.push_back(std::make_unique<StationNode>(net, id, *stores.back()));
-    nodes.back()->bind();
-    node_ptrs.push_back(nodes.back().get());
-  }
-  coord.set_m(blob::MediaType::video, 4);
-  coord.configure_tree(node_ptrs, blob::MediaType::video);
-  EXPECT_EQ(nodes[0]->position(), 1u);
-  EXPECT_EQ(nodes[4]->position(), 5u);
-  // With m=4, station at position 5 is a child of the root.
-  EXPECT_EQ(nodes[4]->parent_station(), coord.broadcast_vector()[0]);
-}
-
-TEST(Coordinator, CourseRegistrationBookkeeping) {
-  Coordinator coord;
-  coord.register_station(StationId{1});
-  coord.register_station(StationId{2});
-
-  CourseRegistration reg;
-  reg.course = "CS101";
-  reg.station = StationId{1};
-  reg.student = UserId{7};
-  ASSERT_TRUE(coord.register_course(reg).is_ok());
-  EXPECT_EQ(coord.register_course(reg).code(), Errc::already_exists);
-
-  CourseRegistration reg2 = reg;
-  reg2.student = UserId{8};
-  reg2.station = StationId{2};
-  ASSERT_TRUE(coord.register_course(reg2).is_ok());
-
-  CourseRegistration unknown_station = reg;
-  unknown_station.student = UserId{9};
-  unknown_station.station = StationId{99};
-  EXPECT_EQ(coord.register_course(unknown_station).code(), Errc::not_found);
-
-  EXPECT_EQ(coord.registrations_of("CS101").size(), 2u);
-  EXPECT_TRUE(coord.registrations_of("CS999").empty());
-  auto stations = coord.stations_of_course("CS101");
-  EXPECT_EQ(stations.size(), 2u);
-
-  // Same student, different course is fine.
-  CourseRegistration other = reg;
-  other.course = "CS102";
-  EXPECT_TRUE(coord.register_course(other).is_ok());
-}
-
-TEST(Coordinator, StationsOfCourseDeduplicates) {
-  Coordinator coord;
-  coord.register_station(StationId{1});
-  for (std::uint64_t s = 1; s <= 3; ++s) {
-    CourseRegistration reg;
-    reg.course = "CS101";
-    reg.station = StationId{1};
-    reg.student = UserId{s};
-    ASSERT_TRUE(coord.register_course(reg).is_ok());
-  }
-  EXPECT_EQ(coord.stations_of_course("CS101").size(), 1u);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST_F(CoreFixture, AuthorCourseCreatesEverything) {
   // SCM item + lock tree + library entry.
   EXPECT_TRUE(db_->scm().has_item("script:script-CS102"));
   EXPECT_TRUE(db_->lock_node_of("script:script-CS102").has_value());
-  EXPECT_TRUE(db_->library().get("CS102").is_ok());
+  EXPECT_TRUE(db_->library().by_course_number("CS102").has_value());
   // BLOB layer holds the video.
   EXPECT_EQ(db_->blobs().stored_bytes(), 8u << 20);
 }
@@ -86,13 +86,22 @@ TEST_F(CoreFixture, AnnotationAndQaFlows) {
 
   auto doc = workload::random_annotation(10, 5);
   ASSERT_TRUE(instructor_->annotate(url, doc, "shih-notes-1", 2000).is_ok());
-  EXPECT_EQ(db_->repository().get_annotation_doc("shih-notes-1").value(), doc);
+  auto files = db_->database()
+                   .query(docmodel::kAnnotationFileTable)
+                   .where_eq("annotation_name", storage::Value("shih-notes-1"))
+                   .select({"ops"})
+                   .run();
+  ASSERT_TRUE(files.is_ok());
+  ASSERT_EQ(files.value().size(), 1u);
+  EXPECT_EQ(docmodel::AnnotationDoc::decode(files.value()[0].values[0].as_blob()).value(),
+            doc);
 
   auto log = workload::random_traversal(url, 2, 20, 5);
   ASSERT_TRUE(
       instructor_->record_test(url, log, "qa-run-1", 3000, "missing image on p1")
           .is_ok());
-  EXPECT_TRUE(db_->repository().get_test_record("qa-run-1").is_ok());
+  EXPECT_EQ(db_->repository().test_records_of_script("script-CS102").value(),
+            std::vector<std::string>{"qa-run-1"});
   EXPECT_EQ(db_->repository().bug_reports_of("qa-run-1").value().size(), 1u);
 }
 
@@ -122,8 +131,11 @@ TEST_F(CoreFixture, EditCycleLocksAndVersions) {
   EXPECT_EQ(db_->scm().head("script:script-CS102").value().number, 2u);
   // Lock released: rival can edit now.
   EXPECT_TRUE(rival.begin_edit("script-CS102", 2300).is_ok());
-  rival.abandon_edit("script-CS102");
-  EXPECT_EQ(db_->scm().write_holder("script:script-CS102"), std::nullopt);
+  ASSERT_TRUE(rival.finish_edit("script-CS102", Bytes{'v', '3'}, "second pass", 2400)
+                  .is_ok());
+  EXPECT_EQ(db_->scm().head("script:script-CS102").value().number, 3u);
+  // Released again after the rival's check-in.
+  EXPECT_TRUE(instructor_->begin_edit("script-CS102", 2500).is_ok());
 }
 
 TEST_F(CoreFixture, LibrarySearchAndAssessment) {
@@ -139,7 +151,7 @@ TEST_F(CoreFixture, LibrarySearchAndAssessment) {
   auto hits = student_->search("multimedia");
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].entry->course_number, "CS102");
-  EXPECT_EQ(student_->courses_by_instructor("shih").size(), 2u);
+  EXPECT_EQ(db_->library().by_instructor("shih").size(), 2u);
 
   ASSERT_TRUE(student_->check_out("CS102", 5000).is_ok());
   ASSERT_TRUE(student_->check_in("CS102", 9000).is_ok());
@@ -157,12 +169,6 @@ TEST_F(CoreFixture, RegisterLockTreeTwiceRejected) {
   EXPECT_EQ(db_->register_lock_tree("ghost").code(), Errc::not_found);
 }
 
-TEST_F(CoreFixture, BroadcastRequiresAttachment) {
-  ASSERT_TRUE(instructor_->author_course(demo_course("CS102")).is_ok());
-  EXPECT_EQ(instructor_->broadcast_lecture("http://mmu.edu/CS102/index.html").code(),
-            Errc::unavailable);
-}
-
 TEST_F(CoreFixture, AuthorCourseRejectsDuplicates) {
   ASSERT_TRUE(instructor_->author_course(demo_course("CS102")).is_ok());
   // Same script name again: the repository refuses, nothing half-created
@@ -175,23 +181,6 @@ TEST_F(CoreFixture, EditGuardsForUnknownScript) {
   EXPECT_EQ(instructor_->begin_edit("ghost", 1).code(), Errc::not_found);
   EXPECT_EQ(instructor_->finish_edit("ghost", Bytes{1}, "c", 2).code(),
             Errc::not_found);
-  instructor_->abandon_edit("ghost");  // must be harmless
-}
-
-TEST_F(CoreFixture, AbandonEditWithoutBeginIsHarmless) {
-  ASSERT_TRUE(instructor_->author_course(demo_course("CS102")).is_ok());
-  instructor_->abandon_edit("script-CS102");
-  // The script is still editable afterwards.
-  EXPECT_TRUE(instructor_->begin_edit("script-CS102", 10).is_ok());
-}
-
-TEST_F(CoreFixture, FetchCourseRequiresAttachment) {
-  ASSERT_TRUE(instructor_->author_course(demo_course("CS102")).is_ok());
-  EXPECT_EQ(student_
-                ->fetch_course("http://mmu.edu/CS102/index.html",
-                               [](Result<dist::DocManifest>, SimTime) {})
-                .code(),
-            Errc::unavailable);
 }
 
 TEST_F(CoreFixture, FinishEditWithoutCheckoutFails) {
@@ -238,8 +227,9 @@ TEST(Core, DistributedLectureAcrossTwoStations) {
 
   InstructorSession instructor(*instructor_db, UserId{1}, "shih");
   ASSERT_TRUE(instructor.author_course(demo_course("CS102")).is_ok());
-  ASSERT_TRUE(
-      instructor.broadcast_lecture("http://mmu.edu/CS102/index.html").is_ok());
+  auto manifest = instructor_db->manifest_for("http://mmu.edu/CS102/index.html");
+  ASSERT_TRUE(manifest.is_ok());
+  ASSERT_TRUE(instructor_db->node()->broadcast_push(manifest.value()).is_ok());
   net.run();
 
   // The student's station received the ephemeral lecture copy.
@@ -247,13 +237,10 @@ TEST(Core, DistributedLectureAcrossTwoStations) {
       student_db->objects().has_materialized("http://mmu.edu/CS102/index.html"));
 
   // Student fetch resolves locally now.
-  StudentSession student(*student_db, UserId{100}, "alice");
   bool got = false;
-  ASSERT_TRUE(student
-                  .fetch_course("http://mmu.edu/CS102/index.html",
-                                [&](Result<dist::DocManifest> r, SimTime) {
-                                  got = r.is_ok();
-                                })
+  ASSERT_TRUE(student_db->node()
+                  ->fetch("http://mmu.edu/CS102/index.html",
+                          [&](Result<dist::DocManifest> r, SimTime) { got = r.is_ok(); })
                   .is_ok());
   EXPECT_TRUE(got);
 
@@ -265,33 +252,6 @@ TEST(Core, DistributedLectureAcrossTwoStations) {
 
   // Double attach is rejected.
   EXPECT_EQ(student_db->attach(net, s2).code(), Errc::already_exists);
-}
-
-TEST(Core, DurableLibrarySurvivesRestart) {
-  namespace fs = std::filesystem;
-  std::string dir = (fs::temp_directory_path() / "wdoc-core-library").string();
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  {
-    WebDocDbOptions opts;
-    opts.data_dir = dir;
-    auto db = WebDocDb::create(opts).expect("create");
-    InstructorSession instructor(*db, UserId{1}, "shih");
-    ASSERT_TRUE(instructor.author_course(demo_course("CS102")).is_ok());
-    ASSERT_TRUE(db->library().check_out("CS102", UserId{100}, 5000).is_ok());
-    ASSERT_TRUE(db->persist_library().is_ok());
-    ASSERT_TRUE(db->database().flush().is_ok());
-  }
-  {
-    WebDocDbOptions opts;
-    opts.data_dir = dir;
-    auto db = WebDocDb::create(opts).expect("reopen");
-    EXPECT_TRUE(db->library().get("CS102").is_ok());
-    EXPECT_EQ(db->library().holders_of("CS102").size(), 1u);
-    StudentSession alice(*db, UserId{100}, "alice");
-    EXPECT_EQ(alice.search("multimedia").size(), 1u);
-  }
-  fs::remove_all(dir);
 }
 
 TEST(Core, DurableBlobPayloadsSurviveRestart) {
@@ -306,9 +266,18 @@ TEST(Core, DurableBlobPayloadsSurviveRestart) {
     auto db = WebDocDb::create(opts).expect("create");
     InstructorSession instructor(*db, UserId{1}, "shih");
     ASSERT_TRUE(instructor.author_course(demo_course("CS102")).is_ok());
-    ASSERT_TRUE(db->repository()
-                    .set_verbal_description("script-CS102", audio)
-                    .is_ok());
+    // A verbal description: its bytes in the BLOB layer, its digest in the
+    // script row.
+    ASSERT_TRUE(db->blobs().put(audio, blob::MediaType::audio).is_ok());
+    storage::Database& sql = db->database();
+    auto rid = sql.catalog()
+                   .table(docmodel::kScriptTable)
+                   ->find_unique("name", storage::Value("script-CS102"));
+    ASSERT_TRUE(rid.has_value());
+    const storage::Value hex(digest128(audio).to_hex());
+    ASSERT_TRUE(
+        sql.update_column(docmodel::kScriptTable, *rid, "verbal_description_digest", hex)
+            .is_ok());
     // A real-bytes resource persists alongside the synthetic one.
     ASSERT_TRUE(db->repository()
                     .attach_resource("script", "script-CS102", Bytes{1, 2, 3},
@@ -320,13 +289,18 @@ TEST(Core, DurableBlobPayloadsSurviveRestart) {
     WebDocDbOptions opts;
     opts.data_dir = dir;
     auto db = WebDocDb::create(opts).expect("reopen");
-    // The verbal description faults back in from disk.
-    auto loaded = db->repository().get_verbal_description("script-CS102");
-    ASSERT_TRUE(loaded.is_ok());
-    EXPECT_EQ(loaded.value(), audio);
-    // Rehydrated references keep the payloads across a gc.
+    // The verbal description faults back in from disk, and its rehydrated
+    // reference keeps it across a gc.
+    auto expect_audio = [&] {
+      auto id = db->blobs().find(digest128(audio));
+      ASSERT_TRUE(id.has_value());
+      auto data = db->blobs().get(*id);
+      ASSERT_TRUE(data.is_ok());
+      EXPECT_EQ(Bytes(data.value().begin(), data.value().end()), audio);
+    };
+    expect_audio();
     (void)db->blobs().gc();
-    EXPECT_TRUE(db->repository().get_verbal_description("script-CS102").is_ok());
+    expect_audio();
   }
   fs::remove_all(dir);
 }

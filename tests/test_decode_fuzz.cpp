@@ -123,7 +123,7 @@ TEST(DecodeFuzz, ChunkData) {
   d.chunk_len = static_cast<std::uint32_t>(chunk.size());
   d.has_payload = true;
   d.chunk_digest = digest128(chunk);
-  d.payload = net::Payload::copy_of(chunk);
+  d.payload = net::Payload{Bytes(chunk)};
   // The chunk bytes ride out-of-band; fuzz the header against the real body
   // (a mutated header that survives parsing must still match the body).
   const net::Payload body = d.payload;

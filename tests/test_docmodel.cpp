@@ -44,7 +44,10 @@ class RepoFixture : public ::testing::Test {
 };
 
 TEST_F(RepoFixture, SchemasInstallAllTables) {
-  for (const std::string& name : all_table_names()) {
+  for (const char* name :
+       {kDatabaseTable, kScriptTable, kDbScriptTable, kImplementationTable,
+        kTestRecordTable, kBugReportTable, kAnnotationTable, kHtmlFileTable,
+        kProgramFileTable, kAnnotationFileTable, kResourceTable}) {
     EXPECT_TRUE(db_->catalog().has_table(name)) << name;
   }
 }
@@ -160,23 +163,11 @@ TEST_F(RepoFixture, SyntheticResourcesForSimulation) {
                   .attach_synthetic_resource("implementation", "http://x/1", d,
                                              10u << 20, blob::MediaType::video)
                   .is_ok());
-  auto bytes = repo_.presentation_bytes("http://x/1");
-  ASSERT_TRUE(bytes.is_ok());
-  EXPECT_EQ(bytes.value(), 10u << 20);
-}
-
-TEST_F(RepoFixture, PresentationBytesSumsImplAndScriptResources) {
-  ASSERT_TRUE(repo_.create_script(make_script("s1")).is_ok());
-  ASSERT_TRUE(repo_.create_implementation(make_impl("http://x/1", "s1")).is_ok());
-  ASSERT_TRUE(repo_
-                  .attach_synthetic_resource("implementation", "http://x/1",
-                                             digest128("a"), 100, blob::MediaType::image)
-                  .is_ok());
-  ASSERT_TRUE(repo_
-                  .attach_synthetic_resource("script", "s1", digest128("b"), 50,
-                                             blob::MediaType::midi)
-                  .is_ok());
-  EXPECT_EQ(repo_.presentation_bytes("http://x/1").value(), 150u);
+  auto resources = repo_.resources_of("implementation", "http://x/1");
+  ASSERT_TRUE(resources.is_ok());
+  ASSERT_EQ(resources.value().size(), 1u);
+  EXPECT_EQ(resources.value()[0].size, 10u << 20);
+  EXPECT_EQ(resources.value()[0].digest_hex, d.to_hex());
 }
 
 TEST_F(RepoFixture, TestRecordAndBugReportChain) {
@@ -235,12 +226,17 @@ TEST_F(RepoFixture, AnnotationsStoreDrawOps) {
   info.starting_url = "http://x/1";
   ASSERT_TRUE(repo_.create_annotation(info, doc).is_ok());
 
-  auto loaded = repo_.get_annotation_doc("ann1");
+  // The annotation file row holds the encoded draw-ops.
+  auto rows = db_->query(kAnnotationFileTable)
+                  .where_eq("annotation_name", storage::Value("ann1"))
+                  .select({"ops"})
+                  .run();
+  ASSERT_TRUE(rows.is_ok());
+  ASSERT_EQ(rows.value().size(), 1u);
+  auto loaded = AnnotationDoc::decode(rows.value()[0].values[0].as_blob());
   ASSERT_TRUE(loaded.is_ok());
   EXPECT_EQ(loaded.value(), doc);
   EXPECT_EQ(repo_.annotations_of("http://x/1").value(),
-            std::vector<std::string>{"ann1"});
-  EXPECT_EQ(repo_.annotations_by_author("ma").value(),
             std::vector<std::string>{"ann1"});
 }
 
@@ -256,37 +252,6 @@ TEST_F(RepoFixture, DifferentInstructorsAnnotateSameImplementation) {
     ASSERT_TRUE(repo_.create_annotation(info, AnnotationDoc{}).is_ok());
   }
   EXPECT_EQ(repo_.annotations_of("http://x/1").value().size(), 3u);
-}
-
-TEST_F(RepoFixture, DeleteScriptCascadesWholeSubtree) {
-  ASSERT_TRUE(repo_.create_script(make_script("s1")).is_ok());
-  ASSERT_TRUE(repo_.create_implementation(make_impl("http://x/1", "s1")).is_ok());
-  HtmlFileInfo page;
-  page.path = "http://x/1/index.html";
-  page.starting_url = "http://x/1";
-  ASSERT_TRUE(repo_.add_html_file(page).is_ok());
-  TestRecordInfo tr;
-  tr.name = "t1";
-  tr.script_name = "s1";
-  tr.starting_url = "http://x/1";
-  ASSERT_TRUE(repo_.create_test_record(tr).is_ok());
-  BugReportInfo bug;
-  bug.name = "b1";
-  bug.test_record_name = "t1";
-  ASSERT_TRUE(repo_.create_bug_report(bug).is_ok());
-  ASSERT_TRUE(repo_
-                  .attach_resource("implementation", "http://x/1", Bytes{1, 2, 3},
-                                   blob::MediaType::image)
-                  .is_ok());
-
-  ASSERT_TRUE(repo_.delete_script("s1").is_ok());
-  EXPECT_EQ(repo_.get_script("s1").code(), Errc::not_found);
-  EXPECT_EQ(repo_.get_implementation("http://x/1").code(), Errc::not_found);
-  EXPECT_EQ(repo_.get_test_record("t1").code(), Errc::not_found);
-  EXPECT_EQ(repo_.get_bug_report("b1").code(), Errc::not_found);
-  EXPECT_TRUE(repo_.html_files_of("http://x/1").value().empty());
-  // Blob reference released.
-  EXPECT_EQ(blobs_.logical_bytes(), 0u);
 }
 
 TEST_F(RepoFixture, DatabaseLayerMembership) {
@@ -308,54 +273,6 @@ TEST_F(RepoFixture, DatabaseLayerMembership) {
   EXPECT_EQ(scripts.value().size(), 2u);
   EXPECT_EQ(repo_.list_databases(), std::vector<std::string>{"course-db"});
 }
-
-TEST_F(RepoFixture, VerbalDescriptionStoredInBlobLayer) {
-  ASSERT_TRUE(repo_.create_script(make_script("s1")).is_ok());
-  EXPECT_EQ(repo_.get_verbal_description("s1").code(), Errc::not_found);
-
-  Bytes audio{10, 20, 30, 40};
-  ASSERT_TRUE(repo_.set_verbal_description("s1", audio).is_ok());
-  auto script = repo_.get_script("s1");
-  ASSERT_TRUE(script.is_ok());
-  ASSERT_TRUE(script.value().verbal_description_digest.has_value());
-
-  auto loaded = repo_.get_verbal_description("s1");
-  ASSERT_TRUE(loaded.is_ok());
-  EXPECT_EQ(loaded.value(), audio);
-  EXPECT_EQ(repo_.set_verbal_description("ghost", audio).code(), Errc::not_found);
-}
-
-TEST_F(RepoFixture, UpdateAnnotationReplacesOpsAndVersion) {
-  ASSERT_TRUE(repo_.create_script(make_script("s1")).is_ok());
-  ASSERT_TRUE(repo_.create_implementation(make_impl("http://x/1", "s1")).is_ok());
-  AnnotationInfo info;
-  info.name = "ann1";
-  info.author = "ma";
-  info.version = "1.0";
-  info.script_name = "s1";
-  info.starting_url = "http://x/1";
-  AnnotationDoc v1;
-  DrawOp line;
-  line.kind = DrawOpKind::line;
-  v1.add(line);
-  ASSERT_TRUE(repo_.create_annotation(info, v1).is_ok());
-
-  AnnotationDoc v2 = v1;
-  DrawOp text;
-  text.kind = DrawOpKind::text;
-  text.text = "revised";
-  v2.add(text);
-  ASSERT_TRUE(repo_.update_annotation("ann1", v2, "2.0", 9999).is_ok());
-
-  EXPECT_EQ(repo_.get_annotation_doc("ann1").value(), v2);
-  auto updated = repo_.get_annotation("ann1");
-  ASSERT_TRUE(updated.is_ok());
-  EXPECT_EQ(updated.value().version, "2.0");
-  EXPECT_EQ(updated.value().created_at, 9999);
-  EXPECT_EQ(repo_.update_annotation("ghost", v2, "2.0", 1).code(), Errc::not_found);
-}
-
-// --- annotation ops standalone --------------------------------------------
 
 TEST(AnnotationOps, EncodeDecodeAllKinds) {
   AnnotationDoc doc;
@@ -384,25 +301,6 @@ TEST(AnnotationOps, DecodeRejectsGarbage) {
   EXPECT_EQ(AnnotationDoc::decode(w.take()).code(), Errc::corrupt);
 }
 
-TEST(AnnotationOps, BoundingBoxCoversAllOps) {
-  AnnotationDoc doc;
-  DrawOp line;
-  line.a = {-5, 10};
-  line.b = {100, 2};
-  doc.add(line);
-  DrawOp text;
-  text.kind = DrawOpKind::text;
-  text.a = {200, -50};
-  text.b = {999, 999};  // ignored for text
-  doc.add(text);
-  BoundingBox box = doc.bounding_box();
-  EXPECT_EQ(box.min_x, -5);
-  EXPECT_EQ(box.min_y, -50);
-  EXPECT_EQ(box.max_x, 200);
-  EXPECT_EQ(box.max_y, 10);
-  EXPECT_EQ(AnnotationDoc{}.bounding_box(), BoundingBox{});
-}
-
 TEST(AnnotationOps, LegacyUntimedFormatStillDecodes) {
   // Hand-build a WDANN1 (v1) payload: one line op without a timestamp.
   Writer w;
@@ -424,47 +322,6 @@ TEST(AnnotationOps, LegacyUntimedFormatStillDecodes) {
   EXPECT_EQ(decoded.value().ops()[0].at_ms, 0);
 }
 
-TEST(AnnotationPlayer, ReplaysInTimeOrder) {
-  AnnotationDoc doc;
-  for (std::int64_t t : {3000, 1000, 2000}) {  // out of order on purpose
-    DrawOp op;
-    op.kind = DrawOpKind::line;
-    op.at_ms = t;
-    op.a = {static_cast<std::int32_t>(t), 0};
-    doc.add(op);
-  }
-  AnnotationPlayer player(doc);
-  EXPECT_EQ(player.duration_ms(), 3000);
-  EXPECT_EQ(player.visible_at(0).size(), 0u);
-  EXPECT_EQ(player.visible_at(1500).size(), 1u);
-  EXPECT_EQ(player.visible_at(99999).size(), 3u);
-
-  auto first = player.advance_to(1000);
-  ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0]->at_ms, 1000);
-  auto rest = player.advance_to(5000);
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0]->at_ms, 2000);
-  EXPECT_TRUE(player.finished());
-  EXPECT_TRUE(player.advance_to(99999).empty());
-  player.reset();
-  EXPECT_FALSE(player.finished());
-}
-
-TEST(AnnotationPlayer, SpeedScalesPlayback) {
-  AnnotationDoc doc;
-  DrawOp op;
-  op.at_ms = 2000;
-  doc.add(op);
-  AnnotationPlayer fast(doc, /*speed=*/2.0);
-  // At 2x, the 2000 ms op appears at 1000 ms of wall playback.
-  EXPECT_EQ(fast.visible_at(999).size(), 0u);
-  EXPECT_EQ(fast.visible_at(1000).size(), 1u);
-  EXPECT_EQ(fast.duration_ms(), 1000);
-}
-
-// --- traversal logs ----------------------------------------------------------
-
 TEST(Traversal, EncodeDecodeRoundTrip) {
   TraversalLog log;
   log.add({TraversalEventKind::navigate, 0, "http://x/1", 0, 0});
@@ -474,15 +331,6 @@ TEST(Traversal, EncodeDecodeRoundTrip) {
   auto decoded = TraversalLog::decode(log.encode());
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded.value(), log);
-}
-
-TEST(Traversal, VisitedUrlsDedupedInOrder) {
-  TraversalLog log;
-  log.add({TraversalEventKind::navigate, 0, "a", 0, 0});
-  log.add({TraversalEventKind::navigate, 1, "b", 0, 0});
-  log.add({TraversalEventKind::navigate, 2, "a", 0, 0});
-  EXPECT_EQ(log.visited_urls(), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(log.duration_ms(), 2);
 }
 
 TEST(Traversal, DecodeRejectsBadKind) {

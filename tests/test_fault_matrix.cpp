@@ -108,7 +108,8 @@ std::string run_scenario(Fault f, std::uint64_t seed, bool late_fault = false) {
   std::size_t resolved = 0;
   for (std::size_t i = 1; i < c.nodes.size(); ++i) {
     StationNode* node = c.nodes[i].get();
-    c.net.schedule_after(SimTime::millis(10 + static_cast<std::int64_t>(i)), [&, i, node] {
+    const SimTime at = c.net.now() + SimTime::millis(10 + static_cast<std::int64_t>(i));
+    c.net.schedule_at(at, [&, i, node] {
       Status s = node->fetch(key, [&, i](Result<DocManifest> r, SimTime t) {
         ++resolved;
         journal << "station=" << i << " code=" << errc_name(r.status().code())
@@ -188,7 +189,7 @@ TEST(FaultPlanValidate, RejectsNonsense) {
 
   net::FaultPlan in_the_past;
   in_the_past.crashes.push_back({a, SimTime::millis(1), SimTime::zero()});
-  net.schedule_after(SimTime::millis(10), [] {});
+  net.schedule_at(net.now() + SimTime::millis(10), [] {});
   (void)net.run();
   EXPECT_FALSE(net.inject(in_the_past).is_ok());
 }

@@ -36,22 +36,6 @@ TEST(Diagram, ObjectsAndLinks) {
   EXPECT_EQ(d.add_link(script("s"), impl("ghost"), plus("x")).code(), Errc::not_found);
 }
 
-TEST(Diagram, RemoveLinkAndObject) {
-  IntegrityDiagram d;
-  d.add_object(script("s"));
-  d.add_object(impl("i"));
-  ASSERT_TRUE(d.add_link(script("s"), impl("i"), plus("implements")).is_ok());
-  ASSERT_TRUE(d.remove_link(script("s"), impl("i")).is_ok());
-  EXPECT_EQ(d.link_count(), 0u);
-  EXPECT_EQ(d.remove_link(script("s"), impl("i")).code(), Errc::not_found);
-
-  ASSERT_TRUE(d.add_link(script("s"), impl("i"), plus("implements")).is_ok());
-  d.remove_object(impl("i"));
-  EXPECT_FALSE(d.has_object(impl("i")));
-  EXPECT_EQ(d.link_count(), 0u);
-  EXPECT_TRUE(d.successors(script("s")).empty());
-}
-
 TEST(Diagram, PaperChainPropagation) {
   // "if a script SCI is updated, its corresponding implementations should be
   // updated, which further triggers the changes of one or more HTML
@@ -128,16 +112,6 @@ TEST(Diagram, CustomAlertMessagePreferred) {
   EXPECT_EQ(alerts[0].message, "re-run the build");
 }
 
-TEST(Diagram, PredecessorsTracked) {
-  IntegrityDiagram d;
-  d.add_object(script("s"));
-  d.add_object(impl("i"));
-  ASSERT_TRUE(d.add_link(script("s"), impl("i"), plus("implements")).is_ok());
-  auto preds = d.predecessors(impl("i"));
-  ASSERT_EQ(preds.size(), 1u);
-  EXPECT_EQ(preds[0], script("s"));
-}
-
 TEST(Diagram, MultiplicityViolationDetected) {
   IntegrityDiagram d;
   d.add_object(script("s"));
@@ -145,17 +119,12 @@ TEST(Diagram, MultiplicityViolationDetected) {
   ASSERT_TRUE(d.add_link(script("s"), impl("i"), plus("implements")).is_ok());
   // Live target: no violation.
   EXPECT_TRUE(d.check_multiplicities(nullptr).empty());
-  // Remove the only implementation: '+' violated.
-  d.remove_object(impl("i"));
-  d.add_object(impl("ghost"));  // unrelated
-  // Re-add the dangling link via a fresh object then remove to simulate.
-  // (removing the object removed the link; rebuild the scenario)
-  IntegrityDiagram d2;
-  d2.add_object(script("s"));
-  d2.add_object(impl("i"));
-  ASSERT_TRUE(d2.add_link(script("s"), impl("i"), plus("implements")).is_ok());
-  auto violations =
-      d2.check_multiplicities([](const SciRef&, const std::string&) { return 0u; });
+  auto count = [](std::size_t n) {
+    return [n](const SciRef&, const std::string&) { return n; };
+  };
+  EXPECT_TRUE(d.check_multiplicities(count(1)).empty());
+  // The counter finds no implementation left: '+' violated.
+  auto violations = d.check_multiplicities(count(0));
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("implements"), std::string::npos);
 }

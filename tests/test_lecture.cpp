@@ -102,9 +102,8 @@ TEST_F(LectureFixture, RepairFillsGaps) {
 
   // Lift the loss (the burst is over) and repair until complete.
   for (auto& s : stations_) {
-    auto link = net_->link_of(s.id).expect("link");
-    link.loss_rate = 0.0;
-    ASSERT_TRUE(net_->set_link(s.id, link).is_ok());
+    // build()'s link without the loss.
+    ASSERT_TRUE(net_->set_link(s.id, net::StationLink{}).is_ok());
   }
   int rounds = 0;
   while (!session.fully_distributed() && rounds < 10) {
@@ -183,12 +182,6 @@ TEST_F(LectureFixture, WeeklySessionsReuseStations) {
     EXPECT_EQ(stations_[i].store->disk_bytes(), 0u);
     EXPECT_EQ(stations_[i].store->doc_count(), 4u);  // 4 references kept
   }
-}
-
-TEST(LectureState, Names) {
-  EXPECT_STREQ(lecture_state_name(LectureState::pending), "pending");
-  EXPECT_STREQ(lecture_state_name(LectureState::live), "live");
-  EXPECT_STREQ(lecture_state_name(LectureState::ended), "ended");
 }
 
 }  // namespace

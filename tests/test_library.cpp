@@ -1,5 +1,5 @@
 // Virtual-library tests: keyword/instructor/course retrieval, ranked
-// search (and that a mutated index ranks like a fresh one), the
+// search (and that the order entries arrive in does not change it), the
 // check-in/out ledger and the assessment report.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "library/virtual_library.hpp"
-#include "storage/database.hpp"
 #include "workload/library_corpus.hpp"
 
 namespace wdoc::library {
@@ -56,10 +55,10 @@ class LibraryFixture : public ::testing::Test {
 
 TEST_F(LibraryFixture, AddAndGet) {
   EXPECT_EQ(lib_.entry_count(), 3u);
-  auto got = lib_.get("CS102");
-  ASSERT_TRUE(got.is_ok());
-  EXPECT_EQ(got.value().instructor, "ma");
-  EXPECT_EQ(lib_.get("CS999").code(), Errc::not_found);
+  auto got = lib_.by_course_number("CS102");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->instructor, "ma");
+  EXPECT_FALSE(lib_.by_course_number("CS999").has_value());
   EXPECT_EQ(lib_.add_entry(course("CS101", "dup", "x")).code(), Errc::already_exists);
   EXPECT_EQ(lib_.add_entry(course("", "empty", "x")).code(), Errc::invalid_argument);
 }
@@ -112,15 +111,6 @@ TEST_F(LibraryFixture, CombinedSearchBoostsInstructorName) {
   }
 }
 
-TEST_F(LibraryFixture, RemoveEntryCleansIndexes) {
-  ASSERT_TRUE(lib_.remove_entry("CS102").is_ok());
-  EXPECT_TRUE(lib_.search("multimedia").empty());
-  EXPECT_TRUE(lib_.by_instructor("ma").empty());
-  EXPECT_EQ(lib_.remove_entry("CS102").code(), Errc::not_found);
-  // Other entries unaffected.
-  EXPECT_EQ(lib_.search("introduction").size(), 2u);
-}
-
 TEST_F(LibraryFixture, CheckOutAndIn) {
   ASSERT_TRUE(lib_.check_out("CS101", kAlice, 1000).is_ok());
   EXPECT_EQ(lib_.check_out("CS101", kAlice, 1100).code(), Errc::already_exists);
@@ -150,7 +140,8 @@ TEST_F(LibraryFixture, ReCheckoutAfterReturn) {
   ASSERT_TRUE(lib_.check_out("CS101", kAlice, 1000).is_ok());
   ASSERT_TRUE(lib_.check_in("CS101", kAlice, 2000).is_ok());
   ASSERT_TRUE(lib_.check_out("CS101", kAlice, 3000).is_ok());
-  EXPECT_EQ(lib_.ledger_of(kAlice).size(), 2u);
+  EXPECT_EQ(lib_.assess(kAlice).total_checkouts, 2u);
+  EXPECT_EQ(lib_.assess(kAlice).still_out, 1u);
 }
 
 TEST_F(LibraryFixture, AssessmentAggregatesStudy) {
@@ -172,87 +163,6 @@ TEST_F(LibraryFixture, AssessmentAggregatesStudy) {
   EXPECT_EQ(empty.total_checkouts, 0u);
 }
 
-TEST_F(LibraryFixture, RemovedCourseKeepsLedgerHistory) {
-  ASSERT_TRUE(lib_.check_out("CS101", kAlice, 1000).is_ok());
-  ASSERT_TRUE(lib_.remove_entry("CS101").is_ok());
-  EXPECT_EQ(lib_.ledger_of(kAlice).size(), 1u);
-  // New check-outs of the removed course fail.
-  EXPECT_EQ(lib_.check_out("CS101", kBob, 2000).code(), Errc::not_found);
-}
-
-TEST_F(LibraryFixture, SaveLoadRoundTrip) {
-  ASSERT_TRUE(lib_.check_out("CS101", kAlice, 1000).is_ok());
-  ASSERT_TRUE(lib_.check_out("CS102", kBob, 1100).is_ok());
-  ASSERT_TRUE(lib_.check_in("CS102", kBob, 2000).is_ok());
-
-  auto db = storage::Database::in_memory();
-  ASSERT_TRUE(lib_.save(*db).is_ok());
-
-  VirtualLibrary loaded;
-  ASSERT_TRUE(loaded.load(*db).is_ok());
-  EXPECT_EQ(loaded.entry_count(), 3u);
-  // Indexes rebuilt.
-  EXPECT_EQ(loaded.search("multimedia").size(), 1u);
-  EXPECT_EQ(loaded.by_instructor("shih").size(), 2u);
-  // Ledger and open loans restored.
-  EXPECT_EQ(loaded.holders_of("CS101").size(), 1u);
-  EXPECT_TRUE(loaded.holders_of("CS102").empty());
-  EXPECT_EQ(loaded.assess(kAlice).still_out, 1u);
-  EXPECT_EQ(loaded.assess(kBob).total_borrow_micros, 900);
-  // An open loan loaded from disk still blocks a duplicate check-out and
-  // can be checked back in.
-  EXPECT_EQ(loaded.check_out("CS101", kAlice, 3000).code(), Errc::already_exists);
-  EXPECT_TRUE(loaded.check_in("CS101", kAlice, 3000).is_ok());
-}
-
-TEST_F(LibraryFixture, SaveLoadKeepsEveryOpenLoan) {
-  // 1,200 open loans over the three courses, plus returned ones that a load
-  // must not reopen.
-  constexpr std::uint64_t kStudents = 400;
-  const std::vector<std::string> courses = {"CS101", "CS102", "CS103"};
-  for (std::uint64_t s = 1; s <= kStudents; ++s) {
-    for (const std::string& c : courses) {
-      ASSERT_TRUE(lib_.check_out(c, UserId{s}, 1000).is_ok());
-    }
-  }
-  for (std::uint64_t s = kStudents + 1; s <= kStudents + 50; ++s) {
-    ASSERT_TRUE(lib_.check_out("CS101", UserId{s}, 1000).is_ok());
-    ASSERT_TRUE(lib_.check_in("CS101", UserId{s}, 1500).is_ok());
-  }
-  auto db = storage::Database::in_memory();
-  ASSERT_TRUE(lib_.save(*db).is_ok());
-  VirtualLibrary loaded;
-  ASSERT_TRUE(loaded.load(*db).is_ok());
-
-  EXPECT_EQ(loaded.holders_of("CS102").size(), kStudents);
-  for (std::uint64_t s = 1; s <= kStudents; ++s) {
-    for (const std::string& c : courses) {
-      ASSERT_EQ(loaded.check_out(c, UserId{s}, 2000).code(), Errc::already_exists)
-          << c << " student " << s;
-      ASSERT_TRUE(loaded.check_in(c, UserId{s}, 2000).is_ok()) << c << " student " << s;
-    }
-  }
-  for (const std::string& c : courses) EXPECT_TRUE(loaded.holders_of(c).empty());
-  EXPECT_EQ(loaded.check_in("CS101", UserId{kStudents + 1}, 2000).code(),
-            Errc::not_found);
-}
-
-TEST_F(LibraryFixture, SaveIsReplaceAll) {
-  auto db = storage::Database::in_memory();
-  ASSERT_TRUE(lib_.save(*db).is_ok());
-  ASSERT_TRUE(lib_.remove_entry("CS103").is_ok());
-  ASSERT_TRUE(lib_.save(*db).is_ok());  // second save replaces
-  VirtualLibrary loaded;
-  ASSERT_TRUE(loaded.load(*db).is_ok());
-  EXPECT_EQ(loaded.entry_count(), 2u);
-}
-
-TEST(Library, LoadWithoutSaveFails) {
-  auto db = storage::Database::in_memory();
-  VirtualLibrary lib;
-  EXPECT_EQ(lib.load(*db).code(), Errc::not_found);
-}
-
 TEST(Library, TermFrequencyBreaksTies) {
   VirtualLibrary lib;
   lib.add_entry(course("A1", "video", "x", {"video", "video editing"}))
@@ -264,10 +174,10 @@ TEST(Library, TermFrequencyBreaksTies) {
   EXPECT_GT(hits[0].score, hits[1].score);
 }
 
-// After a seeded random run of add_entry/remove_entry, a library ranks every
-// query exactly like a library built fresh from its surviving entries: idf
-// reads the live counts, and reused course ids never leak into the order.
-TEST(Library, MutatedIndexRanksLikeFreshOne) {
+// A library filled in a seeded random order, repeats refused, ranks every
+// query exactly like one filled in course-number order: course ids follow
+// insertion order and must never leak into the ranking.
+TEST(Library, RandomInsertionOrderRanksLikeSortedOne) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed);
     workload::LibraryCorpusConfig cfg;
@@ -277,13 +187,8 @@ TEST(Library, MutatedIndexRanksLikeFreshOne) {
     const auto entries = workload::library_corpus(cfg);
 
     VirtualLibrary live;
-    for (std::size_t op = 0; op < 4 * cfg.courses; ++op) {
-      const LibraryEntry& e = entries[rng.uniform(entries.size())];
-      if (live.get(e.course_number).is_ok() && rng.bernoulli(0.5)) {
-        live.remove_entry(e.course_number).expect("remove");
-      } else {
-        (void)live.add_entry(e);
-      }
+    for (std::size_t op = 0; op < 2 * cfg.courses; ++op) {
+      (void)live.add_entry(entries[rng.uniform(entries.size())]);
     }
     VirtualLibrary fresh;
     for (const auto& [_, e] : live.entries()) fresh.add_entry(e).expect("fresh add");

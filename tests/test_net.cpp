@@ -158,9 +158,7 @@ TEST(SimNetwork, StatsAccounting) {
   EXPECT_EQ(net.stats(b).messages_received, 2u);
   EXPECT_EQ(net.stats(b).bytes_received, 800u);
   EXPECT_EQ(net.total_bytes_on_wire(), 800u);
-  net.reset_stats();
-  EXPECT_EQ(net.stats(a).messages_sent, 0u);
-  EXPECT_EQ(net.total_messages(), 0u);
+  EXPECT_EQ(net.total_messages(), 2u);
 }
 
 TEST(SimNetwork, PayloadSizeUsedWhenNoWireSize) {
@@ -224,18 +222,6 @@ TEST(SimNetwork, ScheduledWorkRunsInTimeOrder) {
   net.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(net.now(), SimTime::millis(30));
-}
-
-TEST(SimNetwork, RunUntilStopsAtBoundary) {
-  SimNetwork net;
-  int fired = 0;
-  net.schedule_at(SimTime::millis(10), [&] { ++fired; });
-  net.schedule_at(SimTime::millis(50), [&] { ++fired; });
-  net.run_until(SimTime::millis(20));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(net.now(), SimTime::millis(20));
-  net.run();
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(SimNetwork, MidRunLinkChange) {

@@ -75,7 +75,6 @@ TEST_F(ObjectStoreFixture, DeclareClassSharesBlobsPhysically) {
   EXPECT_EQ(store_.structure_bytes(), 2000u);
   EXPECT_EQ(blobs_.stored_bytes(), 5000u);
   EXPECT_EQ(blobs_.logical_bytes(), 10000u);
-  ASSERT_NE(store_.document_class("doc"), nullptr);
   EXPECT_EQ(store_.class_count(), 1u);
   EXPECT_EQ(store_.declare_class("doc").code(), Errc::already_exists);
 }
@@ -195,12 +194,6 @@ TEST(ObjectStoreCapacity, MaterializeFailureKeepsReferenceForm) {
   EXPECT_EQ(store.materialize("doc", true).code(), Errc::out_of_space);
   EXPECT_EQ(store.doc("doc")->form, ObjectForm::reference);
   EXPECT_EQ(store.disk_bytes(), 0u);
-}
-
-TEST(ObjectForm, Names) {
-  EXPECT_STREQ(object_form_name(ObjectForm::document_class), "class");
-  EXPECT_STREQ(object_form_name(ObjectForm::instance), "instance");
-  EXPECT_STREQ(object_form_name(ObjectForm::reference), "reference");
 }
 
 }  // namespace

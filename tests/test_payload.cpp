@@ -1,9 +1,7 @@
 // net::Payload — the refcounted immutable buffer every wire payload rides
 // in. The contract under test: construction from owned buffers is
-// zero-copy, slices alias the parent buffer (refcount bump, no bytes
-// moved), explicit copies are counted by the net.payload.* metrics, and
-// cow() steals the allocation only when this Payload is the sole owner of
-// a whole minted buffer.
+// zero-copy, and copies and wraps alias the shared buffer (refcount bump,
+// no bytes moved).
 #include <gtest/gtest.h>
 
 #include "net/payload.hpp"
@@ -26,49 +24,40 @@ TEST(Payload, DefaultIsEmpty) {
 TEST(Payload, MintFromBytesIsZeroCopy) {
   Bytes b = pattern(1000);
   const std::uint8_t* data = b.data();
-  const std::uint64_t copied_before = Payload::bytes_copied_total();
   Payload p{std::move(b)};
   EXPECT_EQ(p.size(), 1000u);
   EXPECT_EQ(p.data(), data);  // the very same allocation
-  EXPECT_EQ(Payload::bytes_copied_total(), copied_before);
 }
 
 TEST(Payload, MintFromStringIsZeroCopy) {
   std::string s(500, 'x');
-  const std::uint64_t copied_before = Payload::bytes_copied_total();
+  const char* data = s.data();
   Payload p{std::move(s)};
   EXPECT_EQ(p.size(), 500u);
+  EXPECT_EQ(p.text().data(), data);
   EXPECT_EQ(p.text(), std::string(500, 'x'));
-  EXPECT_EQ(Payload::bytes_copied_total(), copied_before);
 }
 
-TEST(Payload, CopyAndSliceShareTheBuffer) {
+TEST(Payload, CopySharesTheBuffer) {
   Payload p{pattern(1000)};
-  const std::uint64_t copied_before = Payload::bytes_copied_total();
-  Payload q = p;              // refcount bump
-  Payload s = p.slice(100, 200);
+  Payload q = p;  // refcount bump
   EXPECT_EQ(q.data(), p.data());
-  EXPECT_EQ(s.data(), p.data() + 100);
-  EXPECT_EQ(s.size(), 200u);
-  EXPECT_EQ(Payload::bytes_copied_total(), copied_before);
-  // The slice keeps the buffer alive past the original.
+  // The copy keeps the buffer alive past the original.
   p = Payload{};
-  q = Payload{};
-  EXPECT_EQ(s.size(), 200u);
-  EXPECT_EQ(s.data()[0], pattern(1000)[100]);
+  EXPECT_EQ(q.size(), 1000u);
+  EXPECT_EQ(q.data()[100], pattern(1000)[100]);
 }
 
-TEST(Payload, SliceClampsToBounds) {
-  Payload p{pattern(100)};
-  EXPECT_EQ(p.slice(90, 50).size(), 10u);
-  EXPECT_EQ(p.slice(200, 10).size(), 0u);
+TEST(Payload, WrapClampsToBounds) {
+  auto buf = std::make_shared<const Bytes>(pattern(100));
+  EXPECT_EQ(Payload::wrap(buf, 90, 50).size(), 10u);
+  EXPECT_EQ(Payload::wrap(buf, 200, 10).size(), 0u);
+  EXPECT_EQ(Payload::wrap(nullptr, 0, 10).size(), 0u);
 }
 
 TEST(Payload, WrapAliasesSharedBytes) {
   auto buf = std::make_shared<const Bytes>(pattern(4096));
-  Payload whole = Payload::wrap(buf);
   Payload part = Payload::wrap(buf, 1024, 256);
-  EXPECT_EQ(whole.size(), 4096u);
   EXPECT_EQ(part.data(), buf->data() + 1024);
   EXPECT_EQ(part.size(), 256u);
   // The wrap holds the buffer even after the caller's shared_ptr drops.
@@ -77,61 +66,10 @@ TEST(Payload, WrapAliasesSharedBytes) {
   EXPECT_EQ(part.data()[0], expect_byte);
 }
 
-TEST(Payload, CopyOfCountsTheCopy) {
-  Bytes b = pattern(777);
-  const std::uint64_t copies_before = Payload::copies_total();
-  const std::uint64_t copied_before = Payload::bytes_copied_total();
-  Payload p = Payload::copy_of(b);
-  EXPECT_EQ(p.size(), 777u);
-  EXPECT_NE(p.data(), b.data());
-  EXPECT_EQ(Payload::copies_total(), copies_before + 1);
-  EXPECT_EQ(Payload::bytes_copied_total(), copied_before + 777);
-}
-
-TEST(Payload, ToBytesCountsTheCopy) {
-  Payload p{pattern(333)};
-  const std::uint64_t copied_before = Payload::bytes_copied_total();
-  Bytes out = p.to_bytes();
-  EXPECT_EQ(out, pattern(333));
-  EXPECT_EQ(Payload::bytes_copied_total(), copied_before + 333);
-  EXPECT_EQ(p.size(), 333u);  // the payload is unchanged
-}
-
-TEST(Payload, CowStealsWhenSoleOwnerOfWholeMintedBuffer) {
-  Bytes b = pattern(2048);
-  const std::uint8_t* data = b.data();
-  Payload p{std::move(b)};
-  const std::uint64_t copied_before = Payload::bytes_copied_total();
-  Bytes out = p.cow();
-  EXPECT_EQ(out.data(), data);  // stolen, not copied
-  EXPECT_EQ(Payload::bytes_copied_total(), copied_before);
-  EXPECT_TRUE(p.empty());  // the payload gave up its buffer
-}
-
-TEST(Payload, CowCopiesWhenShared) {
-  Payload p{pattern(2048)};
-  Payload keep = p;  // second owner: stealing would mutate shared bytes
-  const std::uint64_t copied_before = Payload::bytes_copied_total();
-  Bytes out = p.cow();
-  EXPECT_EQ(out, pattern(2048));
-  EXPECT_NE(out.data(), keep.data());
-  EXPECT_EQ(Payload::bytes_copied_total(), copied_before + 2048);
-  EXPECT_EQ(keep.size(), 2048u);  // the other owner is untouched
-}
-
-TEST(Payload, CowCopiesWhenSliced) {
-  Payload p{pattern(2048)};
-  Payload s = p.slice(0, 100);
-  p = Payload{};
-  const std::uint64_t copied_before = Payload::bytes_copied_total();
-  Bytes out = s.cow();  // sole owner, but not the WHOLE buffer: must copy
-  EXPECT_EQ(out.size(), 100u);
-  EXPECT_EQ(Payload::bytes_copied_total(), copied_before + 100);
-}
-
 TEST(Payload, EqualityComparesContents) {
   Payload a{pattern(64)};
-  Payload b = Payload::copy_of(pattern(64));
+  Payload b{pattern(64)};
+  EXPECT_NE(a.data(), b.data());
   EXPECT_EQ(a, b);
   EXPECT_NE(a, Payload{pattern(63)});
   EXPECT_EQ(Payload{}, Payload{});

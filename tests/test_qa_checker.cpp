@@ -49,6 +49,20 @@ class QaFixture : public ::testing::Test {
     repo_.add_html_file(f).expect("page");
   }
 
+  // Test record `name` as stored: its starting URL and its traversal
+  // messages, decoded.
+  std::pair<std::string, Result<TraversalLog>> stored_record(const std::string& name) {
+    const storage::Table* t = db_->catalog().table(kTestRecordTable);
+    auto rid = t->find_unique("name", storage::Value(name));
+    if (!rid) return {"", Error{Errc::not_found, name}};
+    const auto& row = *t->get(*rid);
+    const auto& schema = t->schema();
+    const storage::Value& messages = row[*schema.column_index("traversal_messages")];
+    return {row[*schema.column_index("starting_url")].as_text(),
+            messages.is_null() ? Result<TraversalLog>(TraversalLog{})
+                               : TraversalLog::decode(messages.as_blob())};
+  }
+
   static constexpr const char* kUrl = "http://mmu.edu/CS1";
   std::unique_ptr<storage::Database> db_;
   blob::BlobStore blobs_;
@@ -152,10 +166,10 @@ TEST_F(QaFixture, FileReportStoresTestRecordAndBug) {
   ASSERT_TRUE(findings.is_ok());
   EXPECT_FALSE(findings.value().clean());
 
-  auto record = repo_.get_test_record("qa-1");
-  ASSERT_TRUE(record.is_ok());
-  EXPECT_EQ(record.value().starting_url, kUrl);
-  EXPECT_FALSE(record.value().traversal_messages.empty());
+  auto [url, messages] = stored_record("qa-1");
+  EXPECT_EQ(url, kUrl);
+  ASSERT_TRUE(messages.is_ok()) << messages.message();
+  EXPECT_EQ(messages.value(), log);
 
   auto bug = repo_.get_bug_report("qa-1-findings");
   ASSERT_TRUE(bug.is_ok());
@@ -169,7 +183,7 @@ TEST_F(QaFixture, CleanReportFilesNoBug) {
   auto findings = qa_.file_report(kUrl, "qa-clean", "huang", 5000);
   ASSERT_TRUE(findings.is_ok());
   EXPECT_TRUE(findings.value().clean());
-  EXPECT_TRUE(repo_.get_test_record("qa-clean").is_ok());
+  EXPECT_EQ(stored_record("qa-clean").first, kUrl);
   EXPECT_EQ(repo_.bug_reports_of("qa-clean").value().size(), 0u);
 }
 

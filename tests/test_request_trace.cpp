@@ -40,7 +40,7 @@ TraceContext start_with_verdict(bool sampled, const std::string& name, SimTime a
 std::vector<std::uint64_t> promoted_ids(int n) {
   auto& rt = RequestTracer::global();
   rt.restart_trace_ids();
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   std::vector<std::uint64_t> out;
   for (int i = 0; i < n; ++i) {
     TraceContext ctx = rt.start_request("GET /x", SimTime::micros(i * 10));
@@ -49,7 +49,7 @@ std::vector<std::uint64_t> promoted_ids(int n) {
       out.push_back(ctx.trace_id);
     }
   }
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   return out;
 }
 
@@ -74,18 +74,18 @@ TEST(RequestTracer, HeadVerdictIsPureFunctionOfTraceId) {
   }
   EXPECT_GT(sampled, 0) << "the check must see both verdicts";
   EXPECT_LT(sampled, 1'000);
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 }
 
 TEST(RequestTracer, TailLatencyPromotesRequestsOfTwentyMillisecondsOrMore) {
   auto& rt = RequestTracer::global();
   auto& tail = promoted("tail_latency");
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   const auto tail0 = tail.value();
 
   TraceContext fast = start_with_verdict(false, "GET /fast", SimTime::micros(0));
   EXPECT_FALSE(rt.finish_request(fast, SimTime::micros(19'999), false));
-  EXPECT_EQ(Tracer::global().span_count(), 0u);
+  EXPECT_EQ(Tracer::global().spans().size(), 0u);
   EXPECT_EQ(tail.value(), tail0);
 
   TraceContext slow = start_with_verdict(false, "GET /slow", SimTime::micros(0));
@@ -96,19 +96,19 @@ TEST(RequestTracer, TailLatencyPromotesRequestsOfTwentyMillisecondsOrMore) {
   EXPECT_EQ(spans[0].trace_id, slow.trace_id);
   EXPECT_EQ(spans[0].name, "GET /slow");
   EXPECT_TRUE(spans[0].finished);
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 }
 
 TEST(RequestTracer, ErrorsArePromotedRegardlessOfLatency) {
   auto& rt = RequestTracer::global();
   auto& err = promoted("error");
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   const auto err0 = err.value();
   TraceContext ctx = start_with_verdict(false, "GET /boom", SimTime::micros(0));
   EXPECT_TRUE(rt.finish_request(ctx, SimTime::micros(1), /*error=*/true));
   EXPECT_EQ(err.value(), err0 + 1);
-  EXPECT_EQ(Tracer::global().span_count(), 1u);
-  Tracer::global().clear();
+  EXPECT_EQ(Tracer::global().spans().size(), 1u);
+  (void)Tracer::global().drain();
 }
 
 TEST(RequestTracer, PromotionReasonPrecedenceIsHeadThenError) {
@@ -119,7 +119,7 @@ TEST(RequestTracer, PromotionReasonPrecedenceIsHeadThenError) {
   auto& head = promoted("head");
   auto& err = promoted("error");
   auto& tail = promoted("tail_latency");
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 
   const auto head0 = head.value();
   const auto err0 = err.value();
@@ -135,7 +135,7 @@ TEST(RequestTracer, PromotionReasonPrecedenceIsHeadThenError) {
   EXPECT_EQ(head.value(), head0 + 1);
   EXPECT_EQ(err.value(), err0 + 1);
   EXPECT_EQ(tail.value(), tail0);
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 }
 
 TEST(RequestTracer, FullDurableBufferPromotesNothing) {
@@ -143,23 +143,25 @@ TEST(RequestTracer, FullDurableBufferPromotesNothing) {
   // promotion only when the durable buffer kept the root span.
   auto& rt = RequestTracer::global();
   auto& head = promoted("head");
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   std::vector<SpanRecord> filler(Tracer::kMaxSpans);
   for (auto& rec : filler) rec.id = Tracer::allocate_id();
   ASSERT_EQ(Tracer::global().adopt(std::move(filler)), Tracer::kMaxSpans);
 
+  auto& dropped = MetricsRegistry::global().counter("obs.trace.dropped");
   const auto head0 = head.value();
+  const auto dropped0 = dropped.value();
   TraceContext ctx = start_with_verdict(true, "GET /full", SimTime::micros(0));
   EXPECT_FALSE(rt.finish_request(ctx, SimTime::micros(1), /*error=*/false));
   EXPECT_EQ(head.value(), head0 + 1);
-  EXPECT_EQ(Tracer::global().span_count(), Tracer::kMaxSpans);
-  EXPECT_GE(Tracer::global().dropped(), 1u);
-  Tracer::global().clear();
+  EXPECT_EQ(Tracer::global().spans().size(), Tracer::kMaxSpans);
+  EXPECT_GE(dropped.value(), dropped0 + 1);
+  (void)Tracer::global().drain();
 }
 
 TEST(RequestTracer, SpanScopeNestsUnderAmbientContext) {
   auto& rt = RequestTracer::global();
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 
   TraceContext ctx = rt.start_request("GET /nested", SimTime::micros(0));
   std::uint64_t outer_id = 0;
@@ -190,21 +192,21 @@ TEST(RequestTracer, SpanScopeNestsUnderAmbientContext) {
     EXPECT_EQ(s.trace_id, ctx.trace_id);
     EXPECT_TRUE(s.finished);
   }
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 }
 
 TEST(RequestTracer, SpanScopeIsNoopOutsideARequest) {
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   EXPECT_FALSE(RequestTracer::current().active());
   SpanScope scope("orphan", SimTime::micros(1));
   EXPECT_FALSE(scope.active());
   scope.end(SimTime::micros(2));
-  EXPECT_EQ(Tracer::global().span_count(), 0u);
+  EXPECT_EQ(Tracer::global().spans().size(), 0u);
 }
 
 TEST(RequestTracer, PerRequestSpanCapCountsProvisionalDrops) {
   auto& rt = RequestTracer::global();
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   auto& dropped =
       MetricsRegistry::global().counter("obs.trace.provisional_dropped");
   const auto dropped0 = dropped.value();
@@ -218,16 +220,16 @@ TEST(RequestTracer, PerRequestSpanCapCountsProvisionalDrops) {
   }
   EXPECT_EQ(recorded, 127);  // 128 spans per request, the root included
   ASSERT_TRUE(rt.finish_request(ctx, SimTime::micros(500), /*error=*/true));
-  EXPECT_EQ(Tracer::global().span_count(), 128u);
+  EXPECT_EQ(Tracer::global().spans().size(), 128u);
   EXPECT_EQ(dropped.value(), dropped0 + 13);
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 }
 
 TEST(RequestTracer, SameSeedExportsAreByteIdentical) {
   auto run = [] {
     auto& rt = RequestTracer::global();
     rt.restart_trace_ids();
-    Tracer::global().clear();
+    (void)Tracer::global().drain();
     for (int i = 0; i < 50; ++i) {
       TraceContext ctx =
           rt.start_request("GET /r" + std::to_string(i % 4), SimTime::micros(i * 100));
@@ -247,7 +249,7 @@ TEST(RequestTracer, SameSeedExportsAreByteIdentical) {
 
 TEST(RequestTracer, LeakedRequestIsDiscardedByNextStart) {
   auto& rt = RequestTracer::global();
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   TraceContext leaked = rt.start_request("GET /leaked", SimTime::micros(0));
   ASSERT_TRUE(leaked.active());
   // A new request on the same thread discards the stale buffer wholesale.
@@ -259,7 +261,7 @@ TEST(RequestTracer, LeakedRequestIsDiscardedByNextStart) {
   EXPECT_EQ(spans[0].name, "GET /fresh");
   // Finishing the leaked context after the fact is a counted no-op.
   EXPECT_FALSE(rt.finish_request(leaked, SimTime::micros(20), false));
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 }
 
 // The gateway names a request's root span after its percent-decoded path,
@@ -267,7 +269,7 @@ TEST(RequestTracer, LeakedRequestIsDiscardedByNextStart) {
 // JSON: each quote and control byte escaped, and the name never cut short.
 TEST(RequestTracer, PromotedNameWithControlBytesExportsEscaped) {
   auto& rt = RequestTracer::global();
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   const std::string rest(300, 'x');
   TraceContext ctx =
       rt.start_request("GET /a\nb\"c\x01" + rest, SimTime::micros(0));
@@ -317,7 +319,7 @@ TEST(RequestTracer, ConcurrentRequestsPromoteExactlyTheHeadSampledIds) {
   ASSERT_EQ(expected.size(), static_cast<std::size_t>(kThreads * kPerThread));
 
   rt.restart_trace_ids();
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
   const auto head0 = head.value();
   struct Outcome {
     TraceContext ctx;
@@ -379,7 +381,7 @@ TEST(RequestTracer, ConcurrentRequestsPromoteExactlyTheHeadSampledIds) {
       EXPECT_EQ(parent.parent, 0u);  // outer hangs off the root
     }
   }
-  Tracer::global().clear();
+  (void)Tracer::global().drain();
 }
 
 }  // namespace

@@ -83,7 +83,8 @@ TEST_F(TrackerFixture, CompletesOnceAndCancelledDeadlineDoesNotAdvanceTime) {
                     [](std::uint32_t) { return Status::ok(); })
                   .is_ok());
   EXPECT_TRUE(rpc.in_flight(1));
-  net.schedule_after(SimTime::millis(100), [&] { EXPECT_TRUE(rpc.complete<int>(1, 7)); });
+  net.schedule_at(net.now() + SimTime::millis(100),
+                  [&] { EXPECT_TRUE(rpc.complete<int>(1, 7)); });
   net.run();
   EXPECT_EQ(fired, 1);
   ASSERT_TRUE(got.is_ok());
@@ -116,8 +117,8 @@ TEST_F(TrackerFixture, RetriesAfterAttemptTimeoutThenCompletes) {
                       ++sends;
                       if (attempt == 2) {
                         // The second retry finally "reaches" the server.
-                        net.schedule_after(SimTime::millis(10),
-                                           [&] { EXPECT_TRUE(rpc.complete<int>(9, 1)); });
+                        net.schedule_at(net.now() + SimTime::millis(10),
+                                        [&] { EXPECT_TRUE(rpc.complete<int>(9, 1)); });
                       }
                       return Status::ok();
                     })

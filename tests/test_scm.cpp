@@ -1,4 +1,4 @@
-// SCM tests: version chains, exclusive write check-outs, diff summaries.
+// SCM tests: version chains, exclusive write check-outs, line diffs.
 #include <gtest/gtest.h>
 
 #include "scm/scm_store.hpp"
@@ -10,7 +10,7 @@ constexpr UserId kShih{1};
 constexpr UserId kMa{2};
 
 Bytes bytes_of(const std::string& s) { return Bytes(s.begin(), s.end()); }
-std::string string_of(const Bytes& b) { return std::string(b.begin(), b.end()); }
+Digest128 digest_of(const std::string& s) { return digest128(bytes_of(s)); }
 
 TEST(Scm, AddItemCreatesVersionOne) {
   ScmStore scm;
@@ -20,7 +20,8 @@ TEST(Scm, AddItemCreatesVersionOne) {
   ASSERT_TRUE(head.is_ok());
   EXPECT_EQ(head.value().number, 1u);
   EXPECT_EQ(head.value().author, "shih");
-  EXPECT_EQ(string_of(scm.content("script:intro").value()), "v1 text");
+  EXPECT_EQ(head.value().digest, digest_of("v1 text"));
+  EXPECT_EQ(head.value().size, 7u);
   EXPECT_EQ(scm.add_item("script:intro", {}, "x", 0).code(), Errc::already_exists);
 }
 
@@ -31,11 +32,11 @@ TEST(Scm, CheckOutCheckInBumpsVersion) {
   auto meta = scm.check_in("s", kShih, bytes_of("two"), "edit", 300);
   ASSERT_TRUE(meta.is_ok());
   EXPECT_EQ(meta.value().number, 2u);
-  EXPECT_EQ(string_of(scm.content("s").value()), "two");
-  EXPECT_EQ(string_of(scm.content("s", 1).value()), "one");
+  EXPECT_EQ(scm.head("s").value().digest, digest_of("two"));
   auto history = scm.history("s");
   ASSERT_TRUE(history.is_ok());
-  EXPECT_EQ(history.value().size(), 2u);
+  ASSERT_EQ(history.value().size(), 2u);
+  EXPECT_EQ(history.value()[0].digest, digest_of("one"));
 }
 
 TEST(Scm, CheckInWithoutWriteCheckoutRefused) {
@@ -54,7 +55,6 @@ TEST(Scm, WriteCheckoutIsExclusive) {
   ASSERT_TRUE(scm.add_item("s", bytes_of("one"), "shih", 100).is_ok());
   ASSERT_TRUE(scm.check_out("s", kShih, true, 200).is_ok());
   EXPECT_EQ(scm.check_out("s", kMa, true, 210).code(), Errc::lock_conflict);
-  EXPECT_EQ(scm.write_holder("s"), kShih);
   // Readers can coexist with a writer.
   EXPECT_TRUE(scm.check_out("s", kMa, false, 220).is_ok());
 }
@@ -66,16 +66,6 @@ TEST(Scm, SameUserCannotDoubleCheckout) {
   EXPECT_EQ(scm.check_out("s", kShih, false, 210).code(), Errc::already_exists);
 }
 
-TEST(Scm, CancelCheckoutFreesWriteLock) {
-  ScmStore scm;
-  ASSERT_TRUE(scm.add_item("s", bytes_of("one"), "shih", 100).is_ok());
-  ASSERT_TRUE(scm.check_out("s", kShih, true, 200).is_ok());
-  ASSERT_TRUE(scm.cancel_checkout("s", kShih).is_ok());
-  EXPECT_EQ(scm.write_holder("s"), std::nullopt);
-  EXPECT_TRUE(scm.check_out("s", kMa, true, 300).is_ok());
-  EXPECT_EQ(scm.cancel_checkout("s", kShih).code(), Errc::not_found);
-}
-
 TEST(Scm, IdenticalCheckInRejected) {
   ScmStore scm;
   ASSERT_TRUE(scm.add_item("s", bytes_of("same"), "shih", 100).is_ok());
@@ -83,7 +73,7 @@ TEST(Scm, IdenticalCheckInRejected) {
   EXPECT_EQ(scm.check_in("s", kShih, bytes_of("same"), "noop", 300).code(),
             Errc::conflict);
   // The write checkout survives the failed check-in.
-  EXPECT_EQ(scm.write_holder("s"), kShih);
+  EXPECT_TRUE(scm.check_in("s", kShih, bytes_of("changed"), "edit", 310).is_ok());
 }
 
 TEST(Scm, CheckInReleasesWriteCheckout) {
@@ -91,39 +81,15 @@ TEST(Scm, CheckInReleasesWriteCheckout) {
   ASSERT_TRUE(scm.add_item("s", bytes_of("one"), "shih", 100).is_ok());
   ASSERT_TRUE(scm.check_out("s", kShih, true, 200).is_ok());
   ASSERT_TRUE(scm.check_in("s", kShih, bytes_of("two"), "c", 300).is_ok());
-  EXPECT_EQ(scm.write_holder("s"), std::nullopt);
   EXPECT_TRUE(scm.check_out("s", kMa, true, 400).is_ok());
-}
-
-TEST(Scm, CheckoutCountsFeedAssessment) {
-  ScmStore scm;
-  ASSERT_TRUE(scm.add_item("a", bytes_of("1"), "x", 0).is_ok());
-  ASSERT_TRUE(scm.add_item("b", bytes_of("2"), "x", 0).is_ok());
-  ASSERT_TRUE(scm.check_out("a", kMa, false, 1).is_ok());
-  ASSERT_TRUE(scm.check_out("b", kMa, false, 2).is_ok());
-  ASSERT_TRUE(scm.cancel_checkout("a", kMa).is_ok());
-  ASSERT_TRUE(scm.check_out("a", kMa, false, 3).is_ok());
-  EXPECT_EQ(scm.checkout_count(kMa), 3u);
-  EXPECT_EQ(scm.checkout_count(kShih), 0u);
 }
 
 TEST(Scm, VersionLookupGuards) {
   ScmStore scm;
   ASSERT_TRUE(scm.add_item("s", bytes_of("one"), "x", 0).is_ok());
-  EXPECT_EQ(scm.content("ghost").code(), Errc::not_found);
-  EXPECT_EQ(scm.content("s", 0).code(), Errc::not_found);
-  EXPECT_EQ(scm.content("s", 2).code(), Errc::not_found);
   EXPECT_EQ(scm.head("ghost").code(), Errc::not_found);
+  EXPECT_EQ(scm.history("ghost").code(), Errc::not_found);
 }
-
-TEST(Scm, ListItems) {
-  ScmStore scm;
-  ASSERT_TRUE(scm.add_item("b", {}, "x", 0).is_ok());
-  ASSERT_TRUE(scm.add_item("a", {}, "x", 0).is_ok());
-  EXPECT_EQ(scm.list_items(), (std::vector<std::string>{"a", "b"}));
-}
-
-// --- diff ---------------------------------------------------------------------
 
 TEST(Diff, IdenticalTexts) {
   DiffSummary d = diff_lines("a\nb\nc\n", "a\nb\nc\n");
@@ -149,34 +115,6 @@ TEST(Diff, EmptySides) {
   d = diff_lines("a\n", "");
   EXPECT_EQ(d.lines_removed, 1u);
   EXPECT_EQ(d.lines_added, 0u);
-}
-
-TEST(Diff, StoreDiffBetweenVersions) {
-  ScmStore scm;
-  ASSERT_TRUE(scm.add_item("s", bytes_of("line1\nline2\n"), "x", 0).is_ok());
-  ASSERT_TRUE(scm.check_out("s", kShih, true, 1).is_ok());
-  ASSERT_TRUE(scm.check_in("s", kShih, bytes_of("line1\nline2 edited\nline3\n"),
-                           "edit", 2)
-                  .is_ok());
-  auto d = scm.diff("s", 1, 2);
-  ASSERT_TRUE(d.is_ok());
-  EXPECT_EQ(d.value().lines_common, 1u);
-  EXPECT_EQ(d.value().lines_removed, 1u);
-  EXPECT_EQ(d.value().lines_added, 2u);
-  EXPECT_EQ(scm.diff("s", 1, 9).code(), Errc::not_found);
-}
-
-TEST(Diff, BinaryContentComparedByDigest) {
-  ScmStore scm;
-  Bytes binary{0x00, 0x01, 0x02};
-  ASSERT_TRUE(scm.add_item("s", binary, "x", 0).is_ok());
-  ASSERT_TRUE(scm.check_out("s", kShih, true, 1).is_ok());
-  Bytes binary2{0x00, 0x01, 0x03};
-  ASSERT_TRUE(scm.check_in("s", kShih, binary2, "c", 2).is_ok());
-  auto d = scm.diff("s", 1, 2);
-  ASSERT_TRUE(d.is_ok());
-  EXPECT_TRUE(d.value().binary);
-  EXPECT_FALSE(d.value().identical);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Observability-plane tests: hierarchical metrics scrape over the m-ary
-// broadcast tree (StationNode::scrape_tree, AdminNode::scrape_cluster) and
-// deterministic Perfetto export of a lecture-push trace.
+// broadcast tree (AdminNode::scrape_cluster) and deterministic Perfetto
+// export of a lecture-push trace.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -52,7 +52,7 @@ void expect_station_rows(const obs::Snapshot& snap, const StationNode& node) {
 struct Cluster {
   explicit Cluster(std::size_t n, std::uint64_t m, std::uint64_t seed = 7,
                    const StationConfig& config = {})
-      : net(seed) {
+      : m(m), net(seed) {
     std::vector<StationId> vec;
     for (std::size_t i = 0; i < n; ++i) {
       auto id = net.add_station();
@@ -65,6 +65,8 @@ struct Cluster {
     for (auto& node : nodes) node->set_tree(vec, m);
   }
 
+  const std::uint64_t m;
+
   void push_lecture(const std::string& key) {
     DocManifest doc;
     doc.doc_key = key;
@@ -74,12 +76,18 @@ struct Cluster {
     net.run();
   }
 
-  // Scrapes the whole tree from the root and runs it to completion.
+  // Scrapes the whole tree through an administrator station (one more
+  // station on the fabric, outside the tree) and runs it to completion.
   obs::Snapshot scrape() {
+    if (admin == nullptr) {
+      for (const auto& node : nodes) coordinator.register_station(node->id());
+      admin = std::make_unique<AdminNode>(net, net.add_station(), coordinator, m);
+      admin->bind();
+    }
     obs::Snapshot merged;
     bool done = false;
-    EXPECT_TRUE(nodes[0]
-                    ->scrape_tree([&](Result<obs::Snapshot> snap, SimTime) {
+    EXPECT_TRUE(admin
+                    ->scrape_cluster([&](Result<obs::Snapshot> snap, SimTime) {
                       EXPECT_TRUE(snap.is_ok());
                       if (snap.is_ok()) merged = std::move(snap).value();
                       done = true;
@@ -94,6 +102,8 @@ struct Cluster {
   std::vector<std::unique_ptr<blob::BlobStore>> blobs;
   std::vector<std::unique_ptr<ObjectStore>> stores;
   std::vector<std::unique_ptr<StationNode>> nodes;
+  Coordinator coordinator;
+  std::unique_ptr<AdminNode> admin;
 };
 
 TEST(ScrapeTree, MergedSnapshotMatchesEveryStationsLocalCounters) {
@@ -111,23 +121,6 @@ TEST(ScrapeTree, MergedSnapshotMatchesEveryStationsLocalCounters) {
   EXPECT_GT(pushes, 0u);
   EXPECT_EQ(obs::counter_total(merged, "station.pushes_received"),
             static_cast<double>(pushes));
-}
-
-TEST(ScrapeTree, LeafScrapeReturnsOnlyItself) {
-  Cluster c(5, 2);
-  obs::Snapshot merged;
-  // Node 4 (position 5) is a leaf: its subtree is itself.
-  ASSERT_TRUE(c.nodes[4]
-                  ->scrape_tree([&](Result<obs::Snapshot> snap, SimTime) {
-                    ASSERT_TRUE(snap.is_ok());
-                    merged = std::move(snap).value();
-                  })
-                  .is_ok());
-  c.net.run();
-  EXPECT_EQ(merged.samples.size(), kSamplesPerStation);
-  for (const obs::MetricSample& s : merged.samples) {
-    EXPECT_EQ(s.labels.at("station"), std::to_string(c.nodes[4]->id().value()));
-  }
 }
 
 TEST(ScrapeTree, SnapshotRendersWithExistingExporters) {

@@ -330,25 +330,9 @@ TEST(StationNode, SubChunkBlobFetchIsOneChunk) {
   EXPECT_GE(c.net().stats(c.id(0)).bytes_sent, manifest.blobs[0].size);
 }
 
-TEST(StationNode, ReferenceAnnouncementReachesEveryStation) {
-  Cluster c(13, 3);
-  auto manifest = lecture_manifest(c.id(0));
-  ASSERT_TRUE(c.store(0).put_instance(manifest, false).is_ok());
-  ASSERT_TRUE(c.node(0).announce_reference(manifest).is_ok());
-  c.net().run();
-  for (std::size_t i = 1; i < c.size(); ++i) {
-    const StoredDoc* d = c.store(i).doc(manifest.doc_key);
-    ASSERT_NE(d, nullptr) << i;
-    EXPECT_EQ(d->form, ObjectForm::reference) << i;
-    EXPECT_EQ(c.store(i).disk_bytes(), 0u) << i;  // references are free
-  }
-  // Announcements are tiny: total wire bytes far below one document copy.
-  EXPECT_LT(c.net().total_bytes_on_wire(), manifest.total_bytes());
-}
-
-TEST(StationNode, AnnouncedReferenceEnablesDirectHomeFetch) {
-  // Two stations without a tree: the announcement is what gives the student
-  // routing information (the home id) for a later on-demand pull.
+TEST(StationNode, ReferenceEnablesOnDemandFetch) {
+  // A reference record in the student's store (the manifest only, no
+  // bytes) is enough for a later on-demand pull.
   net::SimNetwork net;
   StationId home_id = net.add_station();
   StationId student_id = net.add_station();
@@ -364,9 +348,7 @@ TEST(StationNode, AnnouncedReferenceEnablesDirectHomeFetch) {
 
   auto manifest = lecture_manifest(home_id);
   ASSERT_TRUE(hs.put_instance(manifest, false).is_ok());
-  ASSERT_TRUE(home.announce_reference(manifest).is_ok());
-  net.run();
-  ASSERT_NE(ss.doc(manifest.doc_key), nullptr);
+  ASSERT_TRUE(ss.put_reference(manifest).is_ok());
 
   bool fetched = false;
   ASSERT_TRUE(student

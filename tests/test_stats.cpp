@@ -1,9 +1,8 @@
-// Tests for the statistics helpers and the query planner's explain().
+// Tests for the statistics helpers.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "storage/query.hpp"
 
 namespace wdoc {
 namespace {
@@ -104,42 +103,6 @@ TEST(Percentiles, ReservoirIsDeterministic) {
 TEST(Percentiles, DefaultCapIsLarge) {
   Percentiles p;
   EXPECT_EQ(p.max_samples(), Percentiles::kDefaultMaxSamples);
-}
-
-// --- Query::explain ----------------------------------------------------------
-
-TEST(Explain, ReportsAccessPath) {
-  using namespace storage;
-  Table t(Schema("t",
-                 {Column{"k", ValueType::text, false, false, false},
-                  Column{"a", ValueType::integer, true, false, true},
-                  Column{"b", ValueType::integer, true, false, false}},
-                 "k"));
-  // Unpredicated: full scan.
-  EXPECT_FALSE(Query(t).explain().index_driven);
-  EXPECT_EQ(Query(t).explain().to_string(), "full scan");
-
-  // Indexed equality drives.
-  QueryPlan plan = Query(t).where_eq("a", Value(1)).where("b", CmpOp::gt, Value(0))
-                       .explain();
-  EXPECT_TRUE(plan.index_driven);
-  EXPECT_EQ(plan.driver_column, "a");
-  EXPECT_EQ(plan.residual_predicates, 1u);
-
-  // Unindexed-only predicates: full scan with filters.
-  plan = Query(t).where("b", CmpOp::le, Value(5)).explain();
-  EXPECT_FALSE(plan.index_driven);
-  EXPECT_EQ(plan.residual_predicates, 1u);
-
-  // Indexed range drives when no indexed equality exists; PK counts too.
-  plan = Query(t).where("k", CmpOp::ge, Value("m")).explain();
-  EXPECT_TRUE(plan.index_driven);
-  EXPECT_EQ(plan.driver_op, CmpOp::ge);
-
-  // ORDER BY shows up as a sort stage.
-  plan = Query(t).order_by("b").explain();
-  EXPECT_TRUE(plan.sorted_output);
-  EXPECT_NE(plan.to_string().find("sort"), std::string::npos);
 }
 
 }  // namespace

@@ -137,12 +137,12 @@ TEST_P(CatalogModel, RandomOpsAgreeWithReferenceModel) {
   for (const auto& [name, age] : people) {
     auto rid = catalog.table("people")->find_unique("name", Value(name));
     ASSERT_TRUE(rid.has_value()) << name;
-    EXPECT_EQ(catalog.table("people")->cell(*rid, "age").as_int(), age);
+    EXPECT_EQ(catalog.table("people")->get(*rid)->at(1).as_int(), age);
   }
   for (const auto& [pet, owner] : pets) {
     auto rid = catalog.table("pets")->find_unique("pet", Value(pet));
     ASSERT_TRUE(rid.has_value()) << pet;
-    Value got = catalog.table("pets")->cell(*rid, "owner");
+    Value got = catalog.table("pets")->get(*rid)->at(1);
     if (owner) {
       EXPECT_EQ(got, Value(*owner));
     } else {
@@ -167,8 +167,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{4, 3000, RefAction::cascade},
                       SweepParam{5, 3000, RefAction::restrict}),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
+      const RefAction a = info.param.action;
       return "seed" + std::to_string(info.param.seed) + "_" +
-             ref_action_name(info.param.action);
+             (a == RefAction::restrict ? "restrict"
+              : a == RefAction::cascade ? "cascade"
+                                        : "set_null");
     });
 
 // --- WAL corruption fuzzing ---------------------------------------------------
@@ -208,7 +211,7 @@ TEST_P(WalFuzz, BitFlipsNeverCrashRecovery) {
     append_people_log(wal);
     ASSERT_TRUE(wal.sync().is_ok());
   }
-  const auto healthy = Wal::read_all(wal_path).expect("healthy read");
+  const auto healthy = Wal().open(wal_path).expect("healthy read");
   ASSERT_EQ(healthy.size(), 31u);
 
   // Flip random single bytes at random offsets; recovery must not crash and
@@ -228,8 +231,9 @@ TEST_P(WalFuzz, BitFlipsNeverCrashRecovery) {
       std::fputc(c ^ static_cast<int>(1 + rng.uniform(255)), f);
       std::fclose(f);
     }
-    auto records = Wal::read_all(mutated.string());
-    ASSERT_TRUE(records.is_ok());  // torn/corrupt tails end the scan, never throw
+    // Recovery's own scan: a torn or corrupt tail ends it, never throws.
+    auto records = Wal().open(mutated.string());
+    ASSERT_TRUE(records.is_ok());
     ASSERT_LE(records.value().size(), healthy.size());
     // What survives must be a prefix of the healthy history.
     for (std::size_t i = 0; i < records.value().size(); ++i) {
@@ -264,7 +268,7 @@ TEST_P(WalFuzz, TailFlipsInACrashImageKeepEveryFrame) {
     fs::copy_file(wal_path, image);  // while the log is open, as a crash finds it
     log_end = wal.bytes_appended();
   }
-  const auto healthy = Wal::read_all(wal_path.string()).expect("healthy read");
+  const auto healthy = Wal().open(wal_path.string()).expect("healthy read");
   ASSERT_EQ(healthy.size(), 31u);
   const std::uintmax_t size = fs::file_size(image);
   ASSERT_GT(size, log_end) << "no zero tail in the crash image";
@@ -285,7 +289,7 @@ TEST_P(WalFuzz, TailFlipsInACrashImageKeepEveryFrame) {
       }
       std::fclose(f);
     }
-    auto records = Wal::read_all(mutated.string());
+    auto records = Wal().open(mutated.string());
     ASSERT_TRUE(records.is_ok());
     ASSERT_EQ(records.value().size(), healthy.size()) << "trial " << trial;
     for (std::size_t i = 0; i < healthy.size(); ++i) {

@@ -5,9 +5,11 @@
 // byte-identical same-seed reruns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "dist/station_node.hpp"
+#include "net/chunk_wire.hpp"
 #include "net/sim_network.hpp"
 #include "swarm/config.hpp"
 #include "swarm/gossip.hpp"
@@ -133,6 +135,13 @@ constexpr std::uint32_t kOverWindow = kLinkWindow + 2;
 static_assert(kLinkWindow + 1 <= kPullWindow && kLinkWindow <= kRequestBatch,
               "the tests below are bounded by one link's window alone");
 
+// A gossip report from `position` that carries only its possession.
+void report_have(SwarmScheduler& s, std::uint64_t position, const Bitmap& have) {
+  PeerReport report;
+  report.have = &have.words();
+  s.peer_update(position, report);
+}
+
 TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
   SwarmScheduler s(kOverWindow, kTrees, 42, SimTime::zero());
   // No stripe parents set: every tree counts as stalled, pulls are free.
@@ -142,8 +151,8 @@ TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
   for (std::uint32_t g = 0; g < kOverWindow; ++g) common.set(g);
   Bitmap rare(kOverWindow);
   rare.set(5);
-  s.peer_update(2, common.words());
-  s.peer_update(3, rare.words());
+  report_have(s, 2, common);
+  report_have(s, 3, rare);
   auto plans = s.plan(SimTime::seconds(10));
   ASSERT_FALSE(plans.empty());
   // Chunk 5 is held by both peers (availability 2), everything else only
@@ -175,9 +184,9 @@ TEST(Scheduler, RarestFirstPicksTheScarceChunk) {
     every.set(g);
     if (g % kStep != 0) all_but_rare.set(g);
   }
-  wide.peer_update(2, every.words());
-  wide.peer_update(3, all_but_rare.words());
-  wide.peer_update(4, all_but_rare.words());
+  report_have(wide, 2, every);
+  report_have(wide, 3, all_but_rare);
+  report_have(wide, 4, all_but_rare);
   std::set<std::uint32_t> on_peer2;
   for (const auto& p : wide.plan(SimTime::seconds(10))) {
     if (p.peer == 2) on_peer2.insert(p.chunks.begin(), p.chunks.end());
@@ -193,7 +202,7 @@ TEST(Scheduler, InFlightChunksAreNeverReplanned) {
   s.add_peer(2);
   Bitmap all(kOverWindow);
   for (std::uint32_t g = 0; g < kOverWindow; ++g) all.set(g);
-  s.peer_update(2, all.words());
+  report_have(s, 2, all);
   auto first = s.plan(SimTime::seconds(10));
   ASSERT_EQ(first.size(), 1u);
   EXPECT_EQ(first[0].chunks.size(), kLinkWindow);
@@ -206,7 +215,7 @@ TEST(Scheduler, InFlightChunksAreNeverReplanned) {
   ASSERT_EQ(third.size(), 1u);
   EXPECT_EQ(third[0].chunks.size(), kLinkWindow);
   // A second holder gets only the chunks that are not in flight.
-  s.peer_update(3, all.words());
+  report_have(s, 3, all);
   auto fourth = s.plan(later);
   ASSERT_EQ(fourth.size(), 1u);
   EXPECT_EQ(fourth[0].peer, 3u);
@@ -222,7 +231,7 @@ TEST(Scheduler, StallGatingSuppressesPullsWhileThePipelineFlows) {
   s.add_peer(2);
   Bitmap all(8);
   for (std::uint32_t g = 0; g < 8; ++g) all.set(g);
-  s.peer_update(2, all.words());
+  report_have(s, 2, all);
   // Fresh progress on both trees: nothing is stalled, nothing is pulled.
   const SimTime start = SimTime::millis(100);
   s.mark_have(0, start);  // tree 0
@@ -245,7 +254,7 @@ TEST(Scheduler, MarkHaveClearsFlightAndTracksCompletion) {
   s.add_peer(2);
   Bitmap all(kOverWindow);
   for (std::uint32_t g = 0; g < kOverWindow; ++g) all.set(g);
-  s.peer_update(2, all.words());
+  report_have(s, 2, all);
   (void)s.plan(SimTime::seconds(10));
   EXPECT_EQ(s.in_flight(), kLinkWindow);
   EXPECT_TRUE(s.mark_have(0, SimTime::seconds(11)));
@@ -287,6 +296,20 @@ class Cluster {
   [[nodiscard]] ObjectStore& store(std::size_t i) { return *stores_[i]; }
   [[nodiscard]] net::SimNetwork& net() { return net_; }
   [[nodiscard]] std::size_t size() const { return ids_.size(); }
+
+  // Station i shows every message it receives to `seen` first.
+  void observe(std::size_t i, std::function<void(const net::Message&)> seen) {
+    net_.set_handler(ids_[i], [node = nodes_[i].get(),
+                               seen = std::move(seen)](const net::Message& m) {
+      seen(m);
+      node->handle(m);
+    });
+  }
+
+  [[nodiscard]] std::size_t index_of(StationId id) const {
+    const auto it = std::find(ids_.begin(), ids_.end(), id);
+    return static_cast<std::size_t>(it - ids_.begin());
+  }
 
  private:
   net::SimNetwork net_;
@@ -382,18 +405,32 @@ TEST(SwarmPush, RealPayloadSwarmRelayIsZeroCopy) {
   auto id = c.store(0).blobs().put(video, blob::MediaType::video).expect("put");
   (void)c.store(0).blobs().release(id);
 
-  const std::uint64_t copied_before = net::Payload::bytes_copied_total();
+  // Stripe relays, gossip-triggered serves, duplicate receives — every
+  // chunk body is a view of its sender's own buffer. Same contract as the
+  // single tree (ChunkPipeline.RealPayloadRelayIsZeroCopy).
+  std::size_t received = 0;
+  std::size_t aliased = 0;
+  for (std::size_t i = 1; i < c.size(); ++i) {
+    c.observe(i, [&](const net::Message& m) {
+      if (m.type != net::kChunkData) return;
+      auto d = net::ChunkData::decode(m.payload, m.body).expect("chunk data");
+      ++received;
+      auto held = c.store(c.index_of(m.from))
+                      .blobs()
+                      .chunk_payload(d.digest, d.index, cfg.chunk.chunk_bytes);
+      ASSERT_TRUE(held.is_ok()) << held.message();
+      if (held.value().data() == d.payload.data()) ++aliased;
+    });
+  }
   ASSERT_TRUE(c.node(0).broadcast_push(doc).is_ok());
   c.net().run();
-  const std::uint64_t copied = net::Payload::bytes_copied_total() - copied_before;
 
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_TRUE(c.store(i).has_materialized(doc.doc_key)) << "station " << i;
     EXPECT_TRUE(c.store(i).blobs().find(ref.digest).has_value()) << "station " << i;
   }
-  // Stripe relays, gossip-triggered serves, duplicate receives — none of
-  // it may deep-copy payload bytes. Same contract as the single tree.
-  EXPECT_EQ(copied, 0u);
+  EXPECT_GE(received, 14u * 8u);
+  EXPECT_EQ(aliased, received);
 }
 
 TEST(SwarmPush, SameSeedSwarmPushIsByteDeterministic) {

@@ -3,14 +3,13 @@
 // Identical to GTest::gtest_main except that a failing test dumps the
 // obs flight recorder to stderr, so the structured incident log (deadlocks,
 // lock waits, watermark replications, migrations, repairs) from the failing
-// run is part of its output. The recorder is cleared between tests so a
-// dump only shows events from the test that failed.
+// run is part of its output. The banner names the first event the failing
+// test recorded; the events before it are earlier tests'.
 //
 // When WDOC_FAIL_ARTIFACT_DIR is set (CI does this), a failing test also
-// writes durable failure artifacts there: a Perfetto trace of whatever the
-// span tracer holds, and a /debug/slo-equivalent snapshot of every live
-// SloEngine — so a red run can be debugged from the uploaded artifacts
-// without reproducing it locally.
+// writes a durable failure artifact there: a Perfetto trace of whatever the
+// span tracer holds, so a red run can be debugged from the uploaded
+// artifacts without reproducing it locally.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,7 +17,6 @@
 #include <string>
 
 #include "obs/flight_recorder.hpp"
-#include "obs/slo.hpp"
 #include "obs/trace_export.hpp"
 
 namespace {
@@ -33,14 +31,15 @@ void write_text_file(const std::string& path, const std::string& body) {
 class FlightRecorderOnFailure : public testing::EmptyTestEventListener {
  public:
   void OnTestStart(const testing::TestInfo&) override {
-    wdoc::obs::FlightRecorder::global().clear();
+    first_event_ = wdoc::obs::FlightRecorder::global().recorded();
   }
   void OnTestEnd(const testing::TestInfo& info) override {
     if (info.result() == nullptr || !info.result()->Failed()) return;
     const std::string name =
         std::string(info.test_suite_name()) + "." + info.name();
     wdoc::obs::FlightRecorder::global().dump_to_stderr(
-        ("flight recorder — " + name).c_str());
+        ("flight recorder — " + name + " from event " + std::to_string(first_event_))
+            .c_str());
 
     const char* dir = std::getenv("WDOC_FAIL_ARTIFACT_DIR");
     if (dir == nullptr || *dir == '\0') return;
@@ -49,8 +48,10 @@ class FlightRecorderOnFailure : public testing::EmptyTestEventListener {
                     wdoc::obs::to_chrome_trace(
                         wdoc::obs::Tracer::global().spans(),
                         wdoc::obs::MetricsRegistry::global().snapshot()));
-    write_text_file(base + ".slo.json", wdoc::obs::SloEngine::dump_all());
   }
+
+ private:
+  std::uint64_t first_event_ = 0;
 };
 
 }  // namespace
